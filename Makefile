@@ -27,18 +27,25 @@ test:
 # concurrent hits; client: retry/breaker state across goroutines;
 # dist: the fleet coordinator's dispatch slots, steal path, and prober;
 # sim/simtest: the multi-core sharded runners' per-phase goroutine
-# gangs and the cross-core conformance oracle).
+# gangs, the machine pool shared by concurrent runs, and the cross-core
+# conformance oracle; core/phi/mem/cpu: the per-machine state a pooled
+# machine carries from one run's goroutine to the next's).
 # (-timeout 30m: exp's race pass alone runs >10m on a 2-core box, past
 # go test's default per-binary timeout.)
 race:
-	$(GO) test -race -timeout 30m ./internal/exp ./internal/obsv ./internal/cache ./internal/pb ./internal/srv ./internal/fault ./internal/client ./internal/dist ./internal/sim ./internal/simtest ./internal/stream
+	$(GO) test -race -timeout 30m ./internal/exp ./internal/obsv ./internal/cache ./internal/pb ./internal/srv ./internal/fault ./internal/client ./internal/dist ./internal/sim ./internal/simtest ./internal/stream ./internal/core ./internal/phi ./internal/mem ./internal/cpu
+
+# Every *-smoke target runs its tests through scripts/smoke, which
+# fails when a package's -run/-fuzz pattern passes no test at all (go
+# test alone reports success when a pattern matches nothing).
+SMOKE = GO=$(GO) $(GO) run ./scripts/smoke
 
 # Short fuzz budget per gio reader target: enough to shake out decoder
 # panics and allocation bombs on every CI run without stalling it.
 # (Plain `go test` already replays each target's seed corpus.)
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/gio
-	$(GO) test -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=10s ./internal/gio
+	$(SMOKE) -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/gio
+	$(SMOKE) -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=10s ./internal/gio
 
 # Per-package statement coverage with a total summary line. CI runs
 # this in place of the bare `test` target so coverage regressions are
@@ -53,7 +60,7 @@ coverage:
 # sync job over HTTP, diffs the metrics against a direct exp.RunScheme
 # call, then SIGTERMs it under load and asserts a clean drain (exit 0).
 serve-smoke:
-	$(GO) test -run '^TestServeSmoke$$' -v ./cmd/cobrad
+	$(SMOKE) -run '^TestServeSmoke$$' ./cmd/cobrad
 
 # Crash-recovery chaos: re-executes the figures and cobrad test
 # binaries as real processes under COBRA_FAULTS schedules that SIGKILL
@@ -61,16 +68,16 @@ serve-smoke:
 # then asserts byte-identical resume, a restart-surviving result
 # cache, and the slowloris read-header-timeout disconnect.
 chaos-smoke:
-	$(GO) test -run 'TestChaos|TestSlowloris' -v ./cmd/figures ./cmd/cobrad
+	$(SMOKE) -run 'TestChaos|TestSlowloris' ./cmd/figures ./cmd/cobrad
 
 # Distributed-campaign smoke: re-executes the figures test binary as
-# real cobrad worker processes (one throttled to a single in-flight job
-# to provoke 429 redistribution), scatters a campaign across them, and
-# diffs the gathered artifact against a serial local run — including
-# with a worker SIGKILLed mid-campaign and with the coordinator itself
-# killed and resumed from its fleet journal.
+# two real cobrad worker processes, scatters a campaign across them,
+# SIGKILLs one worker at its 3rd job admission, and diffs the gathered
+# artifact (with the lost cell stolen to the survivor) against a local
+# run; then SIGKILLs the coordinator at its 5th journal append and
+# diffs the resumed artifact the same way.
 fleet-smoke:
-	$(GO) test -run 'TestFleet' -v ./cmd/figures
+	$(SMOKE) -run 'TestFleet' ./cmd/figures
 
 # Streaming-engine smoke: a tiny 3-window streamed run byte-compared
 # against the offline oracle (same updates replayed in one batch), both
@@ -78,8 +85,8 @@ fleet-smoke:
 # HTTP (POST /v1/stream vs a direct engine run, plus mid-stream kill
 # and window-granularity resume through the result-cache journal).
 stream-smoke:
-	$(GO) test -run '^TestStreamOfflineConformance$$' -v ./internal/stream
-	$(GO) test -run '^TestStreamJob' -v ./internal/srv
+	$(SMOKE) -run '^TestStreamOfflineConformance$$' ./internal/stream
+	$(SMOKE) -run '^TestStreamJob' ./internal/srv
 
 ci: vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-compare
 

@@ -189,7 +189,7 @@ func (c *Cache) Reset() {
 		c.meta[i] = 0
 	}
 	c.reserved = 0
-	c.lastSet = -1
+	c.lastSet, c.lastWay = -1, 0
 	c.repl.reset()
 	c.Stats = Stats{}
 }

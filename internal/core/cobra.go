@@ -190,18 +190,50 @@ type Machine struct {
 
 	St Stats
 
+	store  *CBufStore
 	inited bool
 }
 
-// NewMachine builds a COBRA machine around an existing core model.
-func NewMachine(c *cpu.Core, cfg Config) *Machine {
+// CBufStore is the backing storage BinInit carves every level's
+// C-Buffers from. A store outlives the machine that filled it: handing
+// the store of a machine that is out of use to NewMachine lets the
+// next BinInit reuse its arrays instead of allocating and zeroing
+// megabytes per run. Reuse is invisible to the simulation — BinInit
+// carves each buffer as a zero-length window, so stale tuples beyond a
+// buffer's length are never read.
+type CBufStore struct {
+	bufs [numLvls][][]Tuple
+	flat [numLvls][]Tuple
+}
+
+// carve returns numBufs zero-length buffers of perBuf capacity each for
+// level l, backed by one flat array.
+func (st *CBufStore) carve(l, numBufs, perBuf int) [][]Tuple {
+	if need := numBufs * perBuf; cap(st.flat[l]) < need {
+		st.flat[l] = make([]Tuple, need)
+	}
+	if cap(st.bufs[l]) < numBufs {
+		st.bufs[l] = make([][]Tuple, numBufs)
+	}
+	flat, bufs := st.flat[l], st.bufs[l][:numBufs]
+	// Three-index subslices pin each buffer's capacity to its own
+	// line-sized window, so appends can never bleed into a neighbour.
+	for i := range bufs {
+		bufs[i] = flat[i*perBuf : i*perBuf : (i+1)*perBuf]
+	}
+	return bufs
+}
+
+// NewMachine builds a COBRA machine around an existing core model,
+// carving its C-Buffers from st, which no other live machine may use.
+func NewMachine(st *CBufStore, c *cpu.Core, cfg Config) *Machine {
 	if cfg.TupleBytes <= 0 || 64%cfg.TupleBytes != 0 {
 		panic(fmt.Sprintf("core: tuple size %d must divide the 64 B line", cfg.TupleBytes))
 	}
 	if cfg.CoalesceFn == nil {
 		cfg.CoalesceFn = func(old, val uint64) uint64 { return old + val }
 	}
-	return &Machine{CPU: c, cfg: cfg, tuplesPerLine: 64 / cfg.TupleBytes}
+	return &Machine{CPU: c, cfg: cfg, tuplesPerLine: 64 / cfg.TupleBytes, store: st}
 }
 
 // Config returns the machine configuration.
@@ -264,20 +296,13 @@ func (m *Machine) BinInit(numIndices uint64) error {
 		}
 		// One flat backing array for all C-Buffers of this level instead
 		// of numBufs little allocations (the LLC level alone has tens of
-		// thousands). Three-index subslices pin each buffer's capacity to
-		// its own line-sized window, so appends can never bleed into a
-		// neighbouring buffer.
-		bufs := make([][]Tuple, numBufs)
-		flat := make([]Tuple, numBufs*m.tuplesPerLine)
-		for i := range bufs {
-			bufs[i] = flat[i*m.tuplesPerLine : i*m.tuplesPerLine : (i+1)*m.tuplesPerLine]
-		}
+		// thousands), reused from the store when it is large enough.
 		m.lvl[l] = levelState{
 			numBufs:  numBufs,
 			binShift: shift,
 			waysUsed: waysUsed,
 			baseAddr: 1<<40 + uint64(l)<<36,
-			bufs:     bufs,
+			bufs:     m.store.carve(l, numBufs, m.tuplesPerLine),
 		}
 	}
 	// Monotonicity check: deeper levels must have >= bins (the paper's

@@ -13,7 +13,7 @@ func newMachine(t *testing.T, tupleBytes int, numIndices uint64) *Machine {
 	t.Helper()
 	h := mem.New(mem.DefaultConfig())
 	c := cpu.New(cpu.DefaultConfig(), h)
-	m := NewMachine(c, DefaultConfig(tupleBytes))
+	m := NewMachine(new(CBufStore), c, DefaultConfig(tupleBytes))
 	if err := m.BinInit(numIndices); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestBinInitSmallNamespaceUsesFewerWays(t *testing.T) {
 	// unused reserved ways (§V-A).
 	h := mem.New(mem.DefaultConfig())
 	c := cpu.New(cpu.DefaultConfig(), h)
-	m := NewMachine(c, DefaultConfig(8))
+	m := NewMachine(new(CBufStore), c, DefaultConfig(8))
 	if err := m.BinInit(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBinInitSmallNamespaceUsesFewerWays(t *testing.T) {
 
 func TestBinInitRejectsZero(t *testing.T) {
 	h := mem.New(mem.DefaultConfig())
-	m := NewMachine(cpu.New(cpu.DefaultConfig(), h), DefaultConfig(8))
+	m := NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(8))
 	if err := m.BinInit(0); err == nil {
 		t.Fatal("BinInit(0) should fail")
 	}
@@ -85,12 +85,12 @@ func TestBadTupleSizePanics(t *testing.T) {
 		}
 	}()
 	h := mem.New(mem.DefaultConfig())
-	NewMachine(cpu.New(cpu.DefaultConfig(), h), DefaultConfig(7))
+	NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(7))
 }
 
 func TestBinUpdateBeforeInitPanics(t *testing.T) {
 	h := mem.New(mem.DefaultConfig())
-	m := NewMachine(cpu.New(cpu.DefaultConfig(), h), DefaultConfig(8))
+	m := NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(8))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for BinUpdate before BinInit")
@@ -141,7 +141,7 @@ func TestTupleConservationProperty(t *testing.T) {
 		n := uint64(nRaw%5000) + 64
 		tupleBytes := []int{4, 8, 16}[tsel%3]
 		h := mem.New(mem.DefaultConfig())
-		m := NewMachine(cpu.New(cpu.DefaultConfig(), h), DefaultConfig(tupleBytes))
+		m := NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(tupleBytes))
 		if err := m.BinInit(n); err != nil {
 			return false
 		}
@@ -196,7 +196,7 @@ func TestEvictionBufferStalls(t *testing.T) {
 		c := cpu.New(cpu.DefaultConfig(), h)
 		cfg := DefaultConfig(4) // 16 tuples/line -> heavy engine load
 		cfg.EvictBufL1L2 = entries
-		m := NewMachine(c, cfg)
+		m := NewMachine(new(CBufStore), c, cfg)
 		if err := m.BinInit(1 << 20); err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestCoalescingReducesTraffic(t *testing.T) {
 		c := cpu.New(cpu.DefaultConfig(), h)
 		cfg := DefaultConfig(8)
 		cfg.Coalesce = coalesce
-		m := NewMachine(c, cfg)
+		m := NewMachine(new(CBufStore), c, cfg)
 		if err := m.BinInit(1 << 16); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestCoalescedSumsPreserved(t *testing.T) {
 	c := cpu.New(cpu.DefaultConfig(), h)
 	cfg := DefaultConfig(8)
 	cfg.Coalesce = true
-	m := NewMachine(c, cfg)
+	m := NewMachine(new(CBufStore), c, cfg)
 	const n = 4096
 	if err := m.BinInit(n); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestContextSwitchWaste(t *testing.T) {
 		c := cpu.New(cpu.DefaultConfig(), h)
 		cfg := DefaultConfig(8)
 		cfg.CtxSwitchQuantum = quantum
-		m := NewMachine(c, cfg)
+		m := NewMachine(new(CBufStore), c, cfg)
 		if err := m.BinInit(1 << 18); err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestNoPartitionCBufMissRate(t *testing.T) {
 	c := cpu.New(cpu.DefaultConfig(), h)
 	cfg := DefaultConfig(8)
 	cfg.NoPartition = true
-	m := NewMachine(c, cfg)
+	m := NewMachine(new(CBufStore), c, cfg)
 	if err := m.BinInit(1 << 20); err != nil {
 		t.Fatal(err)
 	}

@@ -139,6 +139,19 @@ func New(cfg Config, h *mem.Hierarchy) *Core {
 	return c
 }
 
+// Reset restores the core to its post-New state (counters, clock, MSHR
+// slots, branch predictor) for a recycled machine. It leaves the bound
+// hierarchy alone; callers reset that separately.
+func (c *Core) Reset() {
+	c.Ctr = Counters{}
+	c.cycle = 0
+	for i := range c.doneAt {
+		c.issueAt[i], c.doneAt[i] = 0, 0
+	}
+	c.busy = 0
+	c.bp.reset()
+}
+
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
 
@@ -429,10 +442,15 @@ const gshareBits = 14
 
 func (g *gshare) init() {
 	g.table = make([]uint8, 1<<gshareBits)
+	g.mask = 1<<gshareBits - 1
+	g.reset()
+}
+
+func (g *gshare) reset() {
 	for i := range g.table {
 		g.table[i] = 1 // weakly not-taken
 	}
-	g.mask = 1<<gshareBits - 1
+	g.history = 0
 }
 
 // predict returns whether the prediction matched the outcome, updating

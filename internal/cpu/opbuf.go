@@ -87,6 +87,14 @@ func NewOpBufDirect(c *Core) *OpBuf {
 	return &OpBuf{c: c, direct: true}
 }
 
+// Reset drops any buffered ops without retiring them, returning the
+// buffer to its post-construction state for a recycled machine.
+func (b *OpBuf) Reset() {
+	b.ops = b.ops[:0]
+	b.refs = b.refs[:0]
+	b.levels = b.levels[:0]
+}
+
 // Direct reports whether this buffer is in scalar oracle mode.
 func (b *OpBuf) Direct() bool { return b.direct }
 

@@ -219,6 +219,31 @@ func New(cfg Config) *Hierarchy {
 	return h
 }
 
+// Reset restores the hierarchy to its post-New state so a recycled
+// machine is indistinguishable from a fresh one: every cache level
+// (lines, stats, replacement state, way reservation), the prefetcher's
+// stream table, the write-combining buffer, the L2 slot hints, and the
+// DRAM traffic counts. A field added to Hierarchy must be restored
+// here too; the sim package's recycling test compares a reset
+// hierarchy against mem.New field by field.
+func (h *Hierarchy) Reset() {
+	h.L1c.Reset()
+	h.L2c.Reset()
+	h.LLCc.Reset()
+	degree := h.pf.degree
+	lastLine, lastUse, dir, conf := h.pf.lastLine, h.pf.lastUse, h.pf.dir, h.pf.conf
+	for i := range lastLine {
+		lastLine[i] = ^uint64(0)
+		lastUse[i], dir[i], conf[i] = 0, 0, 0
+	}
+	h.pf = wcAndPf{lastLine: lastLine, lastUse: lastUse, dir: dir, conf: conf, degree: degree}
+	for i := range h.l2SlotLine {
+		h.l2SlotLine[i] = ^uint64(0)
+	}
+	h.l2SlotIdx = [64]int32{}
+	h.DRAMTraffic = Traffic{}
+}
+
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 

@@ -82,10 +82,10 @@ func (s Stats) LLCShare() float64 {
 	return float64(s.CoalescedLLC) / float64(total)
 }
 
-// slot is one coalescing-table entry.
+// slot is one coalescing-table entry (val first: 16 bytes, not 24).
 type slot struct {
-	key   uint32
 	val   uint64
+	key   uint32
 	valid bool
 }
 
@@ -97,11 +97,20 @@ type table struct {
 	mask  uint32
 }
 
-func newTable(capacityBytes, tupleBytes int) *table {
+// newTable sizes one level: capacityBytes/tupleBytes slots rounded
+// down to a power of two for mask indexing, then capped at the smallest
+// power of two >= numKeys. The cap is exact, not an approximation:
+// every key is below numKeys (New's contract), and numKeys <= p' <= p
+// for the capped size p' and configured size p whenever the cap binds,
+// so key & (p'-1) == key & (p-1) == key. Each key therefore
+// lands in the same slot index, slots >= p' stay empty in the uncapped
+// table, and every insert, displacement and Flush/drainPrivate scan
+// visits the same valid slots in the same order. Only the empty tail —
+// which a small window would otherwise allocate, zero and scan — goes.
+func newTable(capacityBytes, tupleBytes int, numKeys uint64) *table {
 	n := capacityBytes / tupleBytes
-	// Round down to a power of two for mask indexing.
 	p := 1
-	for p*2 <= n {
+	for p*2 <= n && uint64(p) < numKeys {
 		p *= 2
 	}
 	return &table{slots: make([]slot, p), mask: uint32(p - 1)}
@@ -133,7 +142,8 @@ type Model struct {
 	St       Stats
 }
 
-// New builds a PHI model. numKeys sizes the bin ranges.
+// New builds a PHI model. numKeys sizes the bin ranges and caps each
+// level's table (see newTable); every key must be below numKeys.
 func New(cfg Config, numKeys uint64) *Model {
 	if cfg.TupleBytes <= 0 {
 		panic("phi: tuple size must be positive")
@@ -145,9 +155,9 @@ func New(cfg Config, numKeys uint64) *Model {
 		cfg.NumBins = 1
 	}
 	m := &Model{cfg: cfg}
-	m.lvls[0] = newTable(cfg.L1Bytes, cfg.TupleBytes)
-	m.lvls[1] = newTable(cfg.L2Bytes, cfg.TupleBytes)
-	m.lvls[2] = newTable(cfg.LLCBytes, cfg.TupleBytes)
+	m.lvls[0] = newTable(cfg.L1Bytes, cfg.TupleBytes, numKeys)
+	m.lvls[1] = newTable(cfg.L2Bytes, cfg.TupleBytes, numKeys)
+	m.lvls[2] = newTable(cfg.LLCBytes, cfg.TupleBytes, numKeys)
 	// Power-of-two bin range covering numKeys with <= NumBins bins.
 	shift := uint(0)
 	for (numKeys+(1<<shift)-1)>>shift > uint64(cfg.NumBins) {

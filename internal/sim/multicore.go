@@ -57,11 +57,12 @@ type gang struct {
 	apps  []Applier // apps[0] is the primary (NewApplier) instance
 }
 
-// newGang builds the per-core machines and applier views. The applier
-// allocates its regions on core 0; the other machines' allocators are
-// then synced so every later gang allocation lands at the same base on
-// every core (each core addresses an identical layout through its own
-// private hierarchy).
+// newGang checks out the per-core machines and builds the applier
+// views. The applier allocates its regions on core 0; the other
+// machines' allocators are then synced so every later gang allocation
+// lands at the same base on every core (each core addresses an
+// identical layout through its own private hierarchy). The caller
+// releases the machines with g.release once the run is over.
 func newGang(app *App, arch Arch) (*gang, error) {
 	n := arch.Cores()
 	g := &gang{n: n, machs: make([]*Mach, n), apps: make([]Applier, n)}
@@ -71,6 +72,7 @@ func newGang(app *App, arch Arch) (*gang, error) {
 	primary := app.NewApplier(g.machs[0])
 	sh, ok := primary.(ShardApplier)
 	if !ok {
+		g.release()
 		return nil, fmt.Errorf("sim: app %s applier (%T) does not support multi-core sharding", app.Name, primary)
 	}
 	g.apps[0] = primary
@@ -79,6 +81,13 @@ func newGang(app *App, arch Arch) (*gang, error) {
 		g.apps[c] = sh.Shard(g.machs[c])
 	}
 	return g, nil
+}
+
+// release returns every core's machine to the pool.
+func (g *gang) release() {
+	for _, m := range g.machs {
+		m.Release()
+	}
 }
 
 // alloc reserves the same region on every core's machine (lockstep).
@@ -185,6 +194,7 @@ func runBaselineMC(app *App, arch Arch) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer g.release()
 	ro := beginRunObs(SchemeBaseline, app)
 	defer ro.end()
 	ro.cores(g.n)
@@ -260,6 +270,7 @@ func runPBSWMC(app *App, numBins int, arch Arch) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer g.release()
 	ro := beginRunObs(SchemePBSW, app)
 	defer ro.end()
 	ro.cores(g.n)
@@ -423,10 +434,11 @@ func runCOBRAMC(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer g.release()
 	input := g.alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
 	machines := make([]*core.Machine, g.n)
 	for c := range machines {
-		machines[c] = core.NewMachine(g.machs[c].CPU, cfg)
+		machines[c] = core.NewMachine(&g.machs[c].cbufs, g.machs[c].CPU, cfg)
 		if err := machines[c].BinInit(uint64(app.NumKeys)); err != nil {
 			return Metrics{}, err
 		}
@@ -561,6 +573,7 @@ func runPHIMC(app *App, numBins int, arch Arch) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer g.release()
 	ro := beginRunObs(SchemePHI, app)
 	defer ro.end()
 	ro.cores(g.n)

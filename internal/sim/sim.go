@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"cobra/internal/core"
 	"cobra/internal/cpu"
@@ -93,16 +94,41 @@ func (r Region) Addr(off uint64) uint64 {
 // CPU/H access remains for code that needs the clock or hierarchy
 // state mid-stream (the COBRA binning loop, phase bookkeeping) — any
 // such access must be preceded by B.Flush().
+//
+// Lifecycle: NewMach checks a machine out, the run drives it, and
+// Release returns it to a pool, from which a later NewMach with an
+// equal Arch takes it back after a full reset. Every runner releases
+// the machines it checked out, once, after its last use of them.
 type Mach struct {
 	CPU *cpu.Core
 	H   *mem.Hierarchy
 	B   *cpu.OpBuf
 
 	next uint64
+
+	// cbufs outlives each run's COBRA machine so the next BinInit on
+	// this Mach reuses its C-Buffer arrays.
+	cbufs    core.CBufStore
+	released bool
 }
 
-// NewMach builds a fresh machine.
+// machPool holds released machines. Any Arch may be pooled; NewMach
+// takes a machine back only when it was built for an equal Arch.
+var machPool sync.Pool
+
+// NewMach checks out a machine for a: a released machine built for an
+// equal Arch, reset to the post-construction state, or else a new one.
+// The two are indistinguishable to a run (see recycle).
 func NewMach(a Arch) *Mach {
+	if m, ok := machPool.Get().(*Mach); ok && m.fits(a) {
+		m.recycle()
+		return m
+	}
+	return buildMach(a)
+}
+
+// buildMach constructs a machine from scratch.
+func buildMach(a Arch) *Mach {
 	h := mem.New(a.Mem)
 	c := cpu.New(a.CPU, h)
 	b := cpu.NewOpBuf(c)
@@ -110,6 +136,36 @@ func NewMach(a Arch) *Mach {
 		b = cpu.NewOpBufDirect(c)
 	}
 	return &Mach{CPU: c, H: h, B: b, next: 1 << 20}
+}
+
+// fits reports whether m was built for a machine equal to a's. The core
+// count is not part of a machine: every core of a gang is the same.
+func (m *Mach) fits(a Arch) bool {
+	return m.H.Config() == a.Mem && m.CPU.Config() == a.CPU && m.B.Direct() == a.scalarRefs
+}
+
+// recycle resets a released machine to the state buildMach leaves:
+// caches, prefetcher, write-combining, DRAM counts, core clock,
+// counters, MSHRs, branch predictor, op buffer and allocator. Only the
+// C-Buffer store keeps its (never-read) contents.
+func (m *Mach) recycle() {
+	m.H.Reset()
+	m.CPU.Reset()
+	m.B.Reset()
+	m.next = 1 << 20
+	m.released = false
+}
+
+// Release returns m to the pool. The caller must be done with m and
+// with everything bound to it (appliers, COBRA machines). Releasing a
+// machine twice panics: the pool would hand the same machine to two
+// runs.
+func (m *Mach) Release() {
+	if m.released {
+		panic("sim: Mach released twice")
+	}
+	m.released = true
+	machPool.Put(m)
 }
 
 // Alloc reserves a page-aligned region of simulated address space.
@@ -324,6 +380,7 @@ func RunBaseline(app *App, arch Arch) (Metrics, error) {
 	applyT := ro.phase("accumulate.wall")
 	defer applyT.Stop()
 	mach := NewMach(arch)
+	defer mach.Release()
 	applier := app.NewApplier(mach)
 	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
 	met := Metrics{App: app.Name, Input: app.InputName, Scheme: SchemeBaseline}
@@ -416,6 +473,7 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 	ro := beginRunObs(SchemePBSW, app)
 	defer ro.end()
 	mach := NewMach(arch)
+	defer mach.Release()
 	applier := app.NewApplier(mach)
 	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
 	lay := planPB(mach, app, numBins)
@@ -566,6 +624,7 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 		return runCOBRAMC(app, opt, arch)
 	}
 	mach := NewMach(arch)
+	defer mach.Release()
 	applier := app.NewApplier(mach)
 	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
 
@@ -591,7 +650,7 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 		}
 		cfg.CoalesceFn = app.Reduce
 	}
-	m := core.NewMachine(mach.CPU, cfg)
+	m := core.NewMachine(&mach.cbufs, mach.CPU, cfg)
 
 	scheme := SchemeCOBRA
 	if opt.Coalesce {
@@ -714,6 +773,7 @@ func RunPHI(app *App, numBins int, arch Arch) (Metrics, error) {
 	ro := beginRunObs(SchemePHI, app)
 	defer ro.end()
 	mach := NewMach(arch)
+	defer mach.Release()
 	applier := app.NewApplier(mach)
 	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
 	met := Metrics{App: app.Name, Input: app.InputName, Scheme: SchemePHI}

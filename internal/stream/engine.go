@@ -73,8 +73,10 @@ type Result struct {
 
 // Run executes the workload's windows in order. Each window simulates
 // on a fresh machine (epoch semantics: per-window binning state never
-// leaks across windows) while the functional state accumulates, so
-// after the last window Result.Final bitwise-equals RunOffline's.
+// leaks across windows; a machine recycled from sim's pool is reset to
+// exactly the new-machine state) while the functional state
+// accumulates, so after the last window Result.Final bitwise-equals
+// RunOffline's.
 func Run(w Workload, cfg Config) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -223,9 +223,11 @@ func (w Workload) appRange(lo, hi int, st *State) *sim.App {
 			}
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
-			vals := make([]uint64, w.NumKeys)
+			var vals []uint64
 			if st != nil {
 				vals = st.Vals
+			} else {
+				vals = make([]uint64, w.NumKeys)
 			}
 			return &applier{m: m, reg: m.Alloc(uint64(w.NumKeys) * 8), vals: vals}
 		},
