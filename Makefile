@@ -1,5 +1,5 @@
 # Build/test entry points. `make ci` is the gate PRs must keep green:
-# vet + build + race-mode tests on the concurrency-bearing packages
+# gofmt + vet + build + race-mode tests on the concurrency-bearing packages
 # (exp's worker pool and input memo, obsv's lock-free instruments,
 # cache's shared-model users, pb's parallel binning) + the full test
 # suite with coverage + a short fuzz pass over the hardened gio readers.
@@ -26,7 +26,7 @@ test:
 # faulted-load tests; fault: the lock-free injection registry under
 # concurrent hits; client: retry/breaker state across goroutines;
 # dist: the fleet coordinator's dispatch slots, steal path, and prober;
-# sim/simtest: the multi-core sharded runners' per-phase goroutine
+# sim/simtest: the scheme runners' per-phase goroutine
 # gangs, the machine pool shared by concurrent runs, and the cross-core
 # conformance oracle; core/phi/mem/cpu: the per-machine state a pooled
 # machine carries from one run's goroutine to the next's).
@@ -88,7 +88,7 @@ stream-smoke:
 	$(SMOKE) -run '^TestStreamOfflineConformance$$' ./internal/stream
 	$(SMOKE) -run '^TestStreamJob' ./internal/srv
 
-ci: vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-compare
+ci: fmt-check vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-compare
 
 # Hot-path microbenchmarks (packed cache metadata; scalar-vs-batched
 # hierarchy pipeline; PB binning).

@@ -49,7 +49,7 @@ func parseSpec() (exp.RunSpec, bool, int) {
 		bins    = flag.Int("bins", 0, "PB-SW bin count (0 = sweep for best; fixed epoch default when streaming)")
 		schemes = flag.String("schemes", "Baseline,PB-SW,COBRA", "comma-separated schemes")
 		nuca    = flag.Bool("nuca", false, "model Table II's 4x4-mesh NUCA latency for the shared LLC")
-		cores   = flag.Int("cores", 1, "simulated core count (1 = legacy single-core model)")
+		cores   = flag.Int("cores", 1, "simulated core count (1 = one core)")
 		stream  = flag.Bool("stream", false, "drive the workload through the windowed streaming engine")
 		windows = flag.Int("windows", 0, "stream window count (0 = default; needs -stream)")
 		winUpd  = flag.Int("window-updates", 0, "updates per stream window (0 = default; needs -stream)")

@@ -135,10 +135,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		tracePath   = fs.String("trace", "", "write a runtime execution trace to this file")
-		cores       = fs.Int("cores", 1, "simulated core count for every run (1 = legacy single-core model; the scaling figure sweeps its own core axis)")
+		cores       = fs.Int("cores", 1, "simulated core count for every run (1 = a single core; the scaling figure sweeps its own core axis)")
 		windows     = fs.Int("windows", 0, "stream window count for the stream figure (0 = default)")
 		winUpd      = fs.Int("window-updates", 0, "updates per stream window for the stream figure (0 = default)")
-		scalarRefs  = fs.Bool("scalarrefs", false, "drive simulations through the scalar per-reference oracle instead of the batched pipeline (byte-identical output, slower; for differential testing)")
 		compactCkpt = fs.Bool("compact-checkpoint", false, "compact the -checkpoint journal (drop superseded duplicates and torn tails), then exit")
 		fleet       = fs.String("fleet", "", "comma-separated cobrad worker URLs: scatter servable cells across the fleet (others still run locally)")
 		fleetMax    = fs.Int("fleet-inflight", 4, "max in-flight cells per fleet worker")
@@ -208,9 +207,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	opts.StreamWindowUpdates = knobs.WindowUpdates
 	if knobs.Cores > 1 {
 		opts.Arch = opts.Arch.WithCores(knobs.Cores)
-	}
-	if *scalarRefs {
-		opts.Arch = opts.Arch.WithScalarRefs()
 	}
 
 	// Resolve the manifest destination: explicit path, auto (next to

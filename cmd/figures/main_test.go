@@ -164,43 +164,6 @@ func checkManifest(t *testing.T, path string) {
 	}
 }
 
-// TestBatchedPipelineOutputByteIdentical extends the byte-identity
-// acceptance to the batched reference pipeline: figure artifacts from
-// the batched hot path must equal the scalar oracle's artifacts
-// byte-for-byte (not approximately — the simulated cycle counts
-// themselves must agree in every bit for the tables to match).
-func TestBatchedPipelineOutputByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	batched := filepath.Join(dir, "batched.txt")
-	scalar := filepath.Join(dir, "scalar.txt")
-
-	for _, figName := range []string{"10", "t1"} {
-		code, _, stderr := runFigures(t, "-fig", figName, "-scale", "12", "-o", batched, "-manifest", "none")
-		if code != 0 {
-			t.Fatalf("batched run exited %d\n%s", code, stderr)
-		}
-		code, _, stderr = runFigures(t, "-fig", figName, "-scale", "12", "-o", scalar, "-manifest", "none", "-scalarrefs")
-		if code != 0 {
-			t.Fatalf("scalar run exited %d\n%s", code, stderr)
-		}
-		a, err := os.ReadFile(batched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(scalar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) == 0 {
-			t.Fatalf("fig %s: empty artifact", figName)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("fig %s: batched pipeline artifact differs from scalar oracle (%d vs %d bytes)",
-				figName, len(a), len(b))
-		}
-	}
-}
-
 // TestManifestRecordsCheckpointReplay: a resumed campaign's manifest
 // must report the replay/record split, and the replayed run's artifact
 // must match the original byte-for-byte.

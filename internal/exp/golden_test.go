@@ -8,9 +8,10 @@ package exp
 //
 //	go test ./internal/exp -run TestGoldenMetrics -update
 //
-// and the diff is reviewed like any other source change. The 1-core
-// rows double as the multi-core work's byte-identity contract: they
-// may never change in a PR that only touches the sharded path.
+// and the diff is reviewed like any other source change. One-core and
+// sixteen-core runs go through the same per-scheme runner, so a change
+// to the runners that is meant to be behaviour-preserving must leave
+// both row sets untouched.
 
 import (
 	"bytes"

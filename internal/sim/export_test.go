@@ -1,8 +1,9 @@
 package sim
 
-// Test hooks for the external sim_test package: the machine pool's
-// construction and checkout steps, reachable without going through the
-// pool (whose hand-outs a test cannot force).
+// Test hooks for the external sim_test package: the scalar oracle
+// switch, and the machine pool's construction and checkout steps,
+// reachable without going through the pool (whose hand-outs a test
+// cannot force).
 
 // BuildMach constructs a machine without consulting the pool.
 var BuildMach = buildMach
@@ -18,4 +19,12 @@ func (m *Mach) Released() bool { return m.released }
 func DrainPool() {
 	for machPool.Get() != nil {
 	}
+}
+
+// WithScalarRefs returns a copy of a whose machines execute every
+// micro-op immediately through the scalar Core methods (the oracle the
+// batched pipeline is verified against).
+func (a Arch) WithScalarRefs() Arch {
+	a.scalarRefs = true
+	return a
 }

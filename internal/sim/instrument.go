@@ -44,10 +44,12 @@ type runObs struct {
 	reg     *obsv.Registry // scoped to "sim.<scheme>", nil when disabled
 	start   time.Time
 	updates int
+	cores   int
 }
 
-// beginRunObs opens observation of one run and counts it.
-func beginRunObs(scheme Scheme, app *App) runObs {
+// beginRunObs opens observation of one run on a gang of n cores and
+// counts it. A multi-core run also records its shard width ("cores").
+func beginRunObs(scheme Scheme, app *App, n int) runObs {
 	root := obsv.Default()
 	if root == nil {
 		return runObs{}
@@ -55,32 +57,24 @@ func beginRunObs(scheme Scheme, app *App) runObs {
 	reg := root.Scope(schemeScope(scheme))
 	reg.Counter("runs").Add(1)
 	reg.Counter("updates").Add(uint64(app.NumUpdates))
-	return runObs{reg: reg, start: time.Now(), updates: app.NumUpdates}
-}
-
-// phase starts a wall-clock timer for one phase ("init.wall",
-// "binning.wall", "accumulate.wall").
-func (ro runObs) phase(name string) obsv.Timer {
-	if ro.reg == nil {
-		return obsv.Timer{}
+	if n > 1 {
+		reg.Gauge("cores").Set(float64(n))
 	}
-	return ro.reg.Timer(name)
+	return runObs{reg: reg, start: time.Now(), updates: app.NumUpdates, cores: n}
 }
 
-// cores records the shard width of a multi-core run.
-func (ro runObs) cores(n int) {
-	if ro.reg == nil {
-		return
-	}
-	ro.reg.Gauge("cores").Set(float64(n))
-}
-
-// corePhase starts a per-core wall-clock timer for one shard's phase
-// ("core3.binning.wall"). Timers on distinct cores run concurrently;
-// the registry is lock-free, so this is safe from the shard goroutines.
+// corePhase starts core c's wall-clock timer for one phase
+// ("init.wall", "binning.wall", "accumulate.wall"). A one-core run
+// times the phase itself ("sim.pbsw.binning.wall"); a multi-core run
+// times each shard in its core's scope ("sim.pbsw.core3.binning.wall").
+// Timers on distinct cores run concurrently; the registry is
+// lock-free, so this is safe from the shard goroutines.
 func (ro runObs) corePhase(c int, name string) obsv.Timer {
 	if ro.reg == nil {
 		return obsv.Timer{}
+	}
+	if ro.cores == 1 {
+		return ro.reg.Timer(name)
 	}
 	return ro.reg.Scope("core" + strconv.Itoa(c)).Timer(name)
 }

@@ -3,10 +3,12 @@
 // the paper evaluates: Baseline, PB-SW, PB-SW-IDEAL, COBRA, COBRA-COMM,
 // and PHI. It produces the Metrics every figure is built from.
 //
-// The simulated unit is one representative core owning 1/16th of the
-// work and a core-local NUCA LLC slice (see DESIGN.md): the paper's PB
-// and COBRA duplicate all bins and C-Buffers per thread and privatize
-// LLC banks per core, so per-core behaviour is the unit of analysis.
+// Each scheme has one runner (multicore.go), which drives a gang of
+// Arch.Cores() per-core machines: every core has its own L1/L2, op
+// pipeline and private NUCA LLC slice, as the paper's PB and COBRA
+// duplicate all bins and C-Buffers per thread and privatize LLC banks
+// per core (see DESIGN.md §9). The default one-core machine is a gang
+// of one: one representative core owning all the work.
 package sim
 
 import (
@@ -16,7 +18,6 @@ import (
 	"cobra/internal/core"
 	"cobra/internal/cpu"
 	"cobra/internal/mem"
-	"cobra/internal/phi"
 )
 
 // Arch is the simulated architecture (Table II defaults).
@@ -24,19 +25,18 @@ type Arch struct {
 	Mem mem.Config
 	CPU cpu.Config
 
-	// NumCores is the number of simulated cores. 0 and 1 both select
-	// the legacy single-core model (one representative core owning all
-	// the work), whose outputs are byte-identical to the pre-multi-core
-	// simulator. Values > 1 shard every scheme across NumCores per-core
-	// machines — each with its own L1/L2, OpBuf pipeline, and private
-	// NUCA LLC slice — and merge per-core Metrics via MergeMetrics.
+	// NumCores is the number of simulated cores; 0 and 1 both mean one
+	// core owning all the work. Every scheme shards across the
+	// NumCores per-core machines — each with its own L1/L2, OpBuf
+	// pipeline, and private NUCA LLC slice — and merges per-core
+	// Metrics via MergeMetrics, which is the identity on one core.
 	// See DESIGN.md §9 for the shard/merge model.
 	NumCores int
 
 	// scalarRefs forces runs built from this Arch through the scalar
 	// per-reference oracle path instead of the batched pipeline. Both
-	// paths must produce bit-identical Metrics; the differential tests
-	// exercise this knob.
+	// paths must produce bit-identical Metrics; only the differential
+	// tests set it, through a hook in export_test.go.
 	scalarRefs bool
 }
 
@@ -45,8 +45,7 @@ type Arch struct {
 // naming a count.
 const DefaultMultiCores = 16
 
-// DefaultArch mirrors Table II's per-core parameters on the legacy
-// single-core model.
+// DefaultArch mirrors Table II's per-core parameters on one core.
 func DefaultArch() Arch {
 	return Arch{Mem: mem.DefaultConfig(), CPU: cpu.DefaultConfig()}
 }
@@ -67,14 +66,6 @@ func (a Arch) Cores() int {
 		return 1
 	}
 	return a.NumCores
-}
-
-// WithScalarRefs returns a copy of a whose machines execute every
-// micro-op immediately through the scalar Core methods (the oracle the
-// batched pipeline is verified against).
-func (a Arch) WithScalarRefs() Arch {
-	a.scalarRefs = true
-	return a
 }
 
 // Region is an allocated block of simulated address space.
@@ -280,7 +271,7 @@ type Metrics struct {
 	DRAM        mem.Traffic
 
 	// Cores is the number of simulated cores this Metrics aggregates
-	// (1 for the single-core model and for each per-core shard).
+	// (1 for a one-core run and for each per-core shard).
 	Cores int
 
 	// Per-phase memory behaviour (Init excluded from Bin/Accum, so
@@ -366,224 +357,6 @@ const (
 	pcBinLoop   = 0x300 // accumulate per-bin loop branch
 )
 
-// RunBaseline executes the unoptimized kernel: stream the input, apply
-// each irregular update directly (Figure 3 left).
-func RunBaseline(app *App, arch Arch) (Metrics, error) {
-	if err := app.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	if arch.Cores() > 1 {
-		return runBaselineMC(app, arch)
-	}
-	ro := beginRunObs(SchemeBaseline, app)
-	defer ro.end()
-	applyT := ro.phase("accumulate.wall")
-	defer applyT.Stop()
-	mach := NewMach(arch)
-	defer mach.Release()
-	applier := app.NewApplier(mach)
-	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
-	met := Metrics{App: app.Name, Input: app.InputName, Scheme: SchemeBaseline}
-	i := 0
-	app.ForEach(func(key uint32, val uint64, newGroup bool) {
-		mach.B.Load(input.Addr(uint64(i) * uint64(app.StreamBytes)))
-		mach.B.Branch(pcInnerLoop, !newGroup)
-		mach.B.ALU(1 + app.ApplyALU) // address math + apply work
-		applier.Apply(key, val)
-		i++
-	})
-	mach.B.Flush()
-	mach.CPU.DrainMem()
-	met.finish(mach)
-	met.AccumCycles = met.Cycles // the whole run is "apply"
-	met.AccumMem = memSnap(mach)
-	return met, nil
-}
-
-// pbLayout bundles the software-PB data structures of one run.
-type pbLayout struct {
-	numBins  int
-	shift    uint
-	cbuf     Region // numBins × 64 B coalescing buffers
-	cnt      Region // numBins × 4 B per-C-Buffer fill counters
-	binPos   Region // numBins × 4 B bin write cursors
-	bins     Region // NumUpdates × TupleBytes in-memory bins
-	tuplesPL int
-}
-
-func planPB(mach *Mach, app *App, numBins int) pbLayout {
-	if numBins < 1 {
-		numBins = 1
-	}
-	if numBins > app.NumKeys {
-		numBins = app.NumKeys
-	}
-	// Power-of-two bin range, as in Algorithm 2's shift-based binning.
-	shift := uint(0)
-	for (uint64(app.NumKeys)+(1<<shift)-1)>>shift > uint64(numBins) {
-		shift++
-	}
-	bins := int((uint64(app.NumKeys) + (1 << shift) - 1) >> shift)
-	return pbLayout{
-		numBins:  bins,
-		shift:    shift,
-		cbuf:     mach.Alloc(uint64(bins) * 64),
-		cnt:      mach.Alloc(uint64(bins) * 4),
-		binPos:   mach.Alloc(uint64(bins) * 4),
-		bins:     mach.Alloc(uint64(app.NumUpdates) * uint64(app.TupleBytes)),
-		tuplesPL: 64 / app.TupleBytes,
-	}
-}
-
-// runInitCount models the Init phase both PB and COBRA pay (Table I):
-// one streaming pass over the input counting tuples per bin, then a
-// prefix sum over the bin counts.
-func runInitCount(mach *Mach, app *App, input Region, cntRegion Region, shift uint, numBins int) {
-	i := 0
-	app.ForEach(func(key uint32, val uint64, newGroup bool) {
-		mach.B.Load(input.Addr(uint64(i) * uint64(app.StreamBytes)))
-		mach.B.Branch(pcInnerLoop, !newGroup)
-		mach.B.ALU(2) // shift + address math
-		addr := cntRegion.Addr(uint64(key>>shift) * 4)
-		mach.B.Load(addr)
-		mach.B.Store(addr)
-		i++
-	})
-	// Prefix sum over bin counts.
-	for b := 0; b < numBins; b++ {
-		mach.B.Load(cntRegion.Addr(uint64(b) * 4))
-		mach.B.ALU(2)
-		mach.B.Store(cntRegion.Addr(uint64(b) * 4))
-	}
-	mach.B.Flush()
-	mach.CPU.DrainMem()
-}
-
-// RunPBSW executes software propagation blocking with the given bin
-// count (Algorithm 2): Init (exact bin sizing), Binning through
-// cacheline-sized software C-Buffers flushed with non-temporal stores,
-// then Accumulate over the materialized bins.
-func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
-	if err := app.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	if arch.Cores() > 1 {
-		return runPBSWMC(app, numBins, arch)
-	}
-	ro := beginRunObs(SchemePBSW, app)
-	defer ro.end()
-	mach := NewMach(arch)
-	defer mach.Release()
-	applier := app.NewApplier(mach)
-	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
-	lay := planPB(mach, app, numBins)
-	met := Metrics{App: app.Name, Input: app.InputName, Scheme: SchemePBSW, NumBins: lay.numBins}
-
-	// ---- Init: per-bin tuple counts + prefix sum ----
-	initT := ro.phase("init.wall")
-	runInitCount(mach, app, input, lay.cnt, lay.shift, lay.numBins)
-	initT.Stop()
-	met.InitCycles = mach.CPU.Cycles()
-
-	// ---- Binning ----
-	binT := ro.phase("binning.wall")
-	binStartCyc := mach.CPU.Cycles()
-	binStartCtr := mach.CPU.Ctr
-	binStartMem := memSnap(mach)
-	scratch := getBinScratch(lay.numBins)
-	defer putBinScratch(scratch)
-	bins := scratch.bins     // materialized software bins
-	fill := scratch.fill     // tuples in each software C-Buffer
-	binPos := scratch.binPos // write cursor into each memory bin
-	i := 0
-	app.ForEach(func(key uint32, val uint64, newGroup bool) {
-		mach.B.Load(input.Addr(uint64(i) * uint64(app.StreamBytes)))
-		mach.B.Branch(pcInnerLoop, !newGroup)
-		i++
-		b := int(key >> lay.shift)
-		mach.B.ALU(2) // shift + C-Buffer address math
-		// Read-modify-write the C-Buffer fill counter, store the tuple.
-		cntAddr := lay.cnt.Addr(uint64(b) * 4)
-		mach.B.Load(cntAddr)
-		mach.B.Store(lay.cbuf.Addr(uint64(b)*64 + uint64(fill[b])*uint64(app.TupleBytes)))
-		mach.B.ALU(1)
-		mach.B.Store(cntAddr)
-		fill[b]++
-		full := fill[b] == lay.tuplesPL
-		mach.B.Branch(pcCBufFull, !full)
-		if full {
-			// Bulk transfer: non-temporal stores of the C-Buffer's tuples
-			// into the in-memory bin at this bin's cursor.
-			posAddr := lay.binPos.Addr(uint64(b) * 4)
-			mach.B.Load(posAddr)
-			for k := 0; k < lay.tuplesPL; k++ {
-				off := uint64(binPos[b]+k) * uint64(app.TupleBytes)
-				mach.B.StoreNT(lay.bins.Addr(off))
-				mach.B.ALU(1)
-			}
-			binPos[b] += lay.tuplesPL
-			mach.B.ALU(1)
-			mach.B.Store(posAddr)
-			fill[b] = 0
-		}
-		bins[b] = append(bins[b], core.Tuple{Key: key, Val: val})
-	})
-	// Flush partial C-Buffers (software epilogue).
-	for b := 0; b < lay.numBins; b++ {
-		mach.B.Load(lay.cnt.Addr(uint64(b) * 4))
-		mach.B.Branch(pcCBufFull, fill[b] == 0)
-		for k := 0; k < fill[b]; k++ {
-			off := uint64(binPos[b]+k) * uint64(app.TupleBytes)
-			mach.B.StoreNT(lay.bins.Addr(off))
-			mach.B.ALU(1)
-		}
-		binPos[b] += fill[b]
-		fill[b] = 0
-	}
-	mach.B.Flush()
-	mach.CPU.DrainMem()
-	binT.Stop()
-	met.BinCycles = mach.CPU.Cycles() - binStartCyc
-	met.BinCtr = mach.CPU.Ctr.Sub(binStartCtr)
-	met.BinMem = memSnap(mach).sub(binStartMem)
-
-	// ---- Accumulate ----
-	accT := ro.phase("accumulate.wall")
-	accStartCyc := mach.CPU.Cycles()
-	accStartCtr := mach.CPU.Ctr
-	accStartMem := memSnap(mach)
-	runAccumulate(mach, app, applier, bins, lay.bins)
-	accT.Stop()
-	met.AccumCycles = mach.CPU.Cycles() - accStartCyc
-	met.AccumCtr = mach.CPU.Ctr.Sub(accStartCtr)
-	met.AccumMem = memSnap(mach).sub(accStartMem)
-
-	met.finish(mach)
-	return met, nil
-}
-
-// runAccumulate replays materialized bins: sequential (prefetchable)
-// tuple reads, then the irregular apply whose footprint is now bounded
-// by the bin range.
-func runAccumulate(mach *Mach, app *App, applier Applier, bins [][]core.Tuple, binRegion Region) {
-	pos := 0
-	for b := range bins {
-		// Per-bin loop prologue: offsets lookup + loop setup.
-		mach.B.ALU(6)
-		mach.B.Load(binRegion.Addr(uint64(pos) * uint64(app.TupleBytes)))
-		mach.B.Branch(pcBinLoop, len(bins[b]) != 0)
-		for _, t := range bins[b] {
-			mach.B.Load(binRegion.Addr(uint64(pos) * uint64(app.TupleBytes)))
-			mach.B.Branch(pcBinLoop, true)
-			mach.B.ALU(1 + app.ApplyALU)
-			applier.Apply(t.Key, t.Val)
-			pos++
-		}
-	}
-	mach.B.Flush()
-	mach.CPU.DrainMem()
-}
-
 // IdealPB composes PB-SW-IDEAL (Figure 5): the Binning phase of a
 // small-bin run with the Accumulate phase of a large-bin run — the
 // unrealizable best of both worlds.
@@ -611,124 +384,6 @@ type CobraOpt struct {
 	NoPartition      bool // §V-E: no static cache partitioning; C-Buffers compete in cache
 }
 
-// RunCOBRA executes the COBRA scheme: the Init counting pass (bin sizes
-// are precomputed exactly as in PB, §V-E), bininit, a Binning phase of
-// single binupdate instructions through the hardware C-Buffer
-// hierarchy, binflush, then Accumulate over the hardware-materialized
-// bins (one per LLC C-Buffer — the optimal large bin count).
-func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
-	if err := app.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	if arch.Cores() > 1 {
-		return runCOBRAMC(app, opt, arch)
-	}
-	mach := NewMach(arch)
-	defer mach.Release()
-	applier := app.NewApplier(mach)
-	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
-
-	cfg := core.DefaultConfig(app.TupleBytes)
-	cfg.Coalesce = opt.Coalesce
-	cfg.CtxSwitchQuantum = opt.CtxSwitchQuantum
-	if opt.EvictBufL1L2 > 0 {
-		cfg.EvictBufL1L2 = opt.EvictBufL1L2
-	}
-	if opt.ReserveL1 > 0 {
-		cfg.ReserveL1 = opt.ReserveL1
-	}
-	if opt.ReserveL2 > 0 {
-		cfg.ReserveL2 = opt.ReserveL2
-	}
-	if opt.ReserveLLC > 0 {
-		cfg.ReserveLLC = opt.ReserveLLC
-	}
-	cfg.NoPartition = opt.NoPartition
-	if opt.Coalesce {
-		if !app.Commutative || app.Reduce == nil {
-			return Metrics{}, fmt.Errorf("sim: COBRA-COMM is inapplicable to %s (§III-B: updates must coalesce losslessly)", app.Name)
-		}
-		cfg.CoalesceFn = app.Reduce
-	}
-	m := core.NewMachine(&mach.cbufs, mach.CPU, cfg)
-
-	scheme := SchemeCOBRA
-	if opt.Coalesce {
-		scheme = SchemeComm
-	}
-	met := Metrics{App: app.Name, Input: app.InputName, Scheme: scheme}
-	ro := beginRunObs(scheme, app)
-	defer ro.end()
-
-	// ---- Init: bin-size counting pass (charged to COBRA too) ----
-	// The count array is one slot per *memory bin*; before bininit the
-	// bin count is the LLC C-Buffer count, which we compute by a dry
-	// BinInit on a scratch machine... instead BinInit first (cheap), then
-	// count. Order matches §V-E: offsets must exist before Binning.
-	if err := m.BinInit(uint64(app.NumKeys)); err != nil {
-		return Metrics{}, err
-	}
-	cntRegion := mach.Alloc(uint64(m.NumBins()) * 4)
-	initT := ro.phase("init.wall")
-	runInitCount(mach, app, input, cntRegion, m.BinShiftLLC(), m.NumBins())
-	initT.Stop()
-	met.InitCycles = mach.CPU.Cycles()
-	met.NumBins = m.NumBins()
-
-	// ---- Binning: one binupdate per tuple ----
-	// This loop stays on the scalar CPU methods deliberately: the COBRA
-	// eviction-FIFO model inside m.BinUpdate reads the live cycle clock
-	// (queueing delays, context-switch quanta), so its micro-ops cannot
-	// be deferred behind a batch. See DESIGN §7.
-	binT := ro.phase("binning.wall")
-	binStartCyc := mach.CPU.Cycles()
-	binStartCtr := mach.CPU.Ctr
-	binStartMem := memSnap(mach)
-	i := 0
-	app.ForEach(func(key uint32, val uint64, newGroup bool) {
-		mach.CPU.Load(input.Addr(uint64(i) * uint64(app.StreamBytes)))
-		mach.CPU.Branch(pcInnerLoop, !newGroup)
-		m.BinUpdate(key, val)
-		i++
-	})
-	m.BinFlush()
-	binT.Stop()
-	met.BinCycles = mach.CPU.Cycles() - binStartCyc
-	met.BinCtr = mach.CPU.Ctr.Sub(binStartCtr)
-	met.BinMem = memSnap(mach).sub(binStartMem)
-	met.EvictStalls, _ = m.EvictionStalls()
-	if met.BinCycles > 0 {
-		met.EvictStallFrac = met.EvictStalls / met.BinCycles
-	}
-	met.CtxWasteBytes = m.St.CtxWasteBytes
-	met.CtxSwitches = m.St.CtxSwitches
-	met.CBufMissRate = m.St.CBufMissRate()
-
-	if opt.SkipAccum {
-		met.finish(mach)
-		return met, nil
-	}
-
-	// ---- Accumulate over hardware bins ----
-	binRegion := mach.Alloc(uint64(app.NumUpdates) * uint64(app.TupleBytes))
-	accT := ro.phase("accumulate.wall")
-	accStartCyc := mach.CPU.Cycles()
-	accStartCtr := mach.CPU.Ctr
-	accStartMem := memSnap(mach)
-	hwBins := m.Bins
-	if opt.MaxLLCBufs > 0 && opt.MaxLLCBufs < len(hwBins) {
-		hwBins = regroupBins(hwBins, opt.MaxLLCBufs)
-	}
-	runAccumulate(mach, app, applier, hwBins, binRegion)
-	accT.Stop()
-	met.AccumCycles = mach.CPU.Cycles() - accStartCyc
-	met.AccumCtr = mach.CPU.Ctr.Sub(accStartCtr)
-	met.AccumMem = memSnap(mach).sub(accStartMem)
-
-	met.finish(mach)
-	return met, nil
-}
-
 // regroupBins merges adjacent fine bins into at most maxBins coarse
 // bins (the "medium number of LLC C-Buffers" variant for PINV, §VII-A).
 func regroupBins(bins [][]core.Tuple, maxBins int) [][]core.Tuple {
@@ -754,68 +409,4 @@ func regroupBins(bins [][]core.Tuple, maxBins int) [][]core.Tuple {
 		out = append(out, flat[start:len(flat):len(flat)])
 	}
 	return out
-}
-
-// RunPHI models PHI for a commutative app (Figure 14): idealized
-// zero-overhead hierarchical coalescing during Binning (traffic =
-// stream reads + residue writes), then an Accumulate pass over the
-// coalesced residue with PB-SW's (compromised) bin count.
-func RunPHI(app *App, numBins int, arch Arch) (Metrics, error) {
-	if err := app.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	if !app.Commutative || app.Reduce == nil {
-		return Metrics{}, fmt.Errorf("sim: PHI is inapplicable to %s (§III-B: updates must coalesce losslessly)", app.Name)
-	}
-	if arch.Cores() > 1 {
-		return runPHIMC(app, numBins, arch)
-	}
-	ro := beginRunObs(SchemePHI, app)
-	defer ro.end()
-	mach := NewMach(arch)
-	defer mach.Release()
-	applier := app.NewApplier(mach)
-	input := mach.Alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
-	met := Metrics{App: app.Name, Input: app.InputName, Scheme: SchemePHI}
-
-	phiCfg := phi.DefaultConfig(app.TupleBytes, numBins)
-	phiCfg.Reduce = app.Reduce
-	model := phi.New(phiCfg, uint64(app.NumKeys))
-	met.NumBins = model.NumBins()
-
-	// Binning: stream the input (real cache traffic); coalescing and
-	// residue writes are idealized per the paper's PHI methodology.
-	binT := ro.phase("binning.wall")
-	binStart := mach.CPU.Cycles()
-	binStartMem := memSnap(mach)
-	i := 0
-	app.ForEach(func(key uint32, val uint64, newGroup bool) {
-		mach.B.Load(input.Addr(uint64(i) * uint64(app.StreamBytes)))
-		mach.B.Branch(pcInnerLoop, !newGroup)
-		mach.B.BinUpdate()     // PHI also uses a single update instruction
-		model.Update(key, val) // pure functional model: no machine state read
-		i++
-	})
-	mach.B.Flush()
-	model.Flush()
-	mach.H.WriteLineDirect((model.St.MemBytes + 63) / 64)
-	mach.CPU.DrainMem()
-	binT.Stop()
-	met.BinCycles = mach.CPU.Cycles() - binStart
-	met.BinMem = memSnap(mach).sub(binStartMem)
-
-	// Accumulate over the coalesced residue with PB-SW's bin count.
-	binRegion := mach.Alloc(uint64(app.NumUpdates) * uint64(app.TupleBytes))
-	accT := ro.phase("accumulate.wall")
-	accStart := mach.CPU.Cycles()
-	accStartCtr := mach.CPU.Ctr
-	accStartMem := memSnap(mach)
-	runAccumulate(mach, app, applier, model.Bins, binRegion)
-	accT.Stop()
-	met.AccumCycles = mach.CPU.Cycles() - accStart
-	met.AccumCtr = mach.CPU.Ctr.Sub(accStartCtr)
-	met.AccumMem = memSnap(mach).sub(accStartMem)
-
-	met.finish(mach)
-	return met, nil
 }
