@@ -2,11 +2,12 @@
 # gofmt + vet + build + race-mode tests on the concurrency-bearing packages
 # (exp's worker pool and input memo, obsv's lock-free instruments,
 # cache's shared-model users, pb's parallel binning) + the full test
-# suite with coverage + a short fuzz pass over the hardened gio readers.
+# suite with coverage + a short fuzz pass over the hardened gio readers
+# + the process-level smokes + a one-pass self-checking benchmark run.
 
 GO ?= go
 
-.PHONY: all build vet test race ci bench bench-compare profile coverage figures-quick fmt-check fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke
+.PHONY: all build vet test race ci bench bench-compare bench-smoke profile coverage figures-quick fmt-check fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke
 
 all: ci
 
@@ -88,7 +89,16 @@ stream-smoke:
 	$(SMOKE) -run '^TestStreamOfflineConformance$$' ./internal/stream
 	$(SMOKE) -run '^TestStreamJob' ./internal/srv
 
-ci: fmt-check vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-compare
+# Benchmark smoke: perfbench is a separate module (it imports this
+# one's internal packages through a replace directive), so `go test
+# ./...` never builds it. Test it, then run every workload once at
+# seed 1: the harness exits 1 unless every run reports `correct: true`
+# and the seed-1 simulated-result digests equal perfbench/reference.json.
+bench-smoke:
+	cd perfbench && $(GO) test ./...
+	python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0
+
+ci: fmt-check vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-smoke
 
 # Hot-path microbenchmarks (packed cache metadata; scalar-vs-batched
 # hierarchy pipeline; PB binning).
@@ -100,8 +110,8 @@ bench:
 # Hot-path benchmark comparison against the parent commit: builds
 # HEAD~1 in a throwaway worktree, runs the microbenchmarks on both
 # trees, and reports via benchstat when installed (raw listings
-# otherwise). Informational only — every step tolerates failure — so
-# CI surfaces regressions without gating on a noisy box.
+# otherwise). Informational only: every step tolerates failure, so it
+# is not part of `ci`; run it by hand when comparing hot-path changes.
 BENCH_CMP_ARGS = -run='^$$' -bench='BenchmarkCacheAccessHot|BenchmarkHierarchyAccess' -benchmem -count=3 -benchtime=0.3s
 BENCH_CMP_PKGS = ./internal/cache ./internal/mem
 

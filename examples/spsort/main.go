@@ -1,7 +1,8 @@
 // Spsort: two more NON-commutative irregular-update kernels through the
 // same PB API — counting sort (NAS IS class) and sparse transpose
 // (SuiteSparse cs_transpose) — demonstrating §III-B's claim that PB
-// needs only unordered parallelism, not commutativity.
+// needs only unordered parallelism, not commutativity. The transpose's
+// matrix has n/32 rows (1M at the default n).
 //
 // Run: go run ./examples/spsort [-n 33554432] [-maxkey 16777216]
 package main
@@ -54,7 +55,7 @@ func main() {
 		pbTime.Round(time.Millisecond), float64(countTime)/float64(pbTime))
 
 	// --- Sparse transpose ---
-	rows := 1 << 20
+	rows := *n / 32
 	fmt.Printf("sparse transpose: %d x %d, power-law columns\n", rows, rows)
 	m := sparse.SkewedSparse(rows, rows, 8, 5)
 

@@ -14,8 +14,8 @@
 //   - When a C-Buffer fills, its line enters a FIFO eviction buffer;
 //     the next level's binning engine drains it at one tuple per cycle,
 //     scattering tuples into that level's C-Buffers. The core stalls
-//     only when an eviction buffer is full — a discrete-event queue
-//     model clocked by core cycles (§V-D, Figure 13a).
+//     only when the L1→L2 eviction buffer is full — a discrete-event
+//     queue model clocked by core cycles (§V-D, Figure 13a).
 //   - A full LLC C-Buffer is written to its in-memory bin at the offset
 //     stored in the line's repurposed tag (§V-E); the bins in memory
 //     equal the number of LLC C-Buffers.
@@ -49,8 +49,10 @@ type Config struct {
 	// all but one way at L1 and LLC, exactly one way at L2 (the stream
 	// prefetcher needs the rest).
 	ReserveL1, ReserveL2, ReserveLLC int
-	// Eviction buffer capacities in lines (§V-D defaults: 32 and 8).
-	EvictBufL1L2, EvictBufL2LLC int
+	// EvictBufL1L2 is the L1→L2 eviction buffer's capacity in lines
+	// (§V-D default: 32). The L2→LLC buffer is not modeled: its
+	// back-pressure is never a stall source (DESIGN §7).
+	EvictBufL1L2 int
 	// Coalesce enables COBRA-COMM (§VII-C): commutative updates to the
 	// same key merge in LLC C-Buffers instead of appending.
 	Coalesce bool
@@ -73,13 +75,12 @@ type Config struct {
 // given tuple size.
 func DefaultConfig(tupleBytes int) Config {
 	return Config{
-		TupleBytes:    tupleBytes,
-		ReserveL1:     7,
-		ReserveL2:     1,
-		ReserveLLC:    15,
-		EvictBufL1L2:  32,
-		EvictBufL2LLC: 8,
-		CoalesceFn:    func(old, val uint64) uint64 { return old + val },
+		TupleBytes:   tupleBytes,
+		ReserveL1:    7,
+		ReserveL2:    1,
+		ReserveLLC:   15,
+		EvictBufL1L2: 32,
+		CoalesceFn:   func(old, val uint64) uint64 { return old + val },
 	}
 }
 
@@ -119,9 +120,9 @@ func newFIFO(capacity int, service float64) *fifo {
 	return &fifo{capacity: capacity, service: service, finishes: make([]float64, capacity)}
 }
 
-// push enqueues a line arriving at `now`, returning (startOfService,
-// stallCycles) — the caller advances its clock by stallCycles.
-func (f *fifo) push(now float64) (fin float64, stall float64) {
+// push enqueues a line arriving at `now`, returning the cycles the
+// caller stalls on a full queue (and advances its clock by).
+func (f *fifo) push(now float64) (stall float64) {
 	oldest := f.finishes[f.head]
 	if oldest > now {
 		stall = oldest - now
@@ -131,13 +132,13 @@ func (f *fifo) push(now float64) (fin float64, stall float64) {
 	if f.lastFin > start {
 		start = f.lastFin
 	}
-	fin = start + f.service
+	fin := start + f.service
 	f.finishes[f.head] = fin
 	f.head = (f.head + 1) % f.capacity
 	f.lastFin = fin
 	f.Stalls += stall
 	f.LinesServed++
-	return fin, stall
+	return stall
 }
 
 // Stats aggregates the COBRA machine's activity.
@@ -169,9 +170,19 @@ func (s Stats) CBufMissRate() float64 {
 	return float64(s.CBufMisses) / float64(s.CBufAccesses)
 }
 
-// Machine couples a cpu.Core (and its hierarchy) with COBRA state.
+// Machine couples a core's op pipeline (and its hierarchy) with COBRA
+// state.
+//
+// Every micro-op the machine charges goes through B. B may hold ops
+// not yet retired, but timing never decides which binupdate fills an
+// L1 C-Buffer, so the machine knows where it needs the exact clock or
+// hierarchy state and flushes B only there: before BinInit reserves
+// ways and reads the clock, before a NoPartition insert walks the
+// hierarchy, before the context-switch check (only when a quantum is
+// set), before a full line enters the eviction buffer, and before
+// BinFlush reads the clock.
 type Machine struct {
-	CPU *cpu.Core
+	B   *cpu.OpBuf
 	cfg Config
 
 	tuplesPerLine int
@@ -179,7 +190,6 @@ type Machine struct {
 
 	lvl   [numLvls]levelState
 	fifo1 *fifo // L1 -> L2
-	fifo2 *fifo // L2 -> LLC
 
 	// Bins materialized in memory (per-key-range), appended on LLC
 	// evictions and flush. binOffsets mirrors the repurposed-tag offsets.
@@ -224,16 +234,17 @@ func (st *CBufStore) carve(l, numBufs, perBuf int) [][]Tuple {
 	return bufs
 }
 
-// NewMachine builds a COBRA machine around an existing core model,
-// carving its C-Buffers from st, which no other live machine may use.
-func NewMachine(st *CBufStore, c *cpu.Core, cfg Config) *Machine {
+// NewMachine builds a COBRA machine issuing through an existing core's
+// op pipeline, carving its C-Buffers from st, which no other live
+// machine may use.
+func NewMachine(st *CBufStore, b *cpu.OpBuf, cfg Config) *Machine {
 	if cfg.TupleBytes <= 0 || 64%cfg.TupleBytes != 0 {
 		panic(fmt.Sprintf("core: tuple size %d must divide the 64 B line", cfg.TupleBytes))
 	}
 	if cfg.CoalesceFn == nil {
 		cfg.CoalesceFn = func(old, val uint64) uint64 { return old + val }
 	}
-	return &Machine{CPU: c, cfg: cfg, tuplesPerLine: 64 / cfg.TupleBytes, store: st}
+	return &Machine{B: b, cfg: cfg, tuplesPerLine: 64 / cfg.TupleBytes, store: st}
 }
 
 // Config returns the machine configuration.
@@ -261,7 +272,8 @@ func (m *Machine) BinInit(numIndices uint64) error {
 	if numIndices == 0 {
 		return fmt.Errorf("core: BinInit with zero indices")
 	}
-	h := m.CPU.Mem
+	m.B.Flush()
+	h := m.B.Core().Mem
 	caches := [numLvls]*cache.Cache{h.L1c, h.L2c, h.LLCc}
 	reserve := [numLvls]int{m.cfg.ReserveL1, m.cfg.ReserveL2, m.cfg.ReserveLLC}
 	for l := 0; l < numLvls; l++ {
@@ -314,16 +326,16 @@ func (m *Machine) BinInit(numIndices uint64) error {
 	}
 	m.numIndices = numIndices
 	m.fifo1 = newFIFO(m.cfg.EvictBufL1L2, float64(m.tuplesPerLine))
-	m.fifo2 = newFIFO(m.cfg.EvictBufL2LLC, float64(m.tuplesPerLine))
 	m.Bins = make([][]Tuple, m.lvl[lvlLLC].numBufs)
 	m.binOffsets = make([]uint32, m.lvl[lvlLLC].numBufs)
 	// Init cost: one bininit per level plus one tag-offset write per LLC
 	// C-Buffer (§V-E "initializes the starting offsets ... using a new
 	// ISA instruction"). Charge issue slots for them.
-	m.CPU.ALU(3 + m.lvl[lvlLLC].numBufs)
-	m.St.InitCycles = m.CPU.Cycles()
+	m.B.ALU(3 + m.lvl[lvlLLC].numBufs)
+	m.B.Flush()
+	m.St.InitCycles = m.B.Core().Cycles()
 	if m.cfg.CtxSwitchQuantum > 0 {
-		m.nextCtxSwitch = m.CPU.Cycles() + m.cfg.CtxSwitchQuantum
+		m.nextCtxSwitch = m.St.InitCycles + m.cfg.CtxSwitchQuantum
 	}
 	m.inited = true
 	return nil
@@ -340,10 +352,13 @@ func (m *Machine) BinUpdate(key uint32, val uint64) {
 	if uint64(key) >= m.numIndices {
 		panic(fmt.Sprintf("core: key %d out of range [0,%d)", key, m.numIndices))
 	}
-	m.CPU.BinUpdate()
+	m.B.BinUpdate()
 	m.St.BinUpdates++
-	if m.cfg.CtxSwitchQuantum > 0 && m.CPU.Cycles() >= m.nextCtxSwitch {
-		m.contextSwitch()
+	if m.cfg.CtxSwitchQuantum > 0 {
+		m.B.Flush()
+		if m.B.Core().Cycles() >= m.nextCtxSwitch {
+			m.contextSwitch()
+		}
 	}
 	l1 := &m.lvl[lvlL1]
 	id := key >> l1.binShift
@@ -351,7 +366,8 @@ func (m *Machine) BinUpdate(key uint32, val uint64) {
 		// The C-Buffer line is an ordinary cached line: walk the real
 		// hierarchy and record whether the insert found it in L1.
 		m.St.CBufAccesses++
-		if m.CPU.Mem.Store(l1.baseAddr+uint64(id)*64) != mem.L1 {
+		m.B.Flush()
+		if m.B.Core().Mem.Store(l1.baseAddr+uint64(id)*64) != mem.L1 {
 			m.St.CBufMisses++
 		}
 	}
@@ -362,32 +378,32 @@ func (m *Machine) BinUpdate(key uint32, val uint64) {
 }
 
 // evictL1 pushes a full L1 C-Buffer line into FIFO1 and lets the L2
-// binning engine scatter its tuples (at the line's service time).
+// binning engine scatter its tuples.
 func (m *Machine) evictL1(id int) {
 	l1 := &m.lvl[lvlL1]
 	line := l1.bufs[id]
 	l1.bufs[id] = l1.bufs[id][:0]
 	m.St.L1Evictions++
-	fin, stall := m.fifo1.push(m.CPU.Cycles())
-	if stall > 0 {
-		m.CPU.AdvanceCycles(stall)
+	m.B.Flush()
+	c := m.B.Core()
+	if stall := m.fifo1.push(c.Cycles()); stall > 0 {
+		c.AdvanceCycles(stall)
 		m.St.StallCycles += stall
 	}
-	m.scatterToL2(line, fin)
+	m.scatterToL2(line)
 }
 
 // scatterToL2 is the L2 binning engine: unpack each tuple of an evicted
-// line into L2 C-Buffers (at time `when`), propagating fills to FIFO2.
-func (m *Machine) scatterToL2(line []Tuple, when float64) {
+// line into L2 C-Buffers, handing full lines to the LLC engine.
+func (m *Machine) scatterToL2(line []Tuple) {
 	l2 := &m.lvl[lvlL2]
 	for _, t := range line {
 		id := t.Key >> l2.binShift
 		l2.bufs[id] = append(l2.bufs[id], t)
 		if len(l2.bufs[id]) == m.tuplesPerLine {
 			m.St.L2Evictions++
-			fin, _ := m.fifo2.push(when)
 			// Safe aliasing: the LLC scatter never touches L2 buffers.
-			m.scatterToLLC(l2.bufs[id], fin)
+			m.scatterToLLC(l2.bufs[id])
 			l2.bufs[id] = l2.bufs[id][:0]
 		}
 	}
@@ -396,7 +412,7 @@ func (m *Machine) scatterToL2(line []Tuple, when float64) {
 // scatterToLLC is the LLC binning engine: insert tuples into LLC
 // C-Buffers, coalescing when configured (COBRA-COMM); full buffers are
 // written to their in-memory bin at the tag-stored offset.
-func (m *Machine) scatterToLLC(line []Tuple, when float64) {
+func (m *Machine) scatterToLLC(line []Tuple) {
 	llc := &m.lvl[lvlLLC]
 	for _, t := range line {
 		id := t.Key >> llc.binShift
@@ -410,7 +426,6 @@ func (m *Machine) scatterToLLC(line []Tuple, when float64) {
 			m.evictLLC(int(id), false)
 		}
 	}
-	_ = when
 }
 
 func (m *Machine) tryCoalesce(llc *levelState, id int, t Tuple) bool {
@@ -436,7 +451,7 @@ func (m *Machine) evictLLC(id int, partial bool) {
 	}
 	m.Bins[id] = append(m.Bins[id], buf...)
 	m.binOffsets[id] += uint32(len(buf))
-	m.CPU.Mem.WriteLineDirect(1)
+	m.B.Core().Mem.WriteLineDirect(1)
 	m.St.MemWriteBytes += 64
 	if partial {
 		waste := uint64(m.tuplesPerLine-len(buf)) * uint64(m.cfg.TupleBytes)
@@ -471,7 +486,9 @@ func (m *Machine) BinFlush() {
 	if !m.inited {
 		panic("core: BinFlush before BinInit")
 	}
-	start := m.CPU.Cycles()
+	m.B.Flush()
+	c := m.B.Core()
+	start := c.Cycles()
 	var engineTuples int
 	l1 := &m.lvl[lvlL1]
 	for id := range l1.bufs {
@@ -480,7 +497,7 @@ func (m *Machine) BinFlush() {
 			l1.bufs[id] = l1.bufs[id][:0]
 			engineTuples += len(line)
 			m.St.FlushLines++
-			m.scatterToL2(line, m.CPU.Cycles())
+			m.scatterToL2(line)
 		}
 	}
 	l2 := &m.lvl[lvlL2]
@@ -490,7 +507,7 @@ func (m *Machine) BinFlush() {
 			l2.bufs[id] = l2.bufs[id][:0]
 			engineTuples += len(line)
 			m.St.FlushLines++
-			m.scatterToLLC(line, m.CPU.Cycles())
+			m.scatterToLLC(line)
 		}
 	}
 	llc := &m.lvl[lvlLLC]
@@ -503,9 +520,9 @@ func (m *Machine) BinFlush() {
 	// The serial walk costs one cycle per C-Buffer line visited plus one
 	// per tuple moved by the engines.
 	walk := float64(l1.numBufs + l2.numBufs + llc.numBufs)
-	m.CPU.AdvanceCycles(walk + float64(engineTuples))
-	m.CPU.DrainMem()
-	m.St.FlushCycles += m.CPU.Cycles() - start
+	c.AdvanceCycles(walk + float64(engineTuples))
+	c.DrainMem()
+	m.St.FlushCycles += c.Cycles() - start
 }
 
 // ResidentTuples counts tuples still buffered on chip (0 after flush).

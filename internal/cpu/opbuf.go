@@ -27,9 +27,9 @@ type Op struct {
 	Taken bool // OpBranch outcome
 }
 
-// opBufCap is the flush threshold. Large enough to amortize the batch
-// setup over many references, small enough that the ref/level scratch
-// stays L1-resident in the host cache.
+// opBufCap is NewOpBuf's flush threshold. Large enough to amortize the
+// batch setup over many references, small enough that the ref/level
+// scratch stays L1-resident in the host cache.
 const opBufCap = 256
 
 // OpBuf batches micro-ops destined for one Core and retires them in
@@ -40,16 +40,13 @@ const opBufCap = 256
 // — same additions, same divisions, same order — so cycle counts are
 // bit-identical, not merely close.
 //
-// The buffer flushes itself when full; callers must call Flush before
-// reading Cycles/Ctr/hierarchy stats or touching the Core or Hierarchy
-// directly (AdvanceCycles, DrainMem, core.Machine interactions).
-//
-// A buffer built with NewOpBufDirect skips batching entirely and
-// forwards each op to the scalar Core methods as it arrives — the
-// oracle mode the differential tests compare against.
+// The buffer flushes itself as soon as it holds its capacity in ops,
+// so a buffer of capacity 1 retires every op as it arrives. Callers
+// must call Flush before reading Cycles/Ctr/hierarchy stats or touching
+// the Core or Hierarchy directly (AdvanceCycles, DrainMem, core.Machine
+// interactions).
 type OpBuf struct {
 	c      *Core
-	direct bool
 	ops    []Op
 	refs   []mem.Ref
 	levels []mem.Level
@@ -66,12 +63,19 @@ type OpBuf struct {
 }
 
 // NewOpBuf builds a batching op buffer for c.
-func NewOpBuf(c *Core) *OpBuf {
+func NewOpBuf(c *Core) *OpBuf { return NewOpBufCap(c, opBufCap) }
+
+// NewOpBufCap builds an op buffer for c that flushes every capacity
+// ops; capacity 1 retires each op as it is emitted.
+func NewOpBufCap(c *Core, capacity int) *OpBuf {
+	if capacity < 1 {
+		panic("cpu: OpBuf capacity must be positive")
+	}
 	b := &OpBuf{
 		c:      c,
-		ops:    make([]Op, 0, opBufCap),
-		refs:   make([]mem.Ref, 0, opBufCap),
-		levels: make([]mem.Level, 0, opBufCap),
+		ops:    make([]Op, 0, capacity),
+		refs:   make([]mem.Ref, 0, capacity),
+		levels: make([]mem.Level, 0, capacity),
 	}
 	lat := c.Mem.Config().Lat
 	b.latTab = [4]uint32{lat.L1, lat.L2, lat.LLC, lat.DRAM}
@@ -79,12 +83,6 @@ func NewOpBuf(c *Core) *OpBuf {
 	b.oneOp = float64(1) / b.w
 	b.penalty = float64(c.cfg.BranchPenalty)
 	return b
-}
-
-// NewOpBufDirect builds an oracle buffer that executes every op
-// immediately through the scalar Core methods.
-func NewOpBufDirect(c *Core) *OpBuf {
-	return &OpBuf{c: c, direct: true}
 }
 
 // Reset drops any buffered ops without retiring them, returning the
@@ -95,17 +93,23 @@ func (b *OpBuf) Reset() {
 	b.levels = b.levels[:0]
 }
 
-// Direct reports whether this buffer is in scalar oracle mode.
-func (b *OpBuf) Direct() bool { return b.direct }
-
 // Core returns the bound core.
 func (b *OpBuf) Core() *Core { return b.c }
 
+// push appends op, then flushes a full buffer (so an op of a
+// capacity-1 buffer retires before its emit method returns).
 func (b *OpBuf) push(op Op) {
+	b.ops = append(b.ops, op)
 	if len(b.ops) == cap(b.ops) {
 		b.Flush()
 	}
-	b.ops = append(b.ops, op)
+}
+
+// pushRef pushes a memory op along with its reference, so Flush needs
+// no separate ref-building pass.
+func (b *OpBuf) pushRef(op Op, kind mem.RefKind) {
+	b.refs = append(b.refs, mem.Ref{Addr: op.Addr, Kind: kind})
+	b.push(op)
 }
 
 // ALU buffers n simple micro-ops (one issue group, as Core.ALU).
@@ -113,85 +117,28 @@ func (b *OpBuf) ALU(n int) {
 	if n <= 0 {
 		return
 	}
-	if b.direct {
-		b.c.ALU(n)
-		return
-	}
 	b.push(Op{Addr: uint64(n), Kind: OpALU})
 }
 
-// Load buffers an independent load. Memory ops append their mem.Ref at
-// push time so Flush needs no separate ref-building pass.
-func (b *OpBuf) Load(addr uint64) {
-	if b.direct {
-		b.c.Load(addr)
-		return
-	}
-	if len(b.ops) == cap(b.ops) {
-		b.Flush()
-	}
-	b.ops = append(b.ops, Op{Addr: addr, Kind: OpLoad})
-	b.refs = append(b.refs, mem.Ref{Addr: addr, Kind: mem.RefLoad})
-}
+// Load buffers an independent load.
+func (b *OpBuf) Load(addr uint64) { b.pushRef(Op{Addr: addr, Kind: OpLoad}, mem.RefLoad) }
 
 // LoadDep buffers a dependent load (execution serializes on its fill).
-func (b *OpBuf) LoadDep(addr uint64) {
-	if b.direct {
-		b.c.LoadDep(addr)
-		return
-	}
-	if len(b.ops) == cap(b.ops) {
-		b.Flush()
-	}
-	b.ops = append(b.ops, Op{Addr: addr, Kind: OpLoadDep})
-	b.refs = append(b.refs, mem.Ref{Addr: addr, Kind: mem.RefLoad})
-}
+func (b *OpBuf) LoadDep(addr uint64) { b.pushRef(Op{Addr: addr, Kind: OpLoadDep}, mem.RefLoad) }
 
 // Store buffers a demand store.
-func (b *OpBuf) Store(addr uint64) {
-	if b.direct {
-		b.c.Store(addr)
-		return
-	}
-	if len(b.ops) == cap(b.ops) {
-		b.Flush()
-	}
-	b.ops = append(b.ops, Op{Addr: addr, Kind: OpStore})
-	b.refs = append(b.refs, mem.Ref{Addr: addr, Kind: mem.RefStore})
-}
+func (b *OpBuf) Store(addr uint64) { b.pushRef(Op{Addr: addr, Kind: OpStore}, mem.RefStore) }
 
 // StoreNT buffers a non-temporal store.
-func (b *OpBuf) StoreNT(addr uint64) {
-	if b.direct {
-		b.c.StoreNT(addr)
-		return
-	}
-	if len(b.ops) == cap(b.ops) {
-		b.Flush()
-	}
-	b.ops = append(b.ops, Op{Addr: addr, Kind: OpStoreNT})
-	b.refs = append(b.refs, mem.Ref{Addr: addr, Kind: mem.RefStoreNT})
-}
+func (b *OpBuf) StoreNT(addr uint64) { b.pushRef(Op{Addr: addr, Kind: OpStoreNT}, mem.RefStoreNT) }
 
 // Branch buffers a conditional branch outcome.
-func (b *OpBuf) Branch(pc uint64, taken bool) {
-	if b.direct {
-		b.c.Branch(pc, taken)
-		return
-	}
-	b.push(Op{Addr: pc, Kind: OpBranch, Taken: taken})
-}
+func (b *OpBuf) Branch(pc uint64, taken bool) { b.push(Op{Addr: pc, Kind: OpBranch, Taken: taken}) }
 
 // BinUpdate buffers a COBRA binupdate issue slot.
-func (b *OpBuf) BinUpdate() {
-	if b.direct {
-		b.c.BinUpdate()
-		return
-	}
-	b.push(Op{Kind: OpBinUpdate})
-}
+func (b *OpBuf) BinUpdate() { b.push(Op{Kind: OpBinUpdate}) }
 
-// Flush retires every buffered op. Safe to call when empty or direct.
+// Flush retires every buffered op. Safe to call when empty.
 func (b *OpBuf) Flush() {
 	if len(b.ops) == 0 {
 		return

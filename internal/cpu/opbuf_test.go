@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cobra/internal/mem"
@@ -45,7 +47,60 @@ func genOps(rng *rand.Rand, n int) []Op {
 	return ops[:n]
 }
 
-func feed(b *OpBuf, ops []Op) {
+// Test-only stream events for what core.Machine does to a core
+// between emits: the buffered side flushes, then both sides call the
+// Core directly.
+const (
+	opAdvance OpKind = 100 + iota // Core.AdvanceCycles(float64(Addr))
+	opDrain                       // Core.DrainMem()
+)
+
+// withBarriers sprinkles AdvanceCycles and DrainMem events into ops,
+// about one per hundred ops.
+func withBarriers(rng *rand.Rand, ops []Op) []Op {
+	out := make([]Op, 0, len(ops)+len(ops)/50)
+	for _, op := range ops {
+		out = append(out, op)
+		switch rng.Intn(200) {
+		case 0:
+			out = append(out, Op{Addr: uint64(1 + rng.Intn(40)), Kind: opAdvance})
+		case 1:
+			out = append(out, Op{Kind: opDrain})
+		}
+	}
+	return out
+}
+
+// scalarFeed executes ops through the scalar Core methods: the
+// reference the buffered replay must match bit for bit.
+func scalarFeed(c *Core, ops []Op) {
+	for _, op := range ops {
+		switch op.Kind {
+		case OpALU:
+			c.ALU(int(op.Addr))
+		case OpLoad:
+			c.Load(op.Addr)
+		case OpLoadDep:
+			c.LoadDep(op.Addr)
+		case OpStore:
+			c.Store(op.Addr)
+		case OpStoreNT:
+			c.StoreNT(op.Addr)
+		case OpBranch:
+			c.Branch(op.Addr, op.Taken)
+		case OpBinUpdate:
+			c.BinUpdate()
+		case opAdvance:
+			c.AdvanceCycles(float64(op.Addr))
+		case opDrain:
+			c.DrainMem()
+		}
+	}
+}
+
+// feed emits ops through b, flushing before every barrier event and
+// wherever flushAt (if non-nil) says so, then flushes the tail.
+func feed(b *OpBuf, ops []Op, flushAt func() bool) {
 	for _, op := range ops {
 		switch op.Kind {
 		case OpALU:
@@ -60,17 +115,71 @@ func feed(b *OpBuf, ops []Op) {
 			b.StoreNT(op.Addr)
 		case OpBranch:
 			b.Branch(op.Addr, op.Taken)
-		default:
+		case OpBinUpdate:
 			b.BinUpdate()
+		case opAdvance:
+			b.Flush()
+			b.Core().AdvanceCycles(float64(op.Addr))
+		case opDrain:
+			b.Flush()
+			b.Core().DrainMem()
+		}
+		if flushAt != nil && flushAt() {
+			b.Flush()
 		}
 	}
 	b.Flush()
 }
 
-// TestOpBufMatchesScalarCore replays identical op streams through a
-// batching OpBuf and a direct (scalar oracle) OpBuf on twin cores. The
-// cycle clock must match bit-for-bit (==, not within epsilon), and all
-// counters and hierarchy stats must be identical.
+// cadence is one way of cutting an op stream into flushes.
+type cadence struct {
+	name    string
+	newBuf  func(c *Core) *OpBuf
+	flushAt func() bool
+}
+
+// cadences covers op-at-a-time retirement, the production batch size,
+// and random buffer capacities with random explicit flushes.
+func cadences(rng *rand.Rand) []cadence {
+	return []cadence{
+		{"cap=1", func(c *Core) *OpBuf { return NewOpBufCap(c, 1) }, nil},
+		{"cap=256", NewOpBuf, nil},
+		{"random", func(c *Core) *OpBuf { return NewOpBufCap(c, 1+rng.Intn(opBufCap)) },
+			func() bool { return rng.Intn(50) == 0 }},
+	}
+}
+
+// checkSameCore fails unless the two cores — clock, counters, MSHRs,
+// branch predictor — and their hierarchies' stats and DRAM traffic are
+// identical. The clock must match bit for bit (==, not within epsilon).
+// (The hierarchies' host-side lookup hints legitimately differ between
+// the scalar and batched access paths, so they are not compared.)
+func checkSameCore(t *testing.T, what string, scalar, buffered *Core) {
+	t.Helper()
+	if scalar.cycle != buffered.cycle {
+		t.Fatalf("%s: cycle diverged: scalar=%v buffered=%v (diff %v)",
+			what, scalar.cycle, buffered.cycle, scalar.cycle-buffered.cycle)
+	}
+	if scalar.Ctr != buffered.Ctr {
+		t.Fatalf("%s: counters diverged\nscalar:   %+v\nbuffered: %+v", what, scalar.Ctr, buffered.Ctr)
+	}
+	s, b := *scalar, *buffered
+	s.Mem, b.Mem = nil, nil
+	if !reflect.DeepEqual(s, b) {
+		t.Fatalf("%s: MSHR or branch predictor state diverged", what)
+	}
+	sm, bm := scalar.Mem, buffered.Mem
+	if sm.DRAMTraffic != bm.DRAMTraffic {
+		t.Fatalf("%s: DRAM traffic diverged: %+v vs %+v", what, sm.DRAMTraffic, bm.DRAMTraffic)
+	}
+	if sm.L1c.Stats != bm.L1c.Stats || sm.L2c.Stats != bm.L2c.Stats || sm.LLCc.Stats != bm.LLCc.Stats {
+		t.Fatalf("%s: cache stats diverged", what)
+	}
+}
+
+// TestOpBufMatchesScalarCore replays identical op streams through the
+// scalar Core methods and through an OpBuf at several flush cadences,
+// on twin cores; the cores must end bit-identical.
 func TestOpBufMatchesScalarCore(t *testing.T) {
 	cfgs := map[string]mem.Config{"default": mem.DefaultConfig()}
 	nuca := mem.DefaultConfig()
@@ -79,60 +188,39 @@ func TestOpBufMatchesScalarCore(t *testing.T) {
 	for name, mcfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(123))
-			for trial := 0; trial < 6; trial++ {
-				scalarCore := New(DefaultConfig(), mem.New(mcfg))
-				batchCore := New(DefaultConfig(), mem.New(mcfg))
-				ops := genOps(rng, 5000+rng.Intn(3000))
-				feed(NewOpBufDirect(scalarCore), ops)
-				feed(NewOpBuf(batchCore), ops)
-				if scalarCore.cycle != batchCore.cycle {
-					t.Fatalf("trial %d: cycle diverged: scalar=%v batched=%v (diff %v)",
-						trial, scalarCore.cycle, batchCore.cycle, scalarCore.cycle-batchCore.cycle)
-				}
-				if scalarCore.Ctr != batchCore.Ctr {
-					t.Fatalf("trial %d: counters diverged\nscalar:  %+v\nbatched: %+v",
-						trial, scalarCore.Ctr, batchCore.Ctr)
-				}
-				if s, b := scalarCore.Mem.DRAMTraffic, batchCore.Mem.DRAMTraffic; s != b {
-					t.Fatalf("trial %d: DRAM traffic diverged: %+v vs %+v", trial, s, b)
-				}
-				if s, b := scalarCore.Mem.L1c.Stats, batchCore.Mem.L1c.Stats; s != b {
-					t.Fatalf("trial %d: L1 stats diverged: %+v vs %+v", trial, s, b)
-				}
-				if s, b := scalarCore.Mem.L2c.Stats, batchCore.Mem.L2c.Stats; s != b {
-					t.Fatalf("trial %d: L2 stats diverged: %+v vs %+v", trial, s, b)
-				}
-				if s, b := scalarCore.Mem.LLCc.Stats, batchCore.Mem.LLCc.Stats; s != b {
-					t.Fatalf("trial %d: LLC stats diverged: %+v vs %+v", trial, s, b)
-				}
+			for _, cd := range cadences(rng) {
+				t.Run(cd.name, func(t *testing.T) {
+					for trial := 0; trial < 4; trial++ {
+						ops := genOps(rng, 5000+rng.Intn(3000))
+						scalarCore := New(DefaultConfig(), mem.New(mcfg))
+						bufCore := New(DefaultConfig(), mem.New(mcfg))
+						scalarFeed(scalarCore, ops)
+						feed(cd.newBuf(bufCore), ops, cd.flushAt)
+						checkSameCore(t, fmt.Sprintf("trial %d", trial), scalarCore, bufCore)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestOpBufFlushBoundaries checks that mid-stream flushes (including
-// DrainMem barriers between them) do not change results.
+// TestOpBufFlushBoundaries interleaves AdvanceCycles and DrainMem
+// barriers into the stream, as core.Machine does mid-phase (eviction
+// stalls, BinFlush), and checks that every flush cadence still matches
+// the scalar reference.
 func TestOpBufFlushBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ops := genOps(rng, 4000)
-	scalarCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
-	feed(NewOpBufDirect(scalarCore), ops)
-	scalarCore.DrainMem()
-
-	batchCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
-	b := NewOpBuf(batchCore)
-	for i, op := range ops {
-		feed(b, ops[i:i+1])
-		if i%997 == 0 {
-			b.Flush()
-		}
-		_ = op
-	}
-	b.Flush()
-	batchCore.DrainMem()
-
-	if scalarCore.cycle != batchCore.cycle || scalarCore.Ctr != batchCore.Ctr {
-		t.Fatalf("flush-boundary divergence: cycles %v vs %v", scalarCore.cycle, batchCore.cycle)
+	for _, cd := range cadences(rng) {
+		t.Run(cd.name, func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				ops := withBarriers(rng, genOps(rng, 4000))
+				scalarCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
+				bufCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
+				scalarFeed(scalarCore, ops)
+				feed(cd.newBuf(bufCore), ops, cd.flushAt)
+				checkSameCore(t, fmt.Sprintf("trial %d", trial), scalarCore, bufCore)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,13 @@
 package sim_test
 
 // Differential tests pinning the batched op pipeline (Mach.B over
-// mem.AccessBatch) to the scalar per-reference oracle: every Metrics
-// field of every scheme must be bit-identical under
-// Arch.WithScalarRefs().
+// mem.AccessBatch, 256 ops per flush) to the op-at-a-time oracle (a
+// capacity-1 op buffer, which retires each micro-op as it is emitted):
+// every Metrics field of every scheme must be bit-identical under
+// Arch.WithOpAtATime(). The op-at-a-time replay itself is pinned to the
+// scalar cpu.Core methods by the cpu package's tests; what these tests
+// catch is a flush missing where a runner or core.Machine reads the
+// clock or hierarchy mid-stream.
 
 import (
 	"fmt"
@@ -80,47 +84,45 @@ func runAll(t *testing.T, arch sim.Arch) map[string]sim.Metrics {
 // TestBatchedPipelineMatchesScalar is the whole-simulation analogue of
 // the mem/cpu layer differential tests: Metrics — cycles (float64,
 // compared exactly), phase deltas, counters, traffic — must not differ
-// in any bit between the batched pipeline and the scalar oracle.
+// in any bit between the batched pipeline and the op-at-a-time oracle.
 func TestBatchedPipelineMatchesScalar(t *testing.T) {
 	batched := runAll(t, sim.DefaultArch())
-	scalar := runAll(t, sim.DefaultArch().WithScalarRefs())
-	if len(batched) != len(scalar) {
-		t.Fatalf("scheme sets differ: %d vs %d", len(batched), len(scalar))
+	oracle := runAll(t, sim.DefaultArch().WithOpAtATime())
+	if len(batched) != len(oracle) {
+		t.Fatalf("scheme sets differ: %d vs %d", len(batched), len(oracle))
 	}
 	for name, b := range batched {
-		s, ok := scalar[name]
+		s, ok := oracle[name]
 		if !ok {
-			t.Fatalf("missing scalar run %q", name)
+			t.Fatalf("missing op-at-a-time run %q", name)
 		}
 		if !reflect.DeepEqual(b, s) {
-			t.Errorf("%s: batched metrics diverge from scalar oracle\nbatched: %+v\nscalar:  %+v", name, b, s)
+			t.Errorf("%s: batched metrics diverge from op-at-a-time oracle\nbatched: %+v\noracle:  %+v", name, b, s)
 		}
 	}
 }
 
 // TestBatchedPipelineMatchesScalarNUCA repeats the check with NUCA hop
 // latencies enabled (the one place LLC/DRAM load timing depends on the
-// address, exercising the replay's hoisted NUCA math).
+// address, exercising the replay's hoisted NUCA math), on every scheme.
 func TestBatchedPipelineMatchesScalarNUCA(t *testing.T) {
 	arch := sim.DefaultArch()
 	arch.Mem.NUCA = mem.DefaultNUCA()
 	app, _ := simtest.CountApp(1<<13, 30000, 79)
-	for _, scheme := range []string{"base", "pbsw"} {
-		var b, s sim.Metrics
-		var err1, err2 error
-		switch scheme {
-		case "base":
-			b, err1 = sim.RunBaseline(app, arch)
-			s, err2 = sim.RunBaseline(app, arch.WithScalarRefs())
-		default:
-			b, err1 = sim.RunPBSW(app, 64, arch)
-			s, err2 = sim.RunPBSW(app, 64, arch.WithScalarRefs())
-		}
+	runs := map[string]func(sim.Arch) (sim.Metrics, error){
+		"base":  func(a sim.Arch) (sim.Metrics, error) { return sim.RunBaseline(app, a) },
+		"pbsw":  func(a sim.Arch) (sim.Metrics, error) { return sim.RunPBSW(app, 64, a) },
+		"cobra": func(a sim.Arch) (sim.Metrics, error) { return sim.RunCOBRA(app, sim.CobraOpt{}, a) },
+		"phi":   func(a sim.Arch) (sim.Metrics, error) { return sim.RunPHI(app, 64, a) },
+	}
+	for scheme, run := range runs {
+		b, err1 := run(arch)
+		s, err2 := run(arch.WithOpAtATime())
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
 		if !reflect.DeepEqual(b, s) {
-			t.Errorf("%s under NUCA: batched diverges from scalar", scheme)
+			t.Errorf("%s under NUCA: batched diverges from op-at-a-time", scheme)
 		}
 	}
 }
@@ -176,13 +178,13 @@ func figureCells(t *testing.T, scale int, seed uint64) ([]figureCell, map[string
 // TestFigureCellsMatchScalar extends the equivalence to the workloads
 // the headline artifacts are built from: every Figure 10 and Table I
 // cell at scale 12, on 1 and 4 cores, must produce identical Metrics
-// on the batched pipeline and on the scalar oracle — so the figure
-// tables derived from them are byte-identical too.
+// on the batched pipeline and on the op-at-a-time oracle — so the
+// figure tables derived from them are byte-identical too.
 func TestFigureCellsMatchScalar(t *testing.T) {
 	cells, apps := figureCells(t, 12, 42)
 	for _, cores := range []int{1, 4} {
 		arch := sim.DefaultArch().WithCores(cores)
-		scalarArch := arch.WithScalarRefs()
+		oracleArch := arch.WithOpAtATime()
 		for _, c := range cells {
 			name := fmt.Sprintf("%s/%s/%s/bins=%d/cores=%d", c.app, c.input, c.scheme, c.bins, cores)
 			app := apps[c.app+"/"+c.input]
@@ -190,12 +192,12 @@ func TestFigureCellsMatchScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			s, err := exp.RunScheme(app, c.scheme, c.bins, scalarArch)
+			s, err := exp.RunScheme(app, c.scheme, c.bins, oracleArch)
 			if err != nil {
-				t.Fatalf("%s scalar: %v", name, err)
+				t.Fatalf("%s op-at-a-time: %v", name, err)
 			}
 			if !reflect.DeepEqual(b, s) {
-				t.Errorf("%s: batched metrics diverge from scalar oracle\nbatched: %+v\nscalar:  %+v", name, b, s)
+				t.Errorf("%s: batched metrics diverge from op-at-a-time oracle\nbatched: %+v\noracle:  %+v", name, b, s)
 			}
 		}
 	}

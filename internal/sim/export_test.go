@@ -1,7 +1,7 @@
 package sim
 
-// Test hooks for the external sim_test package: the scalar oracle
-// switch, and the machine pool's construction and checkout steps,
+// Test hooks for the external sim_test package: the op-at-a-time
+// oracle switch, and the machine pool's construction and checkout steps,
 // reachable without going through the pool (whose hand-outs a test
 // cannot force).
 
@@ -21,10 +21,10 @@ func DrainPool() {
 	}
 }
 
-// WithScalarRefs returns a copy of a whose machines execute every
-// micro-op immediately through the scalar Core methods (the oracle the
-// batched pipeline is verified against).
-func (a Arch) WithScalarRefs() Arch {
-	a.scalarRefs = true
+// WithOpAtATime returns a copy of a whose machines retire every
+// micro-op as it is emitted, through an op buffer of capacity 1 (the
+// oracle the batched pipeline is verified against).
+func (a Arch) WithOpAtATime() Arch {
+	a.opAtATime = true
 	return a
 }

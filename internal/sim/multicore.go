@@ -517,7 +517,7 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	defer g.close()
 	machines := make([]*core.Machine, g.n)
 	for c := range machines {
-		machines[c] = core.NewMachine(&g.machs[c].cbufs, g.machs[c].CPU, cfg)
+		machines[c] = core.NewMachine(&g.machs[c].cbufs, g.machs[c].B, cfg)
 		if err := machines[c].BinInit(uint64(app.NumKeys)); err != nil {
 			return Metrics{}, err
 		}
@@ -531,17 +531,14 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	}
 
 	// ---- Binning: one binupdate per tuple, per-core C-Buffers ----
-	// This loop stays on the scalar CPU methods deliberately: the COBRA
-	// eviction-FIFO model inside m.BinUpdate reads the live cycle clock
-	// (queueing delays, context-switch quanta), so its micro-ops cannot
-	// be deferred behind a batch (DESIGN §7). Cores stay independent
-	// because each Machine is bound to its own cpu.Core.
+	// The loop emits through mach.B like every other phase; m.BinUpdate
+	// flushes B itself wherever it needs the exact clock (DESIGN §7).
 	err = g.phase("binning.wall", func(c int, mach *Mach) {
 		m := machines[c]
 		start := markPhase(mach)
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {
-			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
-			mach.CPU.Branch(pcInnerLoop, !newGroup)
+			mach.B.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
+			mach.B.Branch(pcInnerLoop, !newGroup)
 			m.BinUpdate(key, val)
 		})
 		m.BinFlush()

@@ -55,8 +55,8 @@ func captureMachs(app *sim.App) *[]*sim.Mach {
 // Reset coverage fails here.
 func TestRecycledMachineEqualsNew(t *testing.T) {
 	archs := map[string]sim.Arch{
-		"batched": sim.DefaultArch(),
-		"scalar":  sim.DefaultArch().WithScalarRefs(),
+		"batched":    sim.DefaultArch(),
+		"op-at-time": sim.DefaultArch().WithOpAtATime(),
 	}
 	for an, arch := range archs {
 		for _, sr := range schemeRuns() {

@@ -33,11 +33,12 @@ type Arch struct {
 	// See DESIGN.md §9 for the shard/merge model.
 	NumCores int
 
-	// scalarRefs forces runs built from this Arch through the scalar
-	// per-reference oracle path instead of the batched pipeline. Both
-	// paths must produce bit-identical Metrics; only the differential
-	// tests set it, through a hook in export_test.go.
-	scalarRefs bool
+	// opAtATime gives machines built from this Arch an op buffer of
+	// capacity 1, which retires every micro-op as it is emitted — the
+	// whole-run oracle the batched pipeline must match bit for bit.
+	// Only the differential tests set it, through a hook in
+	// export_test.go.
+	opAtATime bool
 }
 
 // DefaultMultiCores is the paper's evaluated machine width (Table II:
@@ -81,10 +82,10 @@ func (r Region) Addr(off uint64) uint64 {
 
 // Mach is one simulated machine instance for one run.
 //
-// Hot loops emit micro-ops through B, the batched op pipeline; direct
-// CPU/H access remains for code that needs the clock or hierarchy
-// state mid-stream (the COBRA binning loop, phase bookkeeping) — any
-// such access must be preceded by B.Flush().
+// Every micro-op goes through B, the batched op pipeline (COBRA's
+// core.Machine included). CPU and H are read and driven directly only
+// for phase bookkeeping — clocks, counters, DrainMem, direct DRAM
+// traffic — and any such access must be preceded by B.Flush().
 //
 // Lifecycle: NewMach checks a machine out, the run drives it, and
 // Release returns it to a pool, from which a later NewMach with an
@@ -95,7 +96,8 @@ type Mach struct {
 	H   *mem.Hierarchy
 	B   *cpu.OpBuf
 
-	next uint64
+	opAtATime bool // B has capacity 1 (Arch.opAtATime)
+	next      uint64
 
 	// cbufs outlives each run's COBRA machine so the next BinInit on
 	// this Mach reuses its C-Buffer arrays.
@@ -123,16 +125,16 @@ func buildMach(a Arch) *Mach {
 	h := mem.New(a.Mem)
 	c := cpu.New(a.CPU, h)
 	b := cpu.NewOpBuf(c)
-	if a.scalarRefs {
-		b = cpu.NewOpBufDirect(c)
+	if a.opAtATime {
+		b = cpu.NewOpBufCap(c, 1)
 	}
-	return &Mach{CPU: c, H: h, B: b, next: 1 << 20}
+	return &Mach{CPU: c, H: h, B: b, opAtATime: a.opAtATime, next: 1 << 20}
 }
 
 // fits reports whether m was built for a machine equal to a's. The core
 // count is not part of a machine: every core of a gang is the same.
 func (m *Mach) fits(a Arch) bool {
-	return m.H.Config() == a.Mem && m.CPU.Config() == a.CPU && m.B.Direct() == a.scalarRefs
+	return m.H.Config() == a.Mem && m.CPU.Config() == a.CPU && m.opAtATime == a.opAtATime
 }
 
 // recycle resets a released machine to the state buildMach leaves:
