@@ -3,6 +3,7 @@
 # (exp's worker pool and input memo, obsv's lock-free instruments,
 # cache's shared-model users, pb's parallel binning) + the full test
 # suite with coverage + a short fuzz pass over the hardened gio readers
+# and the batched memory hierarchy
 # + the process-level smokes + a one-pass self-checking benchmark run.
 
 GO ?= go
@@ -41,12 +42,15 @@ race:
 # test alone reports success when a pattern matches nothing).
 SMOKE = GO=$(GO) $(GO) run ./scripts/smoke
 
-# Short fuzz budget per gio reader target: enough to shake out decoder
-# panics and allocation bombs on every CI run without stalling it.
+# Short fuzz budget per target: enough to shake out gio decoder panics
+# and allocation bombs, and batched-vs-scalar divergence in the memory
+# hierarchy's inline miss walk (FuzzAccessBatch, the only randomized
+# test of that walk), on every CI run without stalling it.
 # (Plain `go test` already replays each target's seed corpus.)
 fuzz-smoke:
 	$(SMOKE) -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/gio
 	$(SMOKE) -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=10s ./internal/gio
+	$(SMOKE) -run='^$$' -fuzz='^FuzzAccessBatch$$' -fuzztime=10s ./internal/mem
 
 # Per-package statement coverage with a total summary line. CI runs
 # this in place of the bare `test` target so coverage regressions are

@@ -108,7 +108,14 @@ type Cache struct {
 	lastSet int32
 	lastWay int32
 
-	repl replacer
+	// Replacement state, called directly for the two policies of the
+	// simulated machine (Table II): plru for mask Bit-PLRU (L1, L2) and
+	// rrip for DRRIP (the LLC). Every other policy — TrueLRU and Random
+	// (ablation A2), and Bit-PLRU wider than a mask word — sits behind
+	// the replacer interface in other. Exactly one of the three is set.
+	plru  *bitPLRU
+	rrip  *drrip
+	other replacer
 
 	Stats Stats
 }
@@ -134,7 +141,14 @@ func New(cfg Config) *Cache {
 		meta:    make([]uint64, n),
 		lastSet: -1,
 	}
-	c.repl = newReplacer(cfg.Policy, sets, cfg.Ways)
+	switch {
+	case cfg.Policy == BitPLRU && cfg.Ways <= plruMaxWays:
+		c.plru = newBitPLRU(sets, cfg.Ways)
+	case cfg.Policy == DRRIP:
+		c.rrip = newDRRIP(sets, cfg.Ways)
+	default:
+		c.other = newReplacer(cfg.Policy, sets, cfg.Ways)
+	}
 	return c
 }
 
@@ -190,7 +204,14 @@ func (c *Cache) Reset() {
 	}
 	c.reserved = 0
 	c.lastSet, c.lastWay = -1, 0
-	c.repl.reset()
+	switch {
+	case c.plru != nil:
+		c.plru.reset()
+	case c.rrip != nil:
+		c.rrip.reset()
+	default:
+		c.other.reset()
+	}
 	c.Stats = Stats{}
 }
 
@@ -203,7 +224,6 @@ type Result struct {
 	Evicted       bool   // a valid line was displaced
 	WroteBack     bool   // the displaced line was dirty
 	VictimAddr    uint64 // line-aligned address of the displaced line (valid when Evicted)
-	VictimWasMRU  bool   // diagnostic: victim was the most recently touched usable line
 	BypassedAlloc bool   // access was a non-allocating write (non-temporal store)
 }
 
@@ -241,7 +261,7 @@ func (c *Cache) WriteNT(addr uint64) Result {
 	tag := c.tagOf(addr)
 	if w := c.find(set, tag); w >= 0 {
 		c.meta[set*c.ways+w] |= metaDirty
-		c.repl.onHit(set, w)
+		c.onHit(set, w)
 		c.Stats.Hits++
 		return Result{Hit: true}
 	}
@@ -294,7 +314,7 @@ func (c *Cache) access(addr uint64, write bool) Result {
 		if write {
 			c.meta[set*c.ways+w] |= metaDirty
 		}
-		c.repl.onHit(set, w)
+		c.onHit(set, w)
 		c.Stats.Hits++
 		return Result{Hit: true}
 	}
@@ -302,36 +322,11 @@ func (c *Cache) access(addr uint64, write bool) Result {
 	return c.fill(set, tag, write)
 }
 
-// FillMiss counts a demand miss and installs addr's line, skipping the
-// tag probe — for callers that have already established the line is
-// absent (the batched pipeline's inline probe). The probe it skips has
-// no side effects on a miss, so the outcome is identical to Access on
-// a missing line.
-func (c *Cache) FillMiss(addr uint64, write bool) Result {
-	c.Stats.Misses++
-	return c.fill(c.setIndex(addr), c.tagOf(addr), write)
-}
-
 // PrefetchMiss installs addr's line as a prefetch fill, skipping the
 // tag probe — for callers that have already established (via Probe)
 // that the line is absent. Identical to Prefetch on a missing line.
 func (c *Cache) PrefetchMiss(addr uint64) {
 	c.fill(c.setIndex(addr), c.tagOf(addr), false)
-}
-
-// AccessHitAt applies the demand-hit path at a known-resident line
-// (set, way): dirty update, replacement touch, hit count, MRU filter.
-// For callers that re-verified residency through BatchView metadata
-// and so can skip the tag probe. A set holds at most one valid copy of
-// a tag, so a verified (set, way) is exactly where find would land —
-// the outcome is identical to Access on a hit.
-func (c *Cache) AccessHitAt(set, way int, write bool) {
-	if write {
-		c.meta[set*c.ways+way] |= metaDirty
-	}
-	c.repl.onHit(set, way)
-	c.Stats.Hits++
-	c.lastSet, c.lastWay = int32(set), int32(way)
 }
 
 // find locates tag in set, returning the way or -1. The packed layout
@@ -368,7 +363,7 @@ func (c *Cache) fill(set int, tag uint64, write bool) Result {
 		}
 	}
 	if way < 0 {
-		way = c.repl.victim(set, c.reserved)
+		way = c.victim(set)
 		m := row[way]
 		res.Evicted = true
 		res.WroteBack = m&metaDirty != 0
@@ -384,9 +379,44 @@ func (c *Cache) fill(set int, tag uint64, write bool) Result {
 	}
 	row[way] = m
 	c.lastSet, c.lastWay = int32(set), int32(way)
-	c.repl.onFill(set, way)
+	c.onFill(set, way)
 	c.Stats.Fills++
 	return res
+}
+
+// onHit, onFill, and victim dispatch to the level's replacement
+// policy: a nil check per direct policy instead of an interface call.
+func (c *Cache) onHit(set, way int) {
+	switch {
+	case c.plru != nil:
+		c.plru.touch(set, way)
+	case c.rrip != nil:
+		c.rrip.onHit(set, way)
+	default:
+		c.other.onHit(set, way)
+	}
+}
+
+func (c *Cache) onFill(set, way int) {
+	switch {
+	case c.plru != nil:
+		c.plru.touch(set, way)
+	case c.rrip != nil:
+		c.rrip.onFill(set, way)
+	default:
+		c.other.onFill(set, way)
+	}
+}
+
+func (c *Cache) victim(set int) int {
+	switch {
+	case c.plru != nil:
+		return PLRUVictim(c.plru.mru[set], c.plru.full, c.reserved)
+	case c.rrip != nil:
+		return c.rrip.victim(set, c.reserved)
+	default:
+		return c.other.victim(set, c.reserved)
+	}
 }
 
 func (c *Cache) victimAddr(set int, tag uint64) uint64 {
@@ -395,11 +425,14 @@ func (c *Cache) victimAddr(set int, tag uint64) uint64 {
 
 // BatchView exposes the packed per-line metadata and (when the policy
 // is mask-based Bit-PLRU) the replacement masks, so package mem can
-// inline this level's hit path inside AccessBatch without a call per
-// reference. The view snapshots the geometry: callers must re-take it
-// after ReserveWays or Reset. Mutations through the view must follow
-// the scalar access semantics exactly (set dirty bit, Bit-PLRU touch),
-// and hits taken through it are folded back via AddBatchHits.
+// inline this level's hit and fill paths inside AccessBatch without a
+// call per reference. Meta and PLRU stay the level's own arrays for
+// its whole life (Reset clears them in place); Reserved is a snapshot,
+// stale after ReserveWays or Reset. Mutations through the view must
+// follow the scalar access semantics exactly (fill way choice, dirty
+// bit, Bit-PLRU touch and victim via PLRUTouch and PLRUVictim), and
+// the caller counts those accesses in Stats itself (hits may be folded
+// in once per batch via AddBatchHits).
 type BatchView struct {
 	Meta     []uint64 // packed tag<<2|dirty<<1|valid, indexed set*Ways+way
 	PLRU     []uint16 // per-set Bit-PLRU masks; nil if the policy is not mask Bit-PLRU
@@ -422,9 +455,9 @@ func (c *Cache) BatchView() BatchView {
 		Ways:     c.ways,
 		Reserved: c.reserved,
 	}
-	if p, ok := c.repl.(*bitPLRU); ok {
-		v.PLRU = p.mru
-		v.PLRUFull = p.full
+	if c.plru != nil {
+		v.PLRU = c.plru.mru
+		v.PLRUFull = c.plru.full
 	}
 	return v
 }
@@ -436,7 +469,7 @@ func (c *Cache) AddBatchHits(n uint64) { c.Stats.Hits += n }
 
 // LastTouched returns the one-entry MRU filter: the (set, way) of the
 // last line located by a demand access or fill (set < 0 if none).
-// Immediately after a demand access of addr it identifies addr's
-// resident line — the handoff a batched caller uses to resume inline
-// probing after a scalar miss-path call.
+// Immediately after a Probe hit or a fill of addr it identifies addr's
+// resident line, which is how package mem's L2 prefetcher records
+// where a line it probed or prefetched sits.
 func (c *Cache) LastTouched() (set, way int) { return int(c.lastSet), int(c.lastWay) }

@@ -30,10 +30,12 @@ func (p PolicyKind) String() string {
 	return "unknown"
 }
 
-// replacer is a per-level replacement policy. Implementations keep all
-// state in flat arrays so the hot path never allocates. The minWay
-// argument to victim is the partition floor: ways below it are reserved
-// and must never be chosen.
+// replacer is the interface for the replacement policies a Cache does
+// not call directly (see Cache.plru and Cache.rrip): the ablation-only
+// TrueLRU and Random, and Bit-PLRU wider than a mask word.
+// Implementations keep all state in flat arrays so the hot path never
+// allocates. The minWay argument to victim is the partition floor: ways
+// below it are reserved and must never be chosen.
 type replacer interface {
 	onHit(set, way int)
 	onFill(set, way int)
@@ -46,11 +48,9 @@ type replacer interface {
 func newReplacer(kind PolicyKind, sets, ways int) replacer {
 	switch kind {
 	case BitPLRU:
-		return newBitPLRU(sets, ways)
+		return &bitPLRUWide{ways: ways, mru: make([]bool, sets*ways)}
 	case TrueLRU:
 		return newTrueLRU(sets, ways)
-	case DRRIP:
-		return newDRRIP(sets, ways)
 	case Random:
 		return newRandomRepl(sets, ways)
 	default:
@@ -69,7 +69,6 @@ func newReplacer(kind PolicyKind, sets, ways int) replacer {
 // the saturation check covers all ways of the set (including reserved
 // ones, whose stale bits persist exactly as the boolean version's did).
 type bitPLRU struct {
-	ways int
 	full uint16 // all `ways` bits set
 	mru  []uint16
 }
@@ -78,23 +77,13 @@ type bitPLRU struct {
 // bitPLRUWide (and forgo the batched fast path).
 const plruMaxWays = 16
 
-func newBitPLRU(sets, ways int) replacer {
-	if ways > plruMaxWays {
-		return &bitPLRUWide{ways: ways, mru: make([]bool, sets*ways)}
-	}
-	return &bitPLRU{ways: ways, full: uint16(1)<<uint(ways) - 1, mru: make([]uint16, sets)}
+func newBitPLRU(sets, ways int) *bitPLRU {
+	return &bitPLRU{full: uint16(1)<<uint(ways) - 1, mru: make([]uint16, sets)}
 }
 
 func (p *bitPLRU) touch(set, way int) {
-	m := p.mru[set] | 1<<uint(way)
-	if m == p.full {
-		m = 1 << uint(way)
-	}
-	p.mru[set] = m
+	p.mru[set] = PLRUTouch(p.mru[set], uint16(1)<<uint(way), p.full)
 }
-
-func (p *bitPLRU) onHit(set, way int)  { p.touch(set, way) }
-func (p *bitPLRU) onFill(set, way int) { p.touch(set, way) }
 
 func (p *bitPLRU) reset() {
 	for i := range p.mru {
@@ -102,10 +91,35 @@ func (p *bitPLRU) reset() {
 	}
 }
 
-func (p *bitPLRU) victim(set, minWay int) int {
-	// Lowest way >= minWay with a clear MRU bit, else minWay — the same
-	// scan order as the boolean loop, computed with one trailing-zeros.
-	clear := ^p.mru[set] & p.full &^ (uint16(1)<<uint(minWay) - 1)
+// PLRUTouch returns the Bit-PLRU mask m after touching the way whose
+// bit is bit, in a set whose every way is set in full. It and
+// PLRUVictim are the policy itself, shared with batched callers that
+// update masks through BatchView.
+func PLRUTouch(m, bit, full uint16) uint16 {
+	m |= bit
+	if m == full {
+		m = bit
+	}
+	return m
+}
+
+// PLRUFillWay returns the way a fill into a Bit-PLRU set installs in,
+// as Cache's fill chooses it: the first invalid way at or above minWay
+// in row (the set's packed metadata), else the victim for mask m.
+func PLRUFillWay(row []uint64, m, full uint16, minWay int) int {
+	for w := minWay; w < len(row); w++ {
+		if row[w]&metaValid == 0 {
+			return w
+		}
+	}
+	return PLRUVictim(m, full, minWay)
+}
+
+// PLRUVictim returns the Bit-PLRU victim of a set with mask m: the
+// lowest way >= minWay with a clear MRU bit, else minWay — the same
+// scan order as the boolean loop, computed with one trailing-zeros.
+func PLRUVictim(m, full uint16, minWay int) int {
+	clear := ^m & full &^ (uint16(1)<<uint(minWay) - 1)
 	if clear == 0 {
 		return minWay
 	}

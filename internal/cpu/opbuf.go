@@ -20,12 +20,20 @@ const (
 
 // Op is one buffered micro-op. Addr is overloaded: the memory address
 // for loads/stores, the branch PC for OpBranch, and the op count for
-// OpALU.
+// OpALU. ALU counts simple micro-ops folded into this op: they retire
+// right after it, as the ALU call that followed it would have. The
+// field fits in the struct's padding, so an Op is 16 bytes.
 type Op struct {
 	Addr  uint64
 	Kind  OpKind
-	Taken bool // OpBranch outcome
+	Taken bool  // OpBranch outcome
+	ALU   uint8 // folded ALU(n) that retires right after this op; < aluFoldMax
 }
+
+// aluFoldMax bounds the ALU(n) that fold: OpBuf's n/IssueWidth table
+// has this many entries. Larger groups (COBRA's bininit charges one op
+// per LLC C-Buffer) are buffered as an OpALU op of their own.
+const aluFoldMax = 16
 
 // opBufCap is NewOpBuf's flush threshold. Large enough to amortize the
 // batch setup over many references, small enough that the ref/level
@@ -40,6 +48,12 @@ const opBufCap = 256
 // — same additions, same divisions, same order — so cycle counts are
 // bit-identical, not merely close.
 //
+// A small ALU group rides in the previous buffered op's ALU byte
+// instead of taking an op of its own (see ALU); the replay retires it
+// right after that op with the same n/IssueWidth addition, so folding
+// changes no cycle. A capacity-1 buffer is empty at every emit and so
+// never folds: the op-at-a-time oracle retires every ALU on its own.
+//
 // The buffer flushes itself as soon as it holds its capacity in ops,
 // so a buffer of capacity 1 retires every op as it arrives. Callers
 // must call Flush before reading Cycles/Ctr/hierarchy stats or touching
@@ -52,13 +66,13 @@ type OpBuf struct {
 	levels []mem.Level
 
 	// Hoisted once at construction (the core config is immutable):
-	// latency table indexed by mem.Level, issue width, the 1/width
-	// increment (the same constant division the scalar issue(1)
-	// performs, so reusing its result is bit-identical), and the
-	// branch misprediction penalty.
+	// latency table indexed by mem.Level, issue width, the n/width
+	// increments of an ALU(n) and (n = 1) of every other op — the same
+	// constant divisions the scalar issue(n) performs, so reusing their
+	// results is bit-identical — and the branch misprediction penalty.
 	latTab  [4]uint32
 	w       float64
-	oneOp   float64
+	issueN  [aluFoldMax]float64
 	penalty float64
 }
 
@@ -80,7 +94,9 @@ func NewOpBufCap(c *Core, capacity int) *OpBuf {
 	lat := c.Mem.Config().Lat
 	b.latTab = [4]uint32{lat.L1, lat.L2, lat.LLC, lat.DRAM}
 	b.w = float64(c.cfg.IssueWidth)
-	b.oneOp = float64(1) / b.w
+	for n := range b.issueN {
+		b.issueN[n] = float64(n) / b.w
+	}
 	b.penalty = float64(c.cfg.BranchPenalty)
 	return b
 }
@@ -112,9 +128,16 @@ func (b *OpBuf) pushRef(op Op, kind mem.RefKind) {
 	b.push(op)
 }
 
-// ALU buffers n simple micro-ops (one issue group, as Core.ALU).
+// ALU buffers n simple micro-ops (one issue group, as Core.ALU). A
+// small group folds into the previous buffered op when that op carries
+// none yet; otherwise (an empty buffer, a second ALU in a row, or n of
+// aluFoldMax or more) it is an OpALU op of its own.
 func (b *OpBuf) ALU(n int) {
 	if n <= 0 {
+		return
+	}
+	if k := len(b.ops); k > 0 && n < aluFoldMax && b.ops[k-1].ALU == 0 {
+		b.ops[k-1].ALU = uint8(n)
 		return
 	}
 	b.push(Op{Addr: uint64(n), Kind: OpALU})
@@ -152,12 +175,16 @@ func (b *OpBuf) Flush() {
 	b.levels = c.Mem.AccessBatch(b.refs, b.levels)
 
 	// Phase 2: timing replay in program order, performing the identical
-	// floating-point operations the scalar path would.
+	// floating-point operations the scalar path would. The clock lives in
+	// cyc, stored back around the occupy calls that read and advance it.
 	latTab := b.latTab
 	w := b.w
-	oneOp := b.oneOp
+	issueN := &b.issueN
+	oneOp := issueN[1]
 	penalty := b.penalty
+	levels := b.levels
 	li := 0
+	cyc := c.cycle
 	// Event counters accumulate in batch-locals and fold into Ctr once:
 	// integer addition commutes, so the totals are exact; only the cycle
 	// clock (floating point, order-sensitive) updates op-by-op.
@@ -169,52 +196,63 @@ func (b *OpBuf) Flush() {
 		case OpALU:
 			aluOps += op.Addr
 			instr += op.Addr
-			c.cycle += float64(op.Addr) / w
+			cyc += float64(op.Addr) / w
 		case OpLoad, OpLoadDep:
-			level := b.levels[li]
+			level := levels[li]
 			li++
 			loads++
 			instr++
-			c.cycle += oneOp
+			cyc += oneOp
 			loadLvl[level]++
 			if level != mem.L1 {
 				l := latTab[level]
 				if level == mem.LLC || level == mem.DRAM {
 					l += c.Mem.LLCExtraCycles(op.Addr)
 				}
+				c.cycle = cyc
 				done := c.occupy(float64(l))
-				if op.Kind == OpLoadDep && done > c.cycle {
-					c.cycle = done
+				cyc = c.cycle
+				if op.Kind == OpLoadDep && done > cyc {
+					cyc = done
 				}
 			}
 		case OpStore:
-			level := b.levels[li]
+			level := levels[li]
 			li++
 			stores++
 			instr++
-			c.cycle += oneOp
+			cyc += oneOp
 			if level != mem.L1 {
+				c.cycle = cyc
 				c.occupy(float64(latTab[level]) / 2)
+				cyc = c.cycle
 			}
 		case OpStoreNT:
 			li++
 			stores++
 			instr++
-			c.cycle += oneOp
+			cyc += oneOp
 		case OpBranch:
 			branches++
 			instr++
-			c.cycle += oneOp
+			cyc += oneOp
 			if !c.bp.predict(op.Addr, op.Taken) {
 				brMiss++
-				c.cycle += penalty
+				cyc += penalty
 			}
 		default: // OpBinUpdate
 			binUpd++
 			instr++
-			c.cycle += oneOp
+			cyc += oneOp
+		}
+		if n := op.ALU; n != 0 {
+			// The folded ALU(n), retiring right after its host op.
+			aluOps += uint64(n)
+			instr += uint64(n)
+			cyc += issueN[n]
 		}
 	}
+	c.cycle = cyc
 	c.Ctr.Instructions += instr
 	c.Ctr.ALUOps += aluOps
 	c.Ctr.Loads += loads

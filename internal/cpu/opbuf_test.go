@@ -5,18 +5,20 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"cobra/internal/mem"
 )
 
 // genOps produces a random op stream that exercises every op kind,
-// same-line bursts (read-modify-write pairs), streaming runs, and
-// correlated branch outcomes.
+// same-line bursts (read-modify-write pairs), streaming runs,
+// correlated branch outcomes, and every ALU(n) shape: n = 0, n small
+// enough to fold, n of aluFoldMax or more, and two ALU groups in a row.
 func genOps(rng *rand.Rand, n int) []Op {
 	ops := make([]Op, 0, n)
 	addr := rng.Uint64() % (1 << 22)
 	for len(ops) < n {
-		switch rng.Intn(10) {
+		switch rng.Intn(13) {
 		case 0:
 			ops = append(ops, Op{Addr: uint64(1 + rng.Intn(8)), Kind: OpALU})
 		case 1:
@@ -40,6 +42,13 @@ func genOps(rng *rand.Rand, n int) []Op {
 			ops = append(ops, Op{Addr: pc, Kind: OpBranch, Taken: rng.Intn(4) != 0})
 		case 8:
 			ops = append(ops, Op{Kind: OpBinUpdate})
+		case 9:
+			ops = append(ops, Op{Addr: 0, Kind: OpALU})
+		case 10: // too wide to fold (COBRA's bininit: 3 + C-Buffer count)
+			ops = append(ops, Op{Addr: uint64(aluFoldMax + rng.Intn(4096)), Kind: OpALU})
+		case 11:
+			ops = append(ops, Op{Addr: uint64(1 + rng.Intn(8)), Kind: OpALU},
+				Op{Addr: uint64(1 + rng.Intn(8)), Kind: OpALU})
 		default:
 			ops = append(ops, Op{Addr: uint64(1 + rng.Intn(3)), Kind: OpALU})
 		}
@@ -98,12 +107,69 @@ func scalarFeed(c *Core, ops []Op) {
 	}
 }
 
+// aluPaths counts which OpBuf.ALU path each emitted ALU group took.
+type aluPaths struct {
+	zero      int // n = 0: nothing buffered
+	wide      int // n >= aluFoldMax: an OpALU op of its own
+	afterFull int // the buffer had just flushed itself: an OpALU op of its own
+	twice     int // the previous op already carries a fold: an OpALU op of its own
+	folded    int // folded into the previous buffered op
+}
+
+func (p *aluPaths) add(o aluPaths) {
+	p.zero += o.zero
+	p.wide += o.wide
+	p.afterFull += o.afterFull
+	p.twice += o.twice
+	p.folded += o.folded
+}
+
+// check fails unless the streams of one cadence took both the fold
+// path and every no-fold path it must cover. A capacity-1 buffer is
+// empty whenever an op is emitted, so it never folds and every group
+// follows a self-flush. The random cadence's explicit flushes make a
+// self-flush right before an ALU group rare, so only the fixed
+// cadences must show one.
+func (p aluPaths) check(t *testing.T, cadence string) {
+	t.Helper()
+	ok := p.zero > 0 && p.wide > 0
+	switch cadence {
+	case "cap=1":
+		ok = ok && p.afterFull > 0 && p.folded == 0 && p.twice == 0
+	case "cap=256":
+		ok = ok && p.afterFull > 0 && p.folded > 0 && p.twice > 0
+	default:
+		ok = ok && p.folded > 0 && p.twice > 0
+	}
+	if !ok {
+		t.Fatalf("%s: ALU paths not covered as required: %+v", cadence, p)
+	}
+}
+
 // feed emits ops through b, flushing before every barrier event and
-// wherever flushAt (if non-nil) says so, then flushes the tail.
-func feed(b *OpBuf, ops []Op, flushAt func() bool) {
+// wherever flushAt (if non-nil) says so, then flushes the tail. It
+// reports which ALU paths the emitted groups took.
+func feed(b *OpBuf, ops []Op, flushAt func() bool) aluPaths {
+	var p aluPaths
+	selfFlushed := false // the last push left the buffer empty by flushing it
 	for _, op := range ops {
 		switch op.Kind {
 		case OpALU:
+			k := len(b.ops)
+			switch n := int(op.Addr); {
+			case n == 0:
+				p.zero++
+			case n >= aluFoldMax:
+				p.wide++
+			case k == 0:
+				if selfFlushed {
+					p.afterFull++
+				}
+			case b.ops[k-1].ALU != 0:
+				p.twice++
+			default:
+				p.folded++
+			}
 			b.ALU(int(op.Addr))
 		case OpLoad:
 			b.Load(op.Addr)
@@ -124,11 +190,19 @@ func feed(b *OpBuf, ops []Op, flushAt func() bool) {
 			b.Flush()
 			b.Core().DrainMem()
 		}
+		switch {
+		case op.Kind == opAdvance || op.Kind == opDrain:
+			selfFlushed = false
+		case op.Kind != OpALU || op.Addr != 0:
+			selfFlushed = len(b.ops) == 0
+		}
 		if flushAt != nil && flushAt() {
 			b.Flush()
+			selfFlushed = false
 		}
 	}
 	b.Flush()
+	return p
 }
 
 // cadence is one way of cutting an op stream into flushes.
@@ -190,14 +264,16 @@ func TestOpBufMatchesScalarCore(t *testing.T) {
 			rng := rand.New(rand.NewSource(123))
 			for _, cd := range cadences(rng) {
 				t.Run(cd.name, func(t *testing.T) {
+					var paths aluPaths
 					for trial := 0; trial < 4; trial++ {
 						ops := genOps(rng, 5000+rng.Intn(3000))
 						scalarCore := New(DefaultConfig(), mem.New(mcfg))
 						bufCore := New(DefaultConfig(), mem.New(mcfg))
 						scalarFeed(scalarCore, ops)
-						feed(cd.newBuf(bufCore), ops, cd.flushAt)
+						paths.add(feed(cd.newBuf(bufCore), ops, cd.flushAt))
 						checkSameCore(t, fmt.Sprintf("trial %d", trial), scalarCore, bufCore)
 					}
+					paths.check(t, cd.name)
 				})
 			}
 		})
@@ -212,15 +288,25 @@ func TestOpBufFlushBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, cd := range cadences(rng) {
 		t.Run(cd.name, func(t *testing.T) {
+			var paths aluPaths
 			for trial := 0; trial < 4; trial++ {
 				ops := withBarriers(rng, genOps(rng, 4000))
 				scalarCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
 				bufCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
 				scalarFeed(scalarCore, ops)
-				feed(cd.newBuf(bufCore), ops, cd.flushAt)
+				paths.add(feed(cd.newBuf(bufCore), ops, cd.flushAt))
 				checkSameCore(t, fmt.Sprintf("trial %d", trial), scalarCore, bufCore)
 			}
+			paths.check(t, cd.name)
 		})
+	}
+}
+
+// TestOpSize pins Op at 16 bytes: the folded ALU count lives in what
+// was padding.
+func TestOpSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Op{}); sz != 16 {
+		t.Fatalf("Op is %d bytes, want 16", sz)
 	}
 }
 

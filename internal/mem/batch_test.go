@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,8 +10,9 @@ import (
 )
 
 // batchConfigs returns hierarchy configurations spanning the fast path
-// (mask Bit-PLRU L1), the scalar fallback (TrueLRU L1), tiny caches
-// (high conflict pressure), NUCA on/off, and prefetcher on/off.
+// (mask Bit-PLRU L1 and L2), the scalar fallback (TrueLRU L1 or L2),
+// tiny caches (high conflict pressure), NUCA on/off, and prefetcher
+// on/off.
 func batchConfigs() map[string]Config {
 	tiny := Config{
 		L1:  cache.Config{Name: "L1", SizeB: 1 << 10, Ways: 2, Policy: cache.BitPLRU},
@@ -25,6 +27,8 @@ func batchConfigs() map[string]Config {
 	noPf.PrefetchDegree = 0
 	lruL1 := DefaultConfig()
 	lruL1.L1.Policy = cache.TrueLRU
+	lruL2 := DefaultConfig()
+	lruL2.L2.Policy = cache.TrueLRU
 	tinyPf := tiny
 	tinyPf.PrefetchStreams = 4
 	tinyPf.PrefetchDegree = 2
@@ -35,6 +39,7 @@ func batchConfigs() map[string]Config {
 		"nuca":     nuca,
 		"no_pf":    noPf,
 		"lru_l1":   lruL1,
+		"lru_l2":   lruL2,
 		"reserved": DefaultConfig(), // ways reserved by the test body
 	}
 }
@@ -55,22 +60,46 @@ func replayScalar(h *Hierarchy, refs []Ref) []Level {
 	return out
 }
 
-// snapshot captures every externally visible counter of a hierarchy.
+// snapshot captures a hierarchy's simulated state: every counter, the
+// DRAM traffic, each level's packed line metadata (tags, valid and dirty
+// bits, way by way), and the L1 and L2 Bit-PLRU masks. A wrong victim
+// or a missed replacement touch shows up here at once, not only when
+// it happens to change a count.
 type snapshot struct {
 	L1, L2, LLC cache.Stats
 	Traffic     Traffic
-	L1Lines     int
-	L2Lines     int
-	LLCLines    int
+	Meta        [3][]uint64 // L1, L2, LLC
+	PLRU        [2][]uint16 // L1, L2 (nil when not mask Bit-PLRU)
 }
 
 func snap(h *Hierarchy) snapshot {
-	return snapshot{
-		L1: h.L1c.Stats, L2: h.L2c.Stats, LLC: h.LLCc.Stats,
-		Traffic:  h.DRAMTraffic,
-		L1Lines:  h.L1c.OccupiedLines(),
-		L2Lines:  h.L2c.OccupiedLines(),
-		LLCLines: h.LLCc.OccupiedLines(),
+	s := snapshot{L1: h.L1c.Stats, L2: h.L2c.Stats, LLC: h.LLCc.Stats, Traffic: h.DRAMTraffic}
+	for i, c := range []*cache.Cache{h.L1c, h.L2c, h.LLCc} {
+		v := c.BatchView()
+		s.Meta[i] = append([]uint64(nil), v.Meta...)
+		if i < len(s.PLRU) && v.PLRU != nil {
+			s.PLRU[i] = append([]uint16(nil), v.PLRU...)
+		}
+	}
+	return s
+}
+
+// checkSameState fails unless the two hierarchies' snapshots are equal,
+// naming the first part that differs.
+func checkSameState(t *testing.T, what string, scalar, batched *Hierarchy) {
+	t.Helper()
+	s, b := snap(scalar), snap(batched)
+	if s.L1 != b.L1 || s.L2 != b.L2 || s.LLC != b.LLC || s.Traffic != b.Traffic {
+		t.Fatalf("%s: counters diverged\nscalar:  %+v %+v %+v %+v\nbatched: %+v %+v %+v %+v",
+			what, s.L1, s.L2, s.LLC, s.Traffic, b.L1, b.L2, b.LLC, b.Traffic)
+	}
+	for i, name := range []string{"L1", "L2", "LLC"} {
+		if !reflect.DeepEqual(s.Meta[i], b.Meta[i]) {
+			t.Fatalf("%s: %s line metadata diverged", what, name)
+		}
+		if i < len(s.PLRU) && !reflect.DeepEqual(s.PLRU[i], b.PLRU[i]) {
+			t.Fatalf("%s: %s Bit-PLRU masks diverged", what, name)
+		}
 	}
 }
 
@@ -120,6 +149,9 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 						if err := h.L1c.ReserveWays(2); err != nil {
 							t.Fatal(err)
 						}
+						if err := h.L2c.ReserveWays(3); err != nil {
+							t.Fatal(err)
+						}
 						if err := h.LLCc.ReserveWays(4); err != nil {
 							t.Fatal(err)
 						}
@@ -147,9 +179,7 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 						}
 					}
 				}
-				if s, b := snap(scalar), snap(batched); s != b {
-					t.Fatalf("trial %d: state diverged\nscalar:  %+v\nbatched: %+v", trial, s, b)
-				}
+				checkSameState(t, fmt.Sprintf("trial %d", trial), scalar, batched)
 			}
 		})
 	}
@@ -181,13 +211,16 @@ func TestAccessBatchInterleavedWithScalar(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("interleaved levels diverged from scalar oracle")
 	}
-	if s, b := snap(oracle), snap(mixed); s != b {
-		t.Fatalf("interleaved state diverged\nscalar: %+v\nmixed:  %+v", s, b)
-	}
+	checkSameState(t, "interleaved", oracle, mixed)
 }
 
 // FuzzAccessBatch asserts scalar/batched equivalence on fuzzer-chosen
-// streams: every returned level and every counter must match.
+// streams: every returned level and the full simulated state (counters,
+// line metadata, Bit-PLRU masks) must match. Partway through, both
+// hierarchies reserve a seed-chosen number of ways in L1, L2, and the
+// LLC, as COBRA's BinInit does mid-run, so the batched walk meets both
+// unreserved and reserved sets and location hints made stale by the
+// reservation.
 func FuzzAccessBatch(f *testing.F) {
 	f.Add(uint64(1), uint8(3), []byte{0, 1, 2, 3, 40, 41, 200})
 	f.Add(uint64(99), uint8(16), []byte{7, 7, 7, 7, 7, 7})
@@ -213,6 +246,7 @@ func FuzzAccessBatch(f *testing.F) {
 			}
 			refs = append(refs, Ref{Addr: base % (1 << bits), Kind: RefKind(b % 3)})
 		}
+		split := rng.Intn(len(refs) + 1)
 		tiny := Config{
 			L1:  cache.Config{Name: "L1", SizeB: 1 << 10, Ways: 2, Policy: cache.BitPLRU},
 			L2:  cache.Config{Name: "L2", SizeB: 2 << 10, Ways: 2, Policy: cache.BitPLRU},
@@ -222,16 +256,27 @@ func FuzzAccessBatch(f *testing.F) {
 		tiny.PrefetchStreams = 4
 		tiny.PrefetchDegree = 2
 		for _, cfg := range []Config{DefaultConfig(), tiny} {
+			// Reserve 0..ways-1 ways per level (at least one stays usable).
+			reserve := [3]int{
+				rng.Intn(cfg.L1.Ways), rng.Intn(cfg.L2.Ways), rng.Intn(cfg.LLC.Ways),
+			}
 			scalar := New(cfg)
 			batched := New(cfg)
-			want := replayScalar(scalar, refs)
-			got := batched.AccessBatch(refs, nil)
+			want := replayScalar(scalar, refs[:split])
+			got := batched.AccessBatch(refs[:split], nil)
+			for _, h := range []*Hierarchy{scalar, batched} {
+				for i, c := range []*cache.Cache{h.L1c, h.L2c, h.LLCc} {
+					if err := c.ReserveWays(reserve[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want = append(want, replayScalar(scalar, refs[split:])...)
+			got = append(got, batched.AccessBatch(refs[split:], nil)...)
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("levels diverged (cfg %s)", cfg.L1.Name)
+				t.Fatalf("levels diverged (L1 %d ways, reserve %v at ref %d)", cfg.L1.Ways, reserve, split)
 			}
-			if s, b := snap(scalar), snap(batched); s != b {
-				t.Fatalf("state diverged\nscalar:  %+v\nbatched: %+v", s, b)
-			}
+			checkSameState(t, fmt.Sprintf("L1 %d ways, reserve %v at ref %d", cfg.L1.Ways, reserve, split), scalar, batched)
 		}
 	})
 }

@@ -147,18 +147,26 @@ type Hierarchy struct {
 
 	pf wcAndPf
 
-	// Verified-slot cache over the L2 metadata, shared by the demand
-	// miss path, the prefetcher's residency probes, and L1-victim
-	// writeback installs. Each slot remembers where a line was last
-	// located in L2 (its packed-metadata index); a slot is trusted only
-	// after the live metadata word re-verifies (valid + tag), so
-	// intervening evictions, resets, or reservations can never fake a
-	// hit — they just fall back to the full way scan. Entries are
-	// recorded exclusively from find/fill results, so a verified index
-	// always lies in a non-reserved way (the ways find itself scans).
+	// Verified-slot cache over the L2 metadata, shared by the batched
+	// miss walk (demand lookups and L1-victim writeback installs) and
+	// the prefetcher's residency probes. Each slot remembers where a
+	// line was last located in L2 (its packed-metadata index); a slot
+	// is trusted only after the live metadata word re-verifies (valid +
+	// tag), so intervening evictions, resets, or reservations can never
+	// fake a hit — they just fall back to the full way scan. Entries
+	// are recorded exclusively from scan/fill results, so a verified
+	// index always lies in a non-reserved way (the ways a scan covers).
 	l2SlotLine [64]uint64
 	l2SlotIdx  [64]int32
-	l2Meta     []uint64 // L2 packed metadata (slice identity is stable)
+
+	// L2 state the batched miss walk reads and updates in place, taken
+	// once from L2's BatchView (both slices are L2's own arrays for its
+	// whole life). They are fields, not a per-miss BatchView() call,
+	// which would copy the view struct on every miss. The walk reads
+	// L2's way reservation live, as it changes mid-run.
+	l2Meta     []uint64 // packed metadata
+	l2PLRU     []uint16 // Bit-PLRU masks; nil unless L2 is mask Bit-PLRU
+	l2Full     uint16   // mask with every way's bit set
 	l2SetMask  uint64
 	l2TagShift uint
 	l2Ways     int
@@ -172,18 +180,25 @@ type wcAndPf struct {
 	// Stream table, struct-of-arrays: the detection scan in
 	// observeStream runs on every L1 demand miss and touches only
 	// lastLine (two cache lines at 16 streams) instead of a struct per
-	// stream. A stream is live iff lastUse != 0 — the clock
-	// pre-increments, so an allocated entry's stamp is always ≥ 1 —
-	// and streams are never invalidated. Never-allocated entries hold
-	// an unreachable sentinel lastLine (no line address reaches
-	// 2^58), so the match scan needs no liveness check.
+	// stream. Entries are allocated in index order and streams are
+	// never invalidated, so entries [0, nvalid) are the live ones.
+	// Never-allocated entries hold an unreachable sentinel lastLine (no
+	// line address reaches 2^58), so the match scan needs no liveness
+	// check.
 	lastLine []uint64
-	lastUse  []uint64
 	dir      []int64 // +1 or -1
 	conf     []int
-	clock    uint64
 	degree   int
 	nvalid   int // live entries; never decreases
+
+	// Recency order of the live entries, a doubly linked list from
+	// head (most recently used) to tail (least recently used, the
+	// entry a new stream replaces once the table is full). Each
+	// observation uses exactly one entry, so this is the order of
+	// their last uses. With one live entry, head = tail = 0: the zero
+	// value.
+	prev, next []int
+	head, tail int
 
 	// Non-temporal store write-combining: last few line addresses seen,
 	// so a burst of NT stores to one line costs one DRAM write.
@@ -204,11 +219,14 @@ func New(cfg Config) *Hierarchy {
 	for i := range h.pf.lastLine {
 		h.pf.lastLine[i] = ^uint64(0) // sentinel: never matches a real line
 	}
-	h.pf.lastUse = make([]uint64, cfg.PrefetchStreams)
 	h.pf.dir = make([]int64, cfg.PrefetchStreams)
+	h.pf.prev = make([]int, cfg.PrefetchStreams)
+	h.pf.next = make([]int, cfg.PrefetchStreams)
 	h.pf.conf = make([]int, cfg.PrefetchStreams)
 	l2v := h.L2c.BatchView()
 	h.l2Meta = l2v.Meta
+	h.l2PLRU = l2v.PLRU
+	h.l2Full = l2v.PLRUFull
 	h.l2SetMask = l2v.SetMask
 	h.l2TagShift = cache.LineBits + l2v.SetBits
 	h.l2Ways = l2v.Ways
@@ -230,13 +248,12 @@ func (h *Hierarchy) Reset() {
 	h.L1c.Reset()
 	h.L2c.Reset()
 	h.LLCc.Reset()
-	degree := h.pf.degree
-	lastLine, lastUse, dir, conf := h.pf.lastLine, h.pf.lastUse, h.pf.dir, h.pf.conf
-	for i := range lastLine {
-		lastLine[i] = ^uint64(0)
-		lastUse[i], dir[i], conf[i] = 0, 0, 0
+	pf := &h.pf
+	for i := range pf.lastLine {
+		pf.lastLine[i] = ^uint64(0)
+		pf.dir[i], pf.conf[i], pf.prev[i], pf.next[i] = 0, 0, 0, 0
 	}
-	h.pf = wcAndPf{lastLine: lastLine, lastUse: lastUse, dir: dir, conf: conf, degree: degree}
+	h.pf = wcAndPf{lastLine: pf.lastLine, dir: pf.dir, conf: pf.conf, prev: pf.prev, next: pf.next, degree: pf.degree}
 	for i := range h.l2SlotLine {
 		h.l2SlotLine[i] = ^uint64(0)
 	}
@@ -280,21 +297,30 @@ func (h *Hierarchy) WriteLineDirect(lines uint64) { h.DRAMTraffic.WriteLines += 
 // ReadLineDirect models a full-line DRAM read bypassing the caches.
 func (h *Hierarchy) ReadLineDirect(lines uint64) { h.DRAMTraffic.ReadLines += lines }
 
+// access is the scalar demand walk, entirely through cache.Cache: the
+// reference AccessBatch's inline walk must match.
 func (h *Hierarchy) access(addr uint64, write bool) Level {
 	if r := h.L1c.Access(addr, write); r.Hit {
 		return L1
 	} else if r.WroteBack {
-		h.installWriteback(h.L2c, r.VictimAddr, LLC)
+		h.installWriteback(h.L2c, r.VictimAddr)
 	}
 	// L1 miss: probe L2 (prefetcher observes the L1-miss stream).
 	h.observeStream(addr)
 	if r := h.L2c.Access(addr, false); r.Hit {
-		return L1fillFrom(L2)
+		return L2
 	} else if r.WroteBack {
-		h.installWriteback(h.LLCc, r.VictimAddr, DRAM)
+		h.installWriteback(h.LLCc, r.VictimAddr)
 	}
+	return h.accessLLC(addr)
+}
+
+// accessLLC is the demand walk's last step, shared by both walks: the
+// LLC lookup (filling on a miss; a dirty LLC victim is a DRAM write)
+// and, past it, the DRAM read.
+func (h *Hierarchy) accessLLC(addr uint64) Level {
 	if r := h.LLCc.Access(addr, false); r.Hit {
-		return L1fillFrom(LLC)
+		return LLC
 	} else if r.WroteBack {
 		h.DRAMTraffic.WriteLines++
 	}
@@ -302,45 +328,13 @@ func (h *Hierarchy) access(addr uint64, write bool) Level {
 	return DRAM
 }
 
-// L1fillFrom exists to make the control flow above read naturally; the
-// fill into upper levels has already happened via Access side effects
-// conceptually (we model upper-level fills implicitly: the line was
-// installed in L1 by the initial Access call's miss path).
-func L1fillFrom(l Level) Level { return l }
-
-// installWriteback installs a dirty victim from level i into level i+1.
-// If that displaces another dirty line, the cascade continues (next ==
-// DRAM means count traffic).
-func (h *Hierarchy) installWriteback(c *cache.Cache, victim uint64, next Level) {
-	if c == h.L2c {
-		// L1 victims usually still sit in L2 (they were filled from
-		// it); a slot-verified hit is Access's hit path with the hit
-		// count immediately undone — i.e. dirty mark + touch only.
-		line := victim >> cache.LineBits
-		slot := line & 63
-		want := victim>>h.l2TagShift<<cache.MetaTagShift | cache.MetaValid
-		if h.l2SlotLine[slot] == line && h.l2Meta[h.l2SlotIdx[slot]]&^cache.MetaDirty == want {
-			set := int(line & h.l2SetMask)
-			c.AccessHitAt(set, int(h.l2SlotIdx[slot])-set*h.l2Ways, true)
-			c.Stats.Hits--
-			return
-		}
-		r := c.Access(victim, true)
-		// The install left the victim resident wherever the access
-		// landed it (hit way or fill way).
-		s, w := c.LastTouched()
-		h.l2SlotLine[slot] = line
-		h.l2SlotIdx[slot] = int32(s*h.l2Ways + w)
-		h.finishWriteback(c, r, next)
-		return
-	}
-	h.finishWriteback(c, c.Access(victim, true), next)
-}
-
-// finishWriteback undoes the demand-stat pollution of a writeback
-// install (writeback installs are not demand accesses from the core's
-// perspective) and counts cascade traffic.
-func (h *Hierarchy) finishWriteback(c *cache.Cache, r cache.Result, next Level) {
+// installWriteback installs a dirty victim from the level above into c.
+// Writeback installs are not demand accesses from the core's
+// perspective, so the access's hit or miss/fill counts are undone. A
+// dirty line it displaces in turn is counted as a DRAM write (the
+// cascade stops there).
+func (h *Hierarchy) installWriteback(c *cache.Cache, victim uint64) {
+	r := c.Access(victim, true)
 	if r.Hit {
 		c.Stats.Hits--
 	} else {
@@ -348,11 +342,7 @@ func (h *Hierarchy) finishWriteback(c *cache.Cache, r cache.Result, next Level) 
 		c.Stats.Fills--
 	}
 	if r.WroteBack {
-		if next == DRAM {
-			h.DRAMTraffic.WriteLines++
-		} else {
-			h.DRAMTraffic.WriteLines++ // LLC victim of an L2 writeback cascade
-		}
+		h.DRAMTraffic.WriteLines++
 	}
 }
 
@@ -374,11 +364,10 @@ func (h *Hierarchy) writeCombine(addr uint64) {
 // `degree` lines into L2 (and LLC if absent), counting DRAM traffic for
 // lines not already on chip.
 func (h *Hierarchy) observeStream(addr uint64) {
-	if h.pf.degree == 0 || len(h.pf.lastUse) == 0 {
+	if h.pf.degree == 0 || len(h.pf.lastLine) == 0 {
 		return
 	}
 	line := addr >> cache.LineBits
-	h.pf.clock++
 	lastLine := h.pf.lastLine
 	// Match scan: every match condition (advance, repeat, flip)
 	// requires line within ±1 of lastLine, so one distance check
@@ -394,7 +383,7 @@ func (h *Hierarchy) observeStream(addr uint64) {
 					h.pf.conf[i]++
 					lastLine[i] = line
 				}
-				h.pf.lastUse[i] = h.pf.clock
+				h.pf.touch(i)
 				if h.pf.conf[i] >= 2 {
 					h.issuePrefetches(line, dir)
 				}
@@ -404,70 +393,71 @@ func (h *Hierarchy) observeStream(addr uint64) {
 				h.pf.dir[i] = -dir
 				h.pf.conf[i] = 1
 				lastLine[i] = line
-				h.pf.lastUse[i] = h.pf.clock
+				h.pf.touch(i)
 				return
 			}
 		}
 	}
-	// No stream matched: allocate an entry — the first never-used slot
-	// while the table is filling (streams are never invalidated, so
-	// once full the empty-slot scan is skipped for good), else the LRU
-	// victim (ascending scan, strict less-than: the first entry with
-	// the minimal stamp, as the fused scalar scan chose).
-	lastUse := h.pf.lastUse
-	best := 0
-	if h.pf.nvalid < len(lastUse) {
-		for i := range lastUse {
-			if lastUse[i] == 0 {
-				best = i
-				break
-			}
+	// No stream matched: allocate an entry — the next never-used one
+	// while the table is filling, else the least recently used.
+	best := h.pf.tail
+	if n := h.pf.nvalid; n < len(lastLine) {
+		best = n
+		if n > 0 {
+			h.pf.next[n] = h.pf.head
+			h.pf.prev[h.pf.head] = n
+			h.pf.head = n
 		}
 		h.pf.nvalid++
 	} else {
-		bestUse := ^uint64(0)
-		for i := range lastUse {
-			if use := lastUse[i]; use < bestUse {
-				best = i
-				bestUse = use
-			}
-		}
+		h.pf.touch(best)
 	}
 	lastLine[best] = line
 	h.pf.dir[best] = 1
 	h.pf.conf[best] = 0
-	lastUse[best] = h.pf.clock
+}
+
+// touch makes live stream entry i the most recently used.
+func (p *wcAndPf) touch(i int) {
+	if i == p.head {
+		return
+	}
+	pr := p.prev[i]
+	if i == p.tail {
+		p.tail = pr
+	} else {
+		p.prev[p.next[i]] = pr
+	}
+	p.next[pr] = p.next[i]
+	p.next[i] = p.head
+	p.prev[p.head] = i
+	p.head = i
 }
 
 func (h *Hierarchy) issuePrefetches(line uint64, dir int64) {
 	for k := 1; k <= h.pf.degree; k++ {
 		next := line + uint64(int64(k)*dir)
 		addr := next << cache.LineBits
-		// An advancing stream re-probes lines it prefetched one step
-		// ago, so the slot cache usually confirms residency without the
-		// way scan (Probe's only side effect is the re-verified MRU
-		// hint, so skipping it is unobservable).
-		slot := next & 63
+		// L2 residency through the slot-hinted lookup: an advancing
+		// stream re-probes lines it prefetched one step ago, so a hint
+		// usually confirms them without the way scan. (It is L2c.Probe
+		// minus Probe's only side effect, the cache's MRU filter, which
+		// is itself a hint.)
 		want := addr>>h.l2TagShift<<cache.MetaTagShift | cache.MetaValid
-		if h.l2SlotLine[slot] == next && h.l2Meta[h.l2SlotIdx[slot]]&^cache.MetaDirty == want {
+		if h.l2Find(next, want, int(next&h.l2SetMask)*h.l2Ways) >= 0 {
 			continue
 		}
-		if h.L2c.Probe(addr) {
-			s, w := h.L2c.LastTouched()
-			h.l2SlotLine[slot] = next
-			h.l2SlotIdx[slot] = int32(s*h.l2Ways + w)
-			continue
-		}
-		// Prefetch's return value subsumes the Probe it used to follow
-		// (present → no fill, absent → fill + DRAM read), and the L2
-		// install skips its probe outright: the L2 Probe above already
-		// established absence, and nothing touches L2 in between.
+		// Prefetch's return value subsumes an LLC Probe (present → no
+		// fill, absent → fill + DRAM read), and the L2 install skips
+		// its probe outright: the lookup above established absence, and
+		// nothing touches L2 in between.
 		if !h.LLCc.Prefetch(addr) {
 			h.DRAMTraffic.ReadLines++
 			h.DRAMTraffic.PrefetchLines++
 		}
 		h.L2c.PrefetchMiss(addr)
 		s, w := h.L2c.LastTouched()
+		slot := next & 63
 		h.l2SlotLine[slot] = next
 		h.l2SlotIdx[slot] = int32(s*h.l2Ways + w)
 	}
@@ -504,7 +494,7 @@ const (
 // It is counter-exact with the scalar Load/Store/StoreNT sequence: the
 // simulated state after a batch — every hit/miss/eviction/writeback
 // count, DRAM traffic, replacement metadata, prefetcher streams — is
-// bit-identical to issuing the same references one at a time. Three
+// bit-identical to issuing the same references one at a time. Four
 // amortizations make it faster, none of them observable:
 //
 //  1. Run-length coalescing: a reference to the same line as its
@@ -519,19 +509,25 @@ const (
 //     Bit-PLRU update, avoiding per-reference calls; hits are folded
 //     into L1 stats once per batch (sums commute with the miss path's
 //     in-place corrections).
-//  3. Hoisting: set masks, tag shifts, and way bounds are loaded once
+//  3. Inlined miss walk: an L1 demand miss fills L1 through the same
+//     view, installs the L1 victim's writeback in L2, and does the L2
+//     lookup or fill against L2's packed metadata and Bit-PLRU masks
+//     (held in Hierarchy), with no cache.Result passed back. The LLC
+//     stays behind cache.Cache, whose policy the ablations swap.
+//  4. Hoisting: set masks, tag shifts, and way bounds are loaded once
 //     per batch instead of per reference.
 //
-// Misses (and every reference when L1's policy is not mask Bit-PLRU,
-// whose replacement updates cannot be replayed externally) fall back
-// to the scalar methods, which remain the oracle.
+// NT stores that miss L1 take the scalar path below L1. When L1 or L2
+// is not mask Bit-PLRU, whose replacement updates are the only ones
+// replayed outside package cache, every reference takes the scalar
+// methods, which remain the oracle.
 func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 	if cap(out) < len(refs) {
 		out = make([]Level, len(refs))
 	}
 	out = out[:len(refs)]
 	v := h.L1c.BatchView()
-	if v.PLRU == nil {
+	if v.PLRU == nil || h.l2PLRU == nil {
 		for i, r := range refs {
 			switch r.Kind {
 			case RefStore:
@@ -552,6 +548,7 @@ func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 	tagShift := cache.LineBits + v.SetBits
 	ways := v.Ways
 	reserved := v.Reserved
+	l1 := &h.L1c.Stats
 
 	const noLine = ^uint64(0)
 	var hits uint64
@@ -615,12 +612,7 @@ func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 			if r.Kind != RefLoad {
 				meta[idx] |= cache.MetaDirty
 			}
-			bit := uint16(1) << uint(idx-base)
-			m := plru[set] | bit
-			if m == full {
-				m = bit
-			}
-			plru[set] = m
+			plru[set] = cache.PLRUTouch(plru[set], uint16(1)<<uint(idx-base), full)
 			hits++
 			state = brL1
 			out[i] = L1
@@ -629,9 +621,7 @@ func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 
 		// L1 miss (the inline probe is find() minus the MRU-filter
 		// shortcut, which re-verifies the metadata word, so the scalar
-		// path reaches the same verdict): hand off to the scalar miss
-		// machinery — fill cascade, stream prefetcher, writeback
-		// accounting — skipping only the L1 probe already performed.
+		// path reaches the same verdict).
 		if r.Kind == RefStoreNT {
 			lvl := h.StoreNTL1Missed(r.Addr)
 			if lvl == DRAM {
@@ -642,11 +632,33 @@ func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 			out[i] = lvl
 			continue
 		}
-		out[i] = h.AccessL1Missed(r.Addr, r.Kind == RefStore)
-		// The demand fill left the line L1-resident; the cache's MRU
-		// filter identifies exactly where.
-		s, w := h.L1c.LastTouched()
-		l1Idx = s*ways + w
+		// Demand fill, as cache.Cache's fill. (The skipped MRU-filter
+		// update is a hint, re-verified on every use.)
+		way := cache.PLRUFillWay(meta[base:base+ways], plru[set], full, reserved)
+		victim, wroteBack := uint64(0), false
+		if old := meta[base+way]; old&cache.MetaValid != 0 {
+			l1.Evictions++
+			if old&cache.MetaDirty != 0 {
+				l1.Writebacks++
+				victim, wroteBack = old>>cache.MetaTagShift<<tagShift|uint64(set)<<cache.LineBits, true
+			}
+		}
+		if r.Kind == RefStore {
+			want |= cache.MetaDirty
+		}
+		l1Idx = base + way
+		meta[l1Idx] = want
+		plru[set] = cache.PLRUTouch(plru[set], uint16(1)<<uint(way), full)
+		l1.Misses++
+		l1.Fills++
+		// The rest of the scalar walk, in its order: the L1 victim's
+		// writeback, the prefetcher, then L2 and below. None of it
+		// touches L1, so the line stays resident at l1Idx.
+		if wroteBack {
+			h.l2Writeback(victim)
+		}
+		h.observeStream(r.Addr)
+		out[i] = h.l2Demand(r.Addr)
 		slotLine[slot] = line
 		slotIdx[slot] = int32(l1Idx)
 		state = brL1
@@ -655,41 +667,93 @@ func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 	return out
 }
 
-// AccessL1Missed is the scalar demand path minus the L1 tag probe, for
-// batched callers whose inline probe already established the L1 miss.
-// Effects are identical to access() on a missing line: the L1 fill
-// (and victim writeback) happens first, then the prefetcher observes
-// the miss, then the walk continues down the hierarchy.
-func (h *Hierarchy) AccessL1Missed(addr uint64, write bool) Level {
-	if r := h.L1c.FillMiss(addr, write); r.WroteBack {
-		h.installWriteback(h.L2c, r.VictimAddr, LLC)
-	}
-	h.observeStream(addr)
+// l2Demand is the demand walk below an L1 miss, with L2 inline: a hit
+// is a Bit-PLRU touch; a miss fills L2, installs a dirty L2 victim in
+// the LLC, and goes on through accessLLC — what L2c.Access and the
+// scalar walk's tail do.
+func (h *Hierarchy) l2Demand(addr uint64) Level {
 	line := addr >> cache.LineBits
-	slot := line & 63
+	set := int(line & h.l2SetMask)
+	base := set * h.l2Ways
 	want := addr>>h.l2TagShift<<cache.MetaTagShift | cache.MetaValid
-	if h.l2SlotLine[slot] == line && h.l2Meta[h.l2SlotIdx[slot]]&^cache.MetaDirty == want {
-		// Slot-verified L2 residency: apply Access's hit path directly,
-		// skipping the way scan it would perform to find this line.
-		set := int(line & h.l2SetMask)
-		h.L2c.AccessHitAt(set, int(h.l2SlotIdx[slot])-set*h.l2Ways, false)
-		return L1fillFrom(L2)
+	if idx := h.l2Find(line, want, base); idx >= 0 {
+		h.l2Touch(set, idx-base)
+		h.L2c.Stats.Hits++
+		return L2
 	}
-	if r := h.L2c.Access(addr, false); r.Hit {
-		s, w := h.L2c.LastTouched()
-		h.l2SlotLine[slot] = line
-		h.l2SlotIdx[slot] = int32(s*h.l2Ways + w)
-		return L1fillFrom(L2)
-	} else if r.WroteBack {
-		h.installWriteback(h.LLCc, r.VictimAddr, DRAM)
+	h.L2c.Stats.Misses++
+	h.L2c.Stats.Fills++
+	if victim, dirty := h.l2Fill(line, want, set, base); dirty {
+		h.installWriteback(h.LLCc, victim)
 	}
-	if r := h.LLCc.Access(addr, false); r.Hit {
-		return L1fillFrom(LLC)
-	} else if r.WroteBack {
+	return h.accessLLC(addr)
+}
+
+// l2Writeback is installWriteback(L2c, victim) with L2 inline: a
+// resident copy turns dirty and is touched; otherwise the line fills
+// dirty, and a dirty line it displaces is a DRAM write. Neither case
+// counts a demand hit, miss, or fill.
+func (h *Hierarchy) l2Writeback(victim uint64) {
+	line := victim >> cache.LineBits
+	set := int(line & h.l2SetMask)
+	base := set * h.l2Ways
+	want := victim>>h.l2TagShift<<cache.MetaTagShift | cache.MetaValid
+	if idx := h.l2Find(line, want, base); idx >= 0 {
+		h.l2Meta[idx] |= cache.MetaDirty
+		h.l2Touch(set, idx-base)
+		return
+	}
+	if _, dirty := h.l2Fill(line, want|cache.MetaDirty, set, base); dirty {
 		h.DRAMTraffic.WriteLines++
 	}
-	h.DRAMTraffic.ReadLines++
-	return DRAM
+}
+
+// l2Find returns the L2 metadata index holding line (want is its valid
+// metadata word, base its set's first index), or -1 when absent: a
+// slot-verified hint, else the scan over L2's usable ways (the
+// reservation is read live), which records a hint. It has no simulated
+// side effects.
+func (h *Hierarchy) l2Find(line, want uint64, base int) int {
+	slot := line & 63
+	if h.l2SlotLine[slot] == line && h.l2Meta[h.l2SlotIdx[slot]]&^cache.MetaDirty == want {
+		return int(h.l2SlotIdx[slot])
+	}
+	row := h.l2Meta[base : base+h.l2Ways]
+	for w := h.L2c.ReservedWays(); w < len(row); w++ {
+		if row[w]&^cache.MetaDirty == want {
+			h.l2SlotLine[slot] = line
+			h.l2SlotIdx[slot] = int32(base + w)
+			return base + w
+		}
+	}
+	return -1
+}
+
+// l2Fill installs metadata word m for line in L2 set set as cache.Cache's
+// fill does, counting the eviction and writeback but not the fill
+// (writeback installs do not count one). It returns the address of a
+// dirty line it displaced, if any, and records a hint for line.
+func (h *Hierarchy) l2Fill(line, m uint64, set, base int) (victim uint64, dirty bool) {
+	row := h.l2Meta[base : base+h.l2Ways]
+	way := cache.PLRUFillWay(row, h.l2PLRU[set], h.l2Full, h.L2c.ReservedWays())
+	if old := row[way]; old&cache.MetaValid != 0 {
+		h.L2c.Stats.Evictions++
+		if old&cache.MetaDirty != 0 {
+			h.L2c.Stats.Writebacks++
+			victim, dirty = old>>cache.MetaTagShift<<h.l2TagShift|uint64(set)<<cache.LineBits, true
+		}
+	}
+	row[way] = m
+	h.l2Touch(set, way)
+	slot := line & 63
+	h.l2SlotLine[slot] = line
+	h.l2SlotIdx[slot] = int32(base + way)
+	return victim, dirty
+}
+
+// l2Touch is L2's Bit-PLRU touch of (set, way).
+func (h *Hierarchy) l2Touch(set, way int) {
+	h.l2PLRU[set] = cache.PLRUTouch(h.l2PLRU[set], uint16(1)<<uint(way), h.l2Full)
 }
 
 // StoreNTL1Missed is StoreNT minus the L1 probe (which, on a miss, has

@@ -112,6 +112,94 @@ func TestPrefetcherIgnoresRandomAccesses(t *testing.T) {
 	}
 }
 
+// stampStreams is a reference model of the prefetcher's stream table
+// that finds the least recently used entry the direct way: every
+// observation stamps the entry it used with a clock, and a new stream
+// replaces the live entry with the smallest stamp.
+type stampStreams struct {
+	lastLine []uint64
+	dir      []int64
+	conf     []int
+	use      []uint64 // 0 = never used
+	clock    uint64
+}
+
+func (m *stampStreams) observe(line uint64) {
+	m.clock++
+	for i := range m.lastLine {
+		if m.use[i] == 0 {
+			continue
+		}
+		switch line {
+		case m.lastLine[i] + uint64(m.dir[i]), m.lastLine[i]:
+			if line != m.lastLine[i] {
+				m.conf[i]++
+				m.lastLine[i] = line
+			}
+			m.use[i] = m.clock
+			return
+		case m.lastLine[i] - uint64(m.dir[i]):
+			m.dir[i] = -m.dir[i]
+			m.conf[i] = 1
+			m.lastLine[i] = line
+			m.use[i] = m.clock
+			return
+		}
+	}
+	best := 0
+	for i := range m.use {
+		if m.use[i] < m.use[best] {
+			best = i
+		}
+	}
+	m.lastLine[best], m.dir[best], m.conf[best], m.use[best] = line, 1, 0, m.clock
+}
+
+// TestStreamTableMatchesStampLRU drives random mixes of interleaved
+// ascending and descending streams and random lines through the
+// prefetcher and through the stamp model, at several table sizes, and
+// requires the same stream table after every observation.
+func TestStreamTableMatchesStampLRU(t *testing.T) {
+	rng := stats.NewRand(5)
+	for _, streams := range []int{1, 2, 3, 4, 16} {
+		cfg := DefaultConfig()
+		cfg.PrefetchStreams = streams
+		h := New(cfg)
+		m := &stampStreams{
+			lastLine: make([]uint64, streams), dir: make([]int64, streams),
+			conf: make([]int, streams), use: make([]uint64, streams),
+		}
+		heads := make([]uint64, streams+2)
+		for i := range heads {
+			heads[i] = 1<<20 + rng.Uint64n(1<<20)
+		}
+		for n := 0; n < 20000; n++ {
+			var line uint64
+			switch k := int(rng.Uint64n(uint64(len(heads) + 2))); {
+			case k < len(heads)/2:
+				heads[k]++
+				line = heads[k]
+			case k < len(heads):
+				heads[k]--
+				line = heads[k]
+			default:
+				line = rng.Uint64n(1 << 22)
+			}
+			h.observeStream(line << cache.LineBits)
+			m.observe(line)
+			for i := 0; i < streams; i++ {
+				if i >= h.pf.nvalid {
+					continue // never allocated
+				}
+				if h.pf.lastLine[i] != m.lastLine[i] || h.pf.dir[i] != m.dir[i] || h.pf.conf[i] != m.conf[i] {
+					t.Fatalf("%d streams, observation %d: entry %d is (%d,%d,%d), model (%d,%d,%d)",
+						streams, n, i, h.pf.lastLine[i], h.pf.dir[i], h.pf.conf[i], m.lastLine[i], m.dir[i], m.conf[i])
+				}
+			}
+		}
+	}
+}
+
 func TestStoreNTBypassAndWriteCombine(t *testing.T) {
 	h := New(noPrefetch())
 	// 8 NT stores into one absent line: one DRAM line write.
