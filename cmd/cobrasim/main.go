@@ -60,7 +60,7 @@ func parseSpec() (exp.RunSpec, bool, int) {
 	if *list {
 		fmt.Println("workloads:", strings.Join(exp.AppNames(), ", "))
 		fmt.Println("inputs:   ", strings.Join(exp.InputNames(), ", "))
-		fmt.Println("schemes:  ", strings.Join(exp.SchemeNames(), ", "))
+		fmt.Println("schemes:  ", strings.Join(sim.SchemeNames(sim.SchemeIDs()), ", "))
 		fmt.Println("streaming:", strings.Join(exp.StreamApps(), ", "), "(with -stream)")
 		return exp.RunSpec{}, false, 0
 	}

@@ -109,10 +109,10 @@ type Cache struct {
 	lastWay int32
 
 	// Replacement state, called directly for the two policies of the
-	// simulated machine (Table II): plru for mask Bit-PLRU (L1, L2) and
-	// rrip for DRRIP (the LLC). Every other policy — TrueLRU and Random
-	// (ablation A2), and Bit-PLRU wider than a mask word — sits behind
-	// the replacer interface in other. Exactly one of the three is set.
+	// simulated machine (Table II): plru for Bit-PLRU (L1, L2) and rrip
+	// for DRRIP (the LLC). The ablation-only TrueLRU and Random (A2) sit
+	// behind the replacer interface in other. Exactly one of the three
+	// is set.
 	plru  *bitPLRU
 	rrip  *drrip
 	other replacer
@@ -131,6 +131,9 @@ func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cache %s: ways must be positive", cfg.Name))
 	}
+	if cfg.Policy == BitPLRU && cfg.Ways > plruMaxWays {
+		panic(fmt.Sprintf("cache %s: Bit-PLRU supports at most %d ways, got %d", cfg.Name, plruMaxWays, cfg.Ways))
+	}
 	n := sets * cfg.Ways
 	c := &Cache{
 		cfg:     cfg,
@@ -141,10 +144,10 @@ func New(cfg Config) *Cache {
 		meta:    make([]uint64, n),
 		lastSet: -1,
 	}
-	switch {
-	case cfg.Policy == BitPLRU && cfg.Ways <= plruMaxWays:
+	switch cfg.Policy {
+	case BitPLRU:
 		c.plru = newBitPLRU(sets, cfg.Ways)
-	case cfg.Policy == DRRIP:
+	case DRRIP:
 		c.rrip = newDRRIP(sets, cfg.Ways)
 	default:
 		c.other = newReplacer(cfg.Policy, sets, cfg.Ways)
@@ -444,9 +447,9 @@ type BatchView struct {
 }
 
 // BatchView returns the inline-probe view of this level. PLRU is
-// non-nil only for mask-based Bit-PLRU (ways <= 16); with any other
-// policy a batched caller must keep using the scalar methods, whose
-// replacement updates cannot be replayed externally.
+// non-nil only for Bit-PLRU; with any other policy a batched caller
+// must keep using the scalar methods, whose replacement updates cannot
+// be replayed externally.
 func (c *Cache) BatchView() BatchView {
 	v := BatchView{
 		Meta:     c.meta,

@@ -32,6 +32,20 @@ func TestBadGeometryPanics(t *testing.T) {
 	New(Config{Name: "bad", SizeB: 3 * 64 * 4, Ways: 4, Policy: BitPLRU})
 }
 
+// TestWideBitPLRUPanics pins the Bit-PLRU associativity cap: the
+// policy keeps one 16-bit mask per set, so a wider level is a config
+// error. Other policies accept the width.
+func TestWideBitPLRUPanics(t *testing.T) {
+	New(Config{Name: "L2", SizeB: 32 * 64 * 4, Ways: 16, Policy: BitPLRU})
+	New(Config{Name: "wide", SizeB: 32 * 64 * 4, Ways: 32, Policy: TrueLRU})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("32-way Bit-PLRU did not panic")
+		}
+	}()
+	New(Config{Name: "wide", SizeB: 32 * 64 * 4, Ways: 32, Policy: BitPLRU})
+}
+
 func TestHitAfterMiss(t *testing.T) {
 	for _, p := range []PolicyKind{BitPLRU, TrueLRU, DRRIP, Random} {
 		c := tiny(p)

@@ -32,10 +32,9 @@ func (p PolicyKind) String() string {
 
 // replacer is the interface for the replacement policies a Cache does
 // not call directly (see Cache.plru and Cache.rrip): the ablation-only
-// TrueLRU and Random, and Bit-PLRU wider than a mask word.
-// Implementations keep all state in flat arrays so the hot path never
-// allocates. The minWay argument to victim is the partition floor: ways
-// below it are reserved and must never be chosen.
+// TrueLRU and Random. Implementations keep all state in flat arrays so
+// the hot path never allocates. The minWay argument to victim is the
+// partition floor: ways below it are reserved and must never be chosen.
 type replacer interface {
 	onHit(set, way int)
 	onFill(set, way int)
@@ -47,8 +46,6 @@ type replacer interface {
 
 func newReplacer(kind PolicyKind, sets, ways int) replacer {
 	switch kind {
-	case BitPLRU:
-		return &bitPLRUWide{ways: ways, mru: make([]bool, sets*ways)}
 	case TrueLRU:
 		return newTrueLRU(sets, ways)
 	case Random:
@@ -73,8 +70,8 @@ type bitPLRU struct {
 	mru  []uint16
 }
 
-// plruMaxWays bounds the mask representation; wider sets fall back to
-// bitPLRUWide (and forgo the batched fast path).
+// plruMaxWays bounds the mask representation, and so the associativity
+// of a Bit-PLRU level (New panics past it).
 const plruMaxWays = 16
 
 func newBitPLRU(sets, ways int) *bitPLRU {
@@ -124,47 +121,6 @@ func PLRUVictim(m, full uint16, minWay int) int {
 		return minWay
 	}
 	return bits.TrailingZeros16(clear)
-}
-
-// bitPLRUWide is the boolean-per-line Bit-PLRU used when a set has more
-// ways than the mask word holds. Identical policy decisions.
-type bitPLRUWide struct {
-	ways int
-	mru  []bool // sets*ways
-}
-
-func (p *bitPLRUWide) touch(set, way int) {
-	base := set * p.ways
-	p.mru[base+way] = true
-	for w := 0; w < p.ways; w++ {
-		if !p.mru[base+w] {
-			return
-		}
-	}
-	for w := 0; w < p.ways; w++ {
-		if w != way {
-			p.mru[base+w] = false
-		}
-	}
-}
-
-func (p *bitPLRUWide) onHit(set, way int)  { p.touch(set, way) }
-func (p *bitPLRUWide) onFill(set, way int) { p.touch(set, way) }
-
-func (p *bitPLRUWide) reset() {
-	for i := range p.mru {
-		p.mru[i] = false
-	}
-}
-
-func (p *bitPLRUWide) victim(set, minWay int) int {
-	base := set * p.ways
-	for w := minWay; w < p.ways; w++ {
-		if !p.mru[base+w] {
-			return w
-		}
-	}
-	return minWay
 }
 
 // trueLRU keeps a per-line logical timestamp.

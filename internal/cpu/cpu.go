@@ -18,6 +18,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/bits"
 
 	"cobra/internal/mem"
@@ -113,9 +114,8 @@ type Core struct {
 
 	// Outstanding-miss slots: issue and completion cycle per busy MSHR;
 	// doneAt == 0 marks a free slot. busy mirrors doneAt (bit i set ⇔
-	// doneAt[i] != 0) so the occupy scans touch only live slots; it is
-	// maintained only when the MSHR count fits the mask (≤ 64 — wider
-	// configs take the maskless scan in occupyWide).
+	// doneAt[i] != 0) so the occupy scans touch only live slots; New
+	// caps the MSHR count at its width.
 	issueAt []float64
 	doneAt  []float64
 	busy    uint64
@@ -126,8 +126,13 @@ type Core struct {
 	bp gshare
 }
 
-// New binds a core model to a hierarchy.
+// New binds a core model to a hierarchy. It panics on an MSHR count
+// outside [1, 64] (the busy mask's width) since configs are
+// compile-time constants of the simulated machine.
 func New(cfg Config, h *mem.Hierarchy) *Core {
+	if cfg.MSHRs < 1 || cfg.MSHRs > 64 {
+		panic(fmt.Sprintf("cpu: MSHR count %d out of range [1, 64]", cfg.MSHRs))
+	}
 	c := &Core{
 		cfg:     cfg,
 		Mem:     h,
@@ -227,9 +232,6 @@ func (c *Core) load(addr uint64) float64 {
 // runway past the oldest outstanding miss is exhausted, and returns the
 // completion time.
 func (c *Core) occupy(lat float64) float64 {
-	if len(c.doneAt) > 64 {
-		return c.occupyWide(lat)
-	}
 	doneAt := c.doneAt
 	issueAt := c.issueAt
 	busy := c.busy
@@ -291,76 +293,6 @@ func (c *Core) occupy(lat float64) float64 {
 	done := c.cycle + lat
 	doneAt[slot] = done
 	c.busy = busy | 1<<uint(slot)
-	return done
-}
-
-// occupyWide is the maskless variant for configs with more MSHRs than
-// the busy bitmask holds.
-func (c *Core) occupyWide(lat float64) float64 {
-	doneAt := c.doneAt
-	issueAt := c.issueAt
-	slot := -1
-	oldest := -1
-	for i := range doneAt {
-		d := doneAt[i]
-		if d != 0 && d <= c.cycle {
-			doneAt[i] = 0
-			d = 0
-		}
-		if d == 0 {
-			if slot < 0 {
-				slot = i
-			}
-			continue
-		}
-		if oldest < 0 || issueAt[i] < issueAt[oldest] {
-			oldest = i
-		}
-	}
-	// ROB bound: the core cannot issue more than `runway` cycles of work
-	// past the issue point of the oldest un-completed miss. When it
-	// tries, it waits for that miss to complete (the ROB drains, real
-	// time jumps to the completion). Draining frees slots, so the free
-	// search reruns when the drain loop fires (the rare case).
-	runway := c.runway
-	if oldest >= 0 && c.cycle > issueAt[oldest]+runway {
-		for oldest >= 0 && c.cycle > issueAt[oldest]+runway {
-			if doneAt[oldest] > c.cycle {
-				c.cycle = doneAt[oldest]
-			}
-			doneAt[oldest] = 0
-			oldest = -1
-			for i := range doneAt {
-				if doneAt[i] == 0 {
-					continue
-				}
-				if oldest < 0 || issueAt[i] < issueAt[oldest] {
-					oldest = i
-				}
-			}
-		}
-		slot = -1
-		for i := range doneAt {
-			if doneAt[i] == 0 {
-				slot = i
-				break
-			}
-		}
-	}
-	// If no MSHR is free, stall until the earliest completion.
-	if slot < 0 {
-		earliest := 0
-		for i := range doneAt {
-			if doneAt[i] < doneAt[earliest] {
-				earliest = i
-			}
-		}
-		c.cycle = doneAt[earliest]
-		slot = earliest
-	}
-	c.issueAt[slot] = c.cycle
-	done := c.cycle + lat
-	c.doneAt[slot] = done
 	return done
 }
 

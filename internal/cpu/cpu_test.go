@@ -95,6 +95,28 @@ func TestMSHRLimitBoundsOverlap(t *testing.T) {
 	}
 }
 
+// TestMSHRBounds pins New's MSHR range: the busy mask tracks at most
+// 64 outstanding misses, and a core needs at least one MSHR.
+func TestMSHRBounds(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 65} {
+		cfg := DefaultConfig()
+		cfg.MSHRs = n
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			c := New(cfg, mem.New(mem.DefaultConfig()))
+			r := stats.NewRand(7)
+			for i := 0; i < 200; i++ {
+				c.Load(r.Uint64n(1 << 30))
+			}
+			c.DrainMem()
+			return false
+		}()
+		if want := n < 1 || n > 64; panicked != want {
+			t.Errorf("MSHRs=%d: panicked = %v, want %v", n, panicked, want)
+		}
+	}
+}
+
 func TestROBRunwayBoundsDistantOverlap(t *testing.T) {
 	// A tiny ROB forces the core to wait on outstanding misses even when
 	// MSHRs are free, so cycles grow versus a big ROB.

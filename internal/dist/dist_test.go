@@ -80,11 +80,11 @@ func localMetrics(t *testing.T, k exp.CellKey) sim.Metrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheme, err := exp.ParseScheme(k.Scheme)
+	id, err := sim.ParseSchemeID(k.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := exp.RunScheme(app, scheme, k.Bins, sim.DefaultArch())
+	m, err := exp.RunScheme(app, id.Scheme(), k.Bins, sim.DefaultArch())
 	if err != nil {
 		t.Fatal(err)
 	}

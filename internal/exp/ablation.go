@@ -29,28 +29,21 @@ func AblationPrefetcher(o Opts) (*Table, error) {
 	// architectures get their own fingerprints, so checkpoints recorded
 	// with the prefetcher off are never replayed for the on-config.
 	rows, err := mapCells(o, 4, func(i int) ([]string, error) {
-		pf, scheme := i/2 == 0, i%2
 		arch := o.Arch
 		label := "on"
-		if !pf {
+		if i >= 2 {
 			arch.Mem.PrefetchDegree = 0
 			label = "off"
 		}
-		key := CellKey{Figure: "Ablation A1", App: "NeighborPopulate", Input: "KRON", Arch: ArchFingerprint(arch)}
-		if scheme == 0 {
-			key.Scheme = "Baseline"
-			base, err := o.journaled(key, func() (sim.Metrics, error) { return sim.RunBaseline(app, arch) })
-			if err != nil {
-				return nil, err
-			}
-			return []string{label, "Baseline", fe(base.Cycles), fmt.Sprintf("%d", base.DRAM.ReadLines)}, nil
+		id, bins := sim.SchemeIDBaseline, 0
+		if i%2 == 1 {
+			id, bins = sim.SchemeIDPBSW, 4096
 		}
-		key.Scheme, key.Bins = "PB-SW", 4096
-		pbm, err := o.journaled(key, func() (sim.Metrics, error) { return sim.RunPBSW(app, 4096, arch) })
+		m, err := o.cell("Ablation A1", app, id, bins, arch)
 		if err != nil {
 			return nil, err
 		}
-		return []string{label, "PB-SW", fe(pbm.Cycles), fmt.Sprintf("%d", pbm.DRAM.ReadLines)}, nil
+		return []string{label, id.String(), fe(m.Cycles), fmt.Sprintf("%d", m.DRAM.ReadLines)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -76,9 +69,7 @@ func AblationLLCPolicy(o Opts) (*Table, error) {
 	rows, err := mapCells(o, len(policies), func(i int) ([]string, error) {
 		arch := o.Arch
 		arch.Mem.LLC.Policy = policies[i]
-		m, err := o.journaled(CellKey{Figure: "Ablation A2", App: "DegreeCount", Input: "URND",
-			Scheme: "Baseline", Arch: ArchFingerprint(arch)},
-			func() (sim.Metrics, error) { return sim.RunBaseline(app, arch) })
+		m, err := o.cell("Ablation A2", app, sim.SchemeIDBaseline, 0, arch)
 		if err != nil {
 			return nil, err
 		}
@@ -181,14 +172,11 @@ func AblationMLP(o Opts) (*Table, error) {
 	rows, err := mapCells(o, len(mshrSweep), func(i int) ([]string, error) {
 		arch := o.Arch
 		arch.CPU.MSHRs = mshrSweep[i]
-		af := ArchFingerprint(arch)
-		base, err := o.journaled(CellKey{Figure: "Ablation A4", App: "DegreeCount", Input: "URND", Scheme: "Baseline", Arch: af},
-			func() (sim.Metrics, error) { return sim.RunBaseline(app, arch) })
+		base, err := o.cell("Ablation A4", app, sim.SchemeIDBaseline, 0, arch)
 		if err != nil {
 			return nil, err
 		}
-		pbm, err := o.journaled(CellKey{Figure: "Ablation A4", App: "DegreeCount", Input: "URND", Scheme: "PB-SW", Bins: 4096, Arch: af},
-			func() (sim.Metrics, error) { return sim.RunPBSW(app, 4096, arch) })
+		pbm, err := o.cell("Ablation A4", app, sim.SchemeIDPBSW, 4096, arch)
 		if err != nil {
 			return nil, err
 		}
@@ -223,14 +211,11 @@ func AblationNUCA(o Opts) (*Table, error) {
 			arch.Mem.NUCA = mem.DefaultNUCA()
 			label = "on (4x4 mesh)"
 		}
-		af := ArchFingerprint(arch)
-		base, err := o.journaled(CellKey{Figure: "Ablation A6", App: "DegreeCount", Input: "URND", Scheme: "Baseline", Arch: af},
-			func() (sim.Metrics, error) { return sim.RunBaseline(app, arch) })
+		base, err := o.cell("Ablation A6", app, sim.SchemeIDBaseline, 0, arch)
 		if err != nil {
 			return nil, err
 		}
-		cob, err := o.journaled(CellKey{Figure: "Ablation A6", App: "DegreeCount", Input: "URND", Scheme: "COBRA", Arch: af},
-			func() (sim.Metrics, error) { return sim.RunCOBRA(app, sim.CobraOpt{}, arch) })
+		cob, err := o.cell("Ablation A6", app, sim.SchemeIDCOBRA, 0, arch)
 		if err != nil {
 			return nil, err
 		}

@@ -362,6 +362,16 @@ func (o Opts) journaled(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics
 	return m, nil
 }
 
+// cell runs one plain-scheme cell (sim.Run's default CobraOpt) through
+// journaled. The cell's key and its run both derive from the same
+// (fig, app, scheme, bins, arch), so a figure names each cell's scheme
+// once; only CobraOpt-variant cells build their own key and closure.
+func (o Opts) cell(fig string, app *sim.App, id sim.SchemeID, bins int, arch sim.Arch) (sim.Metrics, error) {
+	k := CellKey{Figure: fig, App: app.Name, Input: app.InputName, Scheme: string(id.Scheme()), Bins: bins,
+		Arch: ArchFingerprint(arch)}
+	return o.journaled(k, func() (sim.Metrics, error) { return sim.Run(app, id, bins, arch) })
+}
+
 // remote offers one cell to o.Remote. ran=false means the cell was
 // declined (or no remote is configured) and must run locally; a
 // declined cell never carries an error.

@@ -79,18 +79,28 @@ func TestValidAppAndInput(t *testing.T) {
 	}
 }
 
+// TestParseScheme pins the scheme names exp accepts: every canonical
+// name parses strictly, and RunScheme refuses anything else, listing
+// the valid set, before it simulates.
 func TestParseScheme(t *testing.T) {
-	for _, name := range SchemeNames() {
-		s, err := ParseScheme(name)
-		if err != nil || string(s) != name {
-			t.Errorf("ParseScheme(%q) = %q, %v", name, s, err)
+	for _, id := range sim.SchemeIDs() {
+		name := id.String()
+		got, err := sim.ParseSchemeID(name)
+		if err != nil || got.String() != name {
+			t.Errorf("ParseSchemeID(%q) = %v, %v", name, got, err)
 		}
 	}
+	app, err := BuildApp("DegreeCount", "URND", 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []string{"", "baseline", "pb-sw", "COBRA ", "Fastest"} {
-		if _, err := ParseScheme(bad); err == nil {
-			t.Errorf("ParseScheme(%q) accepted", bad)
+		if m, err := RunScheme(app, sim.Scheme(bad), 16, sim.DefaultArch()); err == nil {
+			t.Errorf("RunScheme(%q) accepted", bad)
 		} else if !strings.Contains(err.Error(), "PB-SW-IDEAL") {
-			t.Errorf("ParseScheme(%q) error does not list valid schemes: %v", bad, err)
+			t.Errorf("RunScheme(%q) error does not list valid schemes: %v", bad, err)
+		} else if m.Cycles != 0 {
+			t.Errorf("RunScheme(%q) returned non-zero metrics with an error", bad)
 		}
 	}
 }

@@ -141,15 +141,11 @@ func Fig2(o Opts) (*Table, error) {
 	}
 	suite := DefaultSuite()
 	ms, err := mapCells(o, len(suite), func(i int) (sim.Metrics, error) {
-		p := suite[i]
-		return o.journaled(CellKey{Figure: "Figure 2", App: p.App, Input: p.Input, Scheme: "Baseline"},
-			func() (sim.Metrics, error) {
-				app, err := BuildApp(p.App, p.Input, o.Scale, o.Seed)
-				if err != nil {
-					return sim.Metrics{}, err
-				}
-				return sim.RunBaseline(app, o.Arch)
-			})
+		app, err := BuildApp(suite[i].App, suite[i].Input, o.Scale, o.Seed)
+		if err != nil {
+			return sim.Metrics{}, err
+		}
+		return o.cell("Figure 2", app, sim.SchemeIDBaseline, 0, o.Arch)
 	})
 	if err != nil {
 		return nil, err
@@ -161,26 +157,6 @@ func Fig2(o Opts) (*Table, error) {
 			fmt.Sprintf("%d", m.DRAM.ReadLines+m.DRAM.WriteLines))
 	}
 	return t, nil
-}
-
-// bestPBSW is the journaled, campaign-aware PB-SW sweep: the sweep's
-// independent (bin-count) cells run under o's context on o's pool and
-// each completed cell is checkpointed per (figure, app, input, bins).
-func bestPBSW(o Opts, fig string, app *sim.App) (best sim.Metrics, sweep []sim.Metrics, err error) {
-	bins := validBins(app)
-	sweep, err = mapCells(o, len(bins), func(i int) (sim.Metrics, error) {
-		return o.journaled(CellKey{Figure: fig, App: app.Name, Input: app.InputName, Scheme: "PB-SW", Bins: bins[i]},
-			func() (sim.Metrics, error) { return sim.RunPBSW(app, bins[i], o.Arch) })
-	})
-	if err != nil {
-		return sim.Metrics{}, nil, err
-	}
-	for _, m := range sweep {
-		if best.Cycles == 0 || m.Cycles < best.Cycles {
-			best = m
-		}
-	}
-	return best, sweep, nil
 }
 
 // Fig4 regenerates Figure 4: Binning vs Accumulate sensitivity to the
@@ -196,10 +172,15 @@ func Fig4(o Opts) (*Table, error) {
 		Title:  "PB bin-count sensitivity (Neighbor-Populate, KRON)",
 		Header: []string{"bins", "binning-cyc", "accum-cyc", "total-cyc", "bin-L2miss", "bin-LLCmiss", "bin-DRAMrd", "acc-L1miss"},
 	}
-	best, sweep, err := bestPBSW(o, "Figure 4", app)
+	// The sweep's independent (bin-count) cells, each checkpointed.
+	bins := validBins(app)
+	sweep, err := mapCells(o, len(bins), func(i int) (sim.Metrics, error) {
+		return o.cell("Figure 4", app, sim.SchemeIDPBSW, bins[i], o.Arch)
+	})
 	if err != nil {
 		return nil, err
 	}
+	best := fastest(sweep)
 	for _, m := range sweep {
 		t.AddRow(fmt.Sprintf("%d", m.NumBins), fe(m.BinCycles), fe(m.AccumCycles), fe(m.Cycles),
 			fmt.Sprintf("%d", m.BinMem.L2Misses), fmt.Sprintf("%d", m.BinMem.LLCMisses),
@@ -249,8 +230,7 @@ func Table1(o Opts) (*Table, error) {
 	}
 	binCounts := []int{64, 4096}
 	ms, err := mapCells(o, len(binCounts), func(i int) (sim.Metrics, error) {
-		return o.journaled(CellKey{Figure: "Table I", App: "NeighborPopulate", Input: "KRON", Scheme: "PB-SW", Bins: binCounts[i]},
-			func() (sim.Metrics, error) { return sim.RunPBSW(app, binCounts[i], o.Arch) })
+		return o.cell("Table I", app, sim.SchemeIDPBSW, binCounts[i], o.Arch)
 	})
 	if err != nil {
 		return nil, err
@@ -313,40 +293,27 @@ func runSuite(o Opts) ([]suiteResult, error) {
 	}
 
 	// Stage 2: enumerate and run every simulation cell.
-	const (
-		kindBase = iota
-		kindPBSW
-		kindCOBRA
-	)
-	type cellID struct{ pair, kind, bins int }
+	type cellID struct {
+		pair   int
+		scheme sim.SchemeID
+		bins   int
+	}
 	var cells []cellID
 	sweepBins := make([][]int, len(pairs))
 	for p := range pairs {
 		sweepBins[p] = validBins(apps[p])
-		cells = append(cells, cellID{p, kindBase, 0})
+		cells = append(cells, cellID{p, sim.SchemeIDBaseline, 0})
 		for _, b := range sweepBins[p] {
-			cells = append(cells, cellID{p, kindPBSW, b})
+			cells = append(cells, cellID{p, sim.SchemeIDPBSW, b})
 		}
-		cells = append(cells, cellID{p, kindCOBRA, 0})
+		cells = append(cells, cellID{p, sim.SchemeIDCOBRA, 0})
 	}
 	// Each cell is journaled under the shared "suite" campaign unit, so
 	// Figures 5/10/11/12 (which all derive from runSuite) resume from
 	// the same completed-cell set.
 	res, err := mapCells(o, len(cells), func(i int) (sim.Metrics, error) {
 		c := cells[i]
-		p := pairs[c.pair]
-		key := CellKey{Figure: "suite", App: p.App, Input: p.Input, Bins: c.bins}
-		switch c.kind {
-		case kindBase:
-			key.Scheme = "Baseline"
-			return o.journaled(key, func() (sim.Metrics, error) { return sim.RunBaseline(apps[c.pair], o.Arch) })
-		case kindPBSW:
-			key.Scheme = "PB-SW"
-			return o.journaled(key, func() (sim.Metrics, error) { return sim.RunPBSW(apps[c.pair], c.bins, o.Arch) })
-		default:
-			key.Scheme = "COBRA"
-			return o.journaled(key, func() (sim.Metrics, error) { return sim.RunCOBRA(apps[c.pair], sim.CobraOpt{}, o.Arch) })
-		}
+		return o.cell("suite", apps[c.pair], c.scheme, c.bins, o.Arch)
 	})
 	if err != nil {
 		return nil, err
@@ -361,11 +328,7 @@ func runSuite(o Opts) ([]suiteResult, error) {
 		ci++
 		sweep := res[ci : ci+len(sweepBins[p])]
 		ci += len(sweepBins[p])
-		for _, m := range sweep {
-			if r.pbsw.Cycles == 0 || m.Cycles < r.pbsw.Cycles {
-				r.pbsw = m
-			}
-		}
+		r.pbsw = fastest(sweep)
 		r.ideal = BestIdealPB(sweep)
 		r.cobra = res[ci]
 		ci++
@@ -599,38 +562,30 @@ func Fig14(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := func(scheme string, bins int) CellKey {
-			return CellKey{Figure: "Figure 14", App: p.App, Input: p.Input, Scheme: scheme, Bins: bins}
-		}
 		// PB-SW reference at a representative compromise bin count (the
 		// comparison is about traffic and locality, not the sweep).
-		pbBest, err := o.journaled(key("PB-SW", 4096),
-			func() (sim.Metrics, error) { return sim.RunPBSW(app, 4096, o.Arch) })
+		pbBest, err := o.cell("Figure 14", app, sim.SchemeIDPBSW, 4096, o.Arch)
 		if err != nil {
 			return nil, err
 		}
 		pbTraffic := float64(pbBest.BinMem.Sum(pbBest.AccumMem).DRAMBytes())
 		pbL1 := float64(pbBest.BinMem.Sum(pbBest.AccumMem).L1Misses)
-		var rows [][]string
-		add := func(name string, m sim.Metrics, err error) {
+		rows := [][]string{{p.App, p.Input, "PB-SW", "100.0%", "100.0%"}}
+		// PHI reuses the reference's bin count; COBRA's is its own.
+		for _, id := range []sim.SchemeID{sim.SchemeIDPHI, sim.SchemeIDCOBRA, sim.SchemeIDComm} {
+			bins := 0
+			if id == sim.SchemeIDPHI {
+				bins = pbBest.NumBins
+			}
+			m, err := o.cell("Figure 14", app, id, bins, o.Arch)
 			if err != nil {
-				rows = append(rows, []string{p.App, p.Input, name, "inapplicable", "inapplicable"})
-				return
+				rows = append(rows, []string{p.App, p.Input, id.String(), "inapplicable", "inapplicable"})
+				continue
 			}
 			mm := m.BinMem.Sum(m.AccumMem)
-			rows = append(rows, []string{p.App, p.Input, name,
+			rows = append(rows, []string{p.App, p.Input, id.String(),
 				fp(float64(mm.DRAMBytes()) / pbTraffic), fp(float64(mm.L1Misses) / pbL1)})
 		}
-		rows = append(rows, []string{p.App, p.Input, "PB-SW", "100.0%", "100.0%"})
-		phiM, phiErr := o.journaled(key("PHI", pbBest.NumBins),
-			func() (sim.Metrics, error) { return sim.RunPHI(app, pbBest.NumBins, o.Arch) })
-		add("PHI", phiM, phiErr)
-		cobraM, cobraErr := o.journaled(key("COBRA", 0),
-			func() (sim.Metrics, error) { return sim.RunCOBRA(app, sim.CobraOpt{}, o.Arch) })
-		add("COBRA", cobraM, cobraErr)
-		commM, commErr := o.journaled(key("COBRA-COMM", 0),
-			func() (sim.Metrics, error) { return sim.RunCOBRA(app, sim.CobraOpt{Coalesce: true}, o.Arch) })
-		add("COBRA-COMM", commM, commErr)
 		return rows, nil
 	})
 	if err != nil {

@@ -52,14 +52,14 @@ func TestGoldenMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows []goldenRow
-	for _, name := range SchemeNames() {
+	for _, id := range sim.SchemeIDs() {
 		for _, cores := range []int{1, 16} {
 			arch := sim.DefaultArch().WithCores(cores)
-			m, err := RunScheme(app, sim.Scheme(name), bins, arch)
+			m, err := RunScheme(app, id.Scheme(), bins, arch)
 			if err != nil {
-				t.Fatalf("%s cores=%d: %v", name, cores, err)
+				t.Fatalf("%s cores=%d: %v", id, cores, err)
 			}
-			rows = append(rows, goldenRow{Scheme: name, Cores: cores, Metrics: m})
+			rows = append(rows, goldenRow{Scheme: id.String(), Cores: cores, Metrics: m})
 		}
 	}
 	got, err := json.MarshalIndent(rows, "", "  ")

@@ -6,7 +6,6 @@ package exp
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"cobra/internal/graph"
 	"cobra/internal/kernels"
@@ -176,34 +175,6 @@ func ValidInput(name string) error {
 	return fmt.Errorf("exp: unknown input %q (want one of %v)", name, InputNames())
 }
 
-// SchemeNames returns the canonical execution-scheme names in
-// presentation order (Figure 10's bars plus the §VII-C
-// specializations). Both CLIs and the cobrad service validate
-// user-supplied scheme names against this list via ParseScheme.
-func SchemeNames() []string {
-	return []string{
-		string(sim.SchemeBaseline),
-		string(sim.SchemePBSW),
-		string(sim.SchemePBIdeal),
-		string(sim.SchemeCOBRA),
-		string(sim.SchemeComm),
-		string(sim.SchemePHI),
-	}
-}
-
-// ParseScheme validates a user-supplied scheme name, returning the
-// typed scheme or an error naming the valid set. Validation is strict
-// (exact case): wire formats and checkpoint fingerprints both key on
-// the canonical spelling.
-func ParseScheme(name string) (sim.Scheme, error) {
-	for _, s := range SchemeNames() {
-		if name == s {
-			return sim.Scheme(s), nil
-		}
-	}
-	return "", fmt.Errorf("exp: unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
-}
-
 // GraphApps lists workloads that take graph inputs.
 func GraphApps() []string {
 	return []string{"DegreeCount", "NeighborPopulate", "PageRank", "Radii"}
@@ -272,17 +243,24 @@ func BestPBSW(app *sim.App, arch sim.Arch) (best sim.Metrics, sweep []sim.Metric
 func BestPBSWN(app *sim.App, arch sim.Arch, workers int) (best sim.Metrics, sweep []sim.Metrics, err error) {
 	bins := validBins(app)
 	sweep, err = MapCells(workers, len(bins), func(i int) (sim.Metrics, error) {
-		return sim.RunPBSW(app, bins[i], arch)
+		return sim.Run(app, sim.SchemeIDPBSW, bins[i], arch)
 	})
 	if err != nil {
 		return sim.Metrics{}, nil, err
 	}
+	return fastest(sweep), sweep, nil
+}
+
+// fastest returns the first strict minimum of Cycles in a sweep (the
+// zero Metrics for an empty sweep): the paper's best-bin-count pick.
+func fastest(sweep []sim.Metrics) sim.Metrics {
+	var best sim.Metrics
 	for _, m := range sweep {
 		if best.Cycles == 0 || m.Cycles < best.Cycles {
 			best = m
 		}
 	}
-	return best, sweep, nil
+	return best
 }
 
 // BestIdealPB composes PB-SW-IDEAL from a sweep: the fastest Binning
@@ -303,38 +281,28 @@ func BestIdealPB(sweep []sim.Metrics) sim.Metrics {
 	return sim.IdealPB(bestBin, bestAcc)
 }
 
-// RunScheme executes one scheme by name; bins <= 0 triggers the PB-SW
-// sweep (and PB-SW's best bin count is reused for PHI).
+// RunScheme executes one scheme by name. It adds the sweeps sim.Run
+// cannot do to sim.Run's dispatch: PB-SW with bins <= 0 runs the bin
+// sweep and returns its fastest run, PHI with bins <= 0 reuses that
+// run's bin count, and PB-SW-IDEAL is composed from the sweep.
 func RunScheme(app *sim.App, scheme sim.Scheme, bins int, arch sim.Arch) (sim.Metrics, error) {
-	switch scheme {
-	case sim.SchemeBaseline:
-		return sim.RunBaseline(app, arch)
-	case sim.SchemePBSW:
-		if bins > 0 {
-			return sim.RunPBSW(app, bins, arch)
-		}
-		best, _, err := BestPBSW(app, arch)
-		return best, err
-	case sim.SchemePBIdeal:
+	id, err := sim.ParseSchemeID(string(scheme))
+	if err != nil {
+		return sim.Metrics{}, err
+	}
+	switch {
+	case id == sim.SchemeIDPBIdeal:
 		_, sweep, err := BestPBSW(app, arch)
 		if err != nil {
 			return sim.Metrics{}, err
 		}
 		return BestIdealPB(sweep), nil
-	case sim.SchemeCOBRA:
-		return sim.RunCOBRA(app, sim.CobraOpt{}, arch)
-	case sim.SchemeComm:
-		return sim.RunCOBRA(app, sim.CobraOpt{Coalesce: true}, arch)
-	case sim.SchemePHI:
-		if bins <= 0 {
-			best, _, err := BestPBSW(app, arch)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			bins = best.NumBins
+	case bins <= 0 && (id == sim.SchemeIDPBSW || id == sim.SchemeIDPHI):
+		best, _, err := BestPBSW(app, arch)
+		if err != nil || id == sim.SchemeIDPBSW {
+			return best, err
 		}
-		return sim.RunPHI(app, bins, arch)
-	default:
-		return sim.Metrics{}, fmt.Errorf("exp: unknown scheme %q", scheme)
+		bins = best.NumBins
 	}
+	return sim.Run(app, id, bins, arch)
 }

@@ -97,21 +97,14 @@ func (s *RunSpec) Normalize(lim Limits) error {
 	if err := ValidInput(s.Input); err != nil {
 		return err
 	}
-	if s.Scale == 0 {
-		s.Scale = lim.DefaultScale
-		if s.Scale == 0 {
-			s.Scale = DefaultOpts().Scale
-		}
-	}
-	maxScale := lim.MaxScale
-	if maxScale <= 0 || maxScale > MaxScale {
-		maxScale = MaxScale
-	}
-	if s.Scale < MinScale || s.Scale > maxScale {
-		return fmt.Errorf("exp: scale %d out of range [%d, %d]", s.Scale, MinScale, maxScale)
+	// Window parameters are only legal on streamed specs; note whether
+	// the caller set any before the shared knob rules default them.
+	windowed := s.Windows != 0 || s.WindowUpdates != 0
+	if err := s.NormalizeKnobs(lim); err != nil {
+		return err
 	}
 	if len(s.Schemes) == 0 {
-		return fmt.Errorf("exp: spec needs at least one scheme (want of %v)", SchemeNames())
+		return fmt.Errorf("exp: spec needs at least one scheme (want of %v)", sim.SchemeNames(sim.SchemeIDs()))
 	}
 	seen := map[sim.SchemeID]bool{}
 	for _, id := range s.Schemes {
@@ -126,37 +119,20 @@ func (s *RunSpec) Normalize(lim Limits) error {
 	if s.Bins < 0 {
 		return fmt.Errorf("exp: negative bin count %d", s.Bins)
 	}
-	if s.Cores < 0 {
-		return fmt.Errorf("exp: negative core count %d", s.Cores)
-	}
-	if s.Cores == 0 {
-		s.Cores = 1
-	}
-	if lim.MaxCores > 0 && s.Cores > lim.MaxCores {
-		return fmt.Errorf("exp: core count %d exceeds limit %d", s.Cores, lim.MaxCores)
-	}
 	switch s.Kind {
 	case KindOffline:
-		if s.Windows != 0 || s.WindowUpdates != 0 {
+		if windowed {
 			return fmt.Errorf("exp: window parameters require kind %q", KindStream)
 		}
+		s.Windows, s.WindowUpdates = 0, 0
 	case KindStream:
 		if !IsStreamApp(s.App) {
 			return fmt.Errorf("exp: app %q is not a streaming workload (want one of %v)", s.App, StreamApps())
 		}
 		for _, id := range s.Schemes {
-			if !stream.Streamable(id.Scheme()) {
+			if !id.Streamable() {
 				return fmt.Errorf("exp: scheme %q is not streamable", id)
 			}
-		}
-		if s.Windows < 0 || s.WindowUpdates < 0 {
-			return fmt.Errorf("exp: negative stream window parameters")
-		}
-		if s.Windows == 0 {
-			s.Windows = DefaultStreamWindows
-		}
-		if s.WindowUpdates == 0 {
-			s.WindowUpdates = DefaultWindowUpdates(s.Scale)
 		}
 	default:
 		return fmt.Errorf("exp: unknown run kind %q (want %q or %q)", s.Kind, KindOffline, KindStream)
@@ -175,7 +151,7 @@ func (s RunSpec) Validate() error {
 // by campaign templates (scale, cores, stream window parameters) —
 // figures regenerates many (app, input) pairs per invocation, so the
 // workload identity fields stay per-figure while the knobs come from
-// one spec.
+// one spec. Normalize applies the same rules through it.
 func (s *RunSpec) NormalizeKnobs(lim Limits) error {
 	if s.Scale == 0 {
 		s.Scale = lim.DefaultScale

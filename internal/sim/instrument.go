@@ -17,27 +17,6 @@ import (
 	"cobra/internal/obsv"
 )
 
-// schemeScope maps a scheme to its metric-name scope. Constant strings
-// only: no formatting on any path.
-func schemeScope(s Scheme) string {
-	switch s {
-	case SchemeBaseline:
-		return "sim.baseline"
-	case SchemePBSW:
-		return "sim.pbsw"
-	case SchemePBIdeal:
-		return "sim.pbideal"
-	case SchemeCOBRA:
-		return "sim.cobra"
-	case SchemeComm:
-		return "sim.cobracomm"
-	case SchemePHI:
-		return "sim.phi"
-	default:
-		return "sim.other"
-	}
-}
-
 // runObs observes one scheme run. The zero runObs (disabled registry)
 // no-ops everywhere.
 type runObs struct {

@@ -237,19 +237,6 @@ func (a *App) Validate() error {
 	return nil
 }
 
-// Scheme names an execution scheme.
-type Scheme string
-
-// Execution schemes (Figure 10's bars plus the §VII-C specializations).
-const (
-	SchemeBaseline Scheme = "Baseline"
-	SchemePBSW     Scheme = "PB-SW"
-	SchemePBIdeal  Scheme = "PB-SW-IDEAL"
-	SchemeCOBRA    Scheme = "COBRA"
-	SchemeComm     Scheme = "COBRA-COMM"
-	SchemePHI      Scheme = "PHI"
-)
-
 // Metrics is what one simulated run reports.
 type Metrics struct {
 	App    string

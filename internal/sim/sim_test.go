@@ -6,6 +6,8 @@ package sim
 // oracle is in internal/simtest.
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"cobra/internal/core"
@@ -79,6 +81,89 @@ func TestSchemeScopeNames(t *testing.T) {
 	} {
 		if got := schemeScope(s); got != want {
 			t.Fatalf("schemeScope(%s) = %s, want %s", s, got, want)
+		}
+	}
+}
+
+// TestSchemeTable pins every row of the scheme table and what derives
+// from it: strict and lenient parsing, the JSON wire form,
+// streamability, and Run's refusal of the composed scheme. The scopes
+// are pinned by TestSchemeScopeNames.
+func TestSchemeTable(t *testing.T) {
+	rows := []struct {
+		id         SchemeID
+		name       Scheme
+		lenient    string // a legacy spelling that resolves to id
+		streamable bool
+	}{
+		{SchemeIDBaseline, SchemeBaseline, " baseline", true},
+		{SchemeIDPBSW, SchemePBSW, "pb-sw", true},
+		{SchemeIDPBIdeal, SchemePBIdeal, "Pb-Sw-Ideal ", false},
+		{SchemeIDCOBRA, SchemeCOBRA, "cobra", true},
+		{SchemeIDComm, SchemeComm, "cobra-comm", true},
+		{SchemeIDPHI, SchemePHI, "phi", true},
+	}
+	if ids := SchemeIDs(); len(ids) != len(rows) {
+		t.Fatalf("SchemeIDs() = %v, want %d schemes", ids, len(rows))
+	}
+	for i, r := range rows {
+		if got := SchemeIDs()[i]; got != r.id {
+			t.Errorf("SchemeIDs()[%d] = %v, want %v (presentation order)", i, got, r.id)
+		}
+		if r.id.Scheme() != r.name || r.id.String() != string(r.name) || !r.id.Valid() {
+			t.Errorf("%v: Scheme() = %q, String() = %q, Valid() = %v", r.id, r.id.Scheme(), r.id.String(), r.id.Valid())
+		}
+		if got, err := ParseSchemeID(string(r.name)); got != r.id || err != nil {
+			t.Errorf("ParseSchemeID(%q) = %v, %v", r.name, got, err)
+		}
+		if _, err := ParseSchemeID(r.lenient); err == nil {
+			t.Errorf("ParseSchemeID(%q) accepted a non-canonical spelling", r.lenient)
+		}
+		if got, err := ParseSchemeIDLenient(r.lenient); got != r.id || err != nil {
+			t.Errorf("ParseSchemeIDLenient(%q) = %v, %v", r.lenient, got, err)
+		}
+		b, err := json.Marshal(r.id)
+		if err != nil || string(b) != `"`+string(r.name)+`"` {
+			t.Errorf("json.Marshal(%v) = %s, %v", r.id, b, err)
+		}
+		var back SchemeID
+		if err := json.Unmarshal(b, &back); err != nil || back != r.id {
+			t.Errorf("JSON round-trip of %v = %v, %v", r.id, back, err)
+		}
+		if r.id.Streamable() != r.streamable {
+			t.Errorf("%v: Streamable() = %v, want %v", r.id, r.id.Streamable(), r.streamable)
+		}
+	}
+
+	for _, bad := range []string{"", "Fastest", "COBRA-"} {
+		for _, parse := range []func(string) (SchemeID, error){ParseSchemeID, ParseSchemeIDLenient} {
+			if id, err := parse(bad); err == nil || id != SchemeIDInvalid {
+				t.Errorf("parsing %q = %v, %v; want an error", bad, id, err)
+			} else if !strings.Contains(err.Error(), "PB-SW-IDEAL") {
+				t.Errorf("parsing %q: error does not list valid schemes: %v", bad, err)
+			}
+		}
+	}
+	var id SchemeID
+	if err := json.Unmarshal([]byte(`"Fastest"`), &id); err == nil {
+		t.Error("unknown scheme name unmarshalled")
+	}
+	if err := json.Unmarshal([]byte(`3`), &id); err == nil {
+		t.Error("non-string scheme unmarshalled")
+	}
+	if _, err := json.Marshal(SchemeIDInvalid); err == nil {
+		t.Error("invalid SchemeID marshalled")
+	}
+	for _, bad := range []SchemeID{SchemeIDInvalid, SchemeID(len(schemeTable))} {
+		if bad.Valid() || bad.Streamable() || bad.Scheme() != "" {
+			t.Errorf("%v reports itself valid", bad)
+		}
+	}
+
+	// Run refuses what has no runner before touching the app.
+	for _, id := range []SchemeID{SchemeIDPBIdeal, SchemeIDInvalid} {
+		if m, err := Run(nil, id, 16, DefaultArch()); err == nil || m.Cycles != 0 {
+			t.Errorf("Run(%v) = %+v, %v; want an error", id, m, err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"cobra/internal/sim"
 )
@@ -28,9 +29,9 @@ var ErrInterrupted = errors.New("stream: run interrupted")
 
 // Config drives one streamed (or offline-oracle) run.
 type Config struct {
-	// Scheme is the runner each window goes through: Baseline, PB-SW,
-	// COBRA, COBRA-COMM, or PHI. PB-SW-IDEAL is a composed offline
-	// construction and is not streamable.
+	// Scheme is the runner each window goes through: any scheme whose
+	// SchemeID is Streamable. PB-SW-IDEAL is a composed offline
+	// construction and is not.
 	Scheme sim.Scheme
 	// Bins is the PB-SW/PHI bin count; <= 0 selects DefaultBins. (The
 	// offline best-bin sweep has no streaming analogue: an unbounded
@@ -81,6 +82,10 @@ func Run(w Workload, cfg Config) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
+	id, bins, err := cfg.resolve(w.NumKeys)
+	if err != nil {
+		return nil, err
+	}
 	st := NewState(w.NumKeys)
 	res := &Result{PerWindow: make([]sim.Metrics, 0, w.Windows)}
 	for i := 0; i < w.Windows; i++ {
@@ -98,7 +103,7 @@ func Run(w Workload, cfg Config) (*Result, error) {
 				continue
 			}
 		}
-		m, err := runScheme(w.WindowApp(i, st), cfg)
+		m, err := sim.Run(w.WindowApp(i, st), id, bins, cfg.Arch)
 		if err != nil {
 			return nil, fmt.Errorf("stream: window %d/%d: %w", i, w.Windows, err)
 		}
@@ -132,46 +137,35 @@ func RunOffline(w Workload, cfg Config) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
+	id, bins, err := cfg.resolve(w.NumKeys)
+	if err != nil {
+		return nil, err
+	}
 	st := NewState(w.NumKeys)
-	m, err := runScheme(w.appRange(0, w.Total(), st), cfg)
+	m, err := sim.Run(w.appRange(0, w.Total(), st), id, bins, cfg.Arch)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{PerWindow: []sim.Metrics{m}, Merged: m, Final: st.Vals}, nil
 }
 
-// runScheme dispatches one epoch (or the offline concatenation) to the
-// existing scheme runners.
-func runScheme(app *sim.App, cfg Config) (sim.Metrics, error) {
+// resolve picks the scheme's runner and the epoch bin count for a
+// workload of numKeys keys: Bins <= 0 selects DefaultBins, and the
+// count is clamped to the key count.
+func (cfg Config) resolve(numKeys int) (sim.SchemeID, int, error) {
+	id, err := sim.ParseSchemeID(string(cfg.Scheme))
+	if err != nil || !id.Streamable() {
+		var names []string
+		for _, s := range sim.SchemeIDs() {
+			if s.Streamable() {
+				names = append(names, s.String())
+			}
+		}
+		return id, 0, fmt.Errorf("stream: scheme %q is not streamable (want one of %s)", cfg.Scheme, strings.Join(names, ", "))
+	}
 	bins := cfg.Bins
 	if bins <= 0 {
 		bins = DefaultBins
 	}
-	if bins > app.NumKeys {
-		bins = app.NumKeys
-	}
-	switch cfg.Scheme {
-	case sim.SchemeBaseline:
-		return sim.RunBaseline(app, cfg.Arch)
-	case sim.SchemePBSW:
-		return sim.RunPBSW(app, bins, cfg.Arch)
-	case sim.SchemeCOBRA:
-		return sim.RunCOBRA(app, sim.CobraOpt{}, cfg.Arch)
-	case sim.SchemeComm:
-		return sim.RunCOBRA(app, sim.CobraOpt{Coalesce: true}, cfg.Arch)
-	case sim.SchemePHI:
-		return sim.RunPHI(app, bins, cfg.Arch)
-	default:
-		return sim.Metrics{}, fmt.Errorf("stream: scheme %q is not streamable (want one of Baseline, PB-SW, COBRA, COBRA-COMM, PHI)", cfg.Scheme)
-	}
-}
-
-// Streamable reports whether a scheme can drive the windowed engine.
-func Streamable(s sim.Scheme) bool {
-	switch s {
-	case sim.SchemeBaseline, sim.SchemePBSW, sim.SchemeCOBRA, sim.SchemeComm, sim.SchemePHI:
-		return true
-	default:
-		return false
-	}
+	return id, min(bins, numKeys), nil
 }

@@ -163,7 +163,11 @@ func TestWindowMetricsIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewState(w.NumKeys) // fresh: windows 0 and 1 never applied
-	m, err := runScheme(w.WindowApp(2, st), cfg)
+	id, bins, err := cfg.resolve(w.NumKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.Run(w.WindowApp(2, st), id, bins, cfg.Arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,17 +279,14 @@ func TestRecordFailure(t *testing.T) {
 	}
 }
 
-// TestNotStreamable pins the PB-SW-IDEAL rejection.
+// TestNotStreamable pins the engine's PB-SW-IDEAL rejection (which
+// schemes are streamable is pinned by sim's scheme-table test).
 func TestNotStreamable(t *testing.T) {
 	w := testWorkload(KindIngest, DistUniform, 2)
-	if _, err := Run(w, Config{Scheme: sim.SchemePBIdeal, Arch: sim.DefaultArch()}); err == nil {
-		t.Fatal("PB-SW-IDEAL streamed without error")
-	}
-	if Streamable(sim.SchemePBIdeal) {
-		t.Fatal("Streamable(PB-SW-IDEAL) = true")
-	}
-	if !Streamable(sim.SchemePHI) {
-		t.Fatal("Streamable(PHI) = false")
+	for _, run := range []func(Workload, Config) (*Result, error){Run, RunOffline} {
+		if _, err := run(w, Config{Scheme: sim.SchemePBIdeal, Arch: sim.DefaultArch()}); err == nil {
+			t.Fatal("PB-SW-IDEAL streamed without error")
+		}
 	}
 }
 
