@@ -3,7 +3,7 @@
 # (exp's worker pool and input memo, obsv's lock-free instruments,
 # cache's shared-model users, pb's parallel binning) + the full test
 # suite with coverage + a short fuzz pass over the hardened gio readers
-# and the batched memory hierarchy
+# and the memory hierarchy's fast walk
 # + the process-level smokes + a one-pass self-checking benchmark run.
 
 GO ?= go
@@ -43,14 +43,16 @@ race:
 SMOKE = GO=$(GO) $(GO) run ./scripts/smoke
 
 # Short fuzz budget per target: enough to shake out gio decoder panics
-# and allocation bombs, and batched-vs-scalar divergence in the memory
-# hierarchy's inline miss walk (FuzzAccessBatch, the only randomized
-# test of that walk), on every CI run without stalling it.
+# and allocation bombs, and fast-vs-scalar divergence in the memory
+# hierarchy's fast walk (FuzzAccess, with reservations, resets and
+# scalar calls between references; FuzzAccessBatch, through the batch
+# API), on every CI run without stalling it.
 # (Plain `go test` already replays each target's seed corpus.)
 fuzz-smoke:
 	$(SMOKE) -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/gio
 	$(SMOKE) -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=10s ./internal/gio
 	$(SMOKE) -run='^$$' -fuzz='^FuzzAccessBatch$$' -fuzztime=10s ./internal/mem
+	$(SMOKE) -run='^$$' -fuzz='^FuzzAccess$$' -fuzztime=10s ./internal/mem
 
 # Per-package statement coverage with a total summary line. CI runs
 # this in place of the bare `test` target so coverage regressions are
@@ -104,12 +106,13 @@ bench-smoke:
 
 ci: fmt-check vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-smoke
 
-# Hot-path microbenchmarks (packed cache metadata; scalar-vs-batched
-# hierarchy pipeline; PB binning).
+# Hot-path microbenchmarks (packed cache metadata; the hierarchy's
+# scalar walk vs its fast walk; PB binning). -run='^$$' keeps each
+# package's tests out of the run.
 bench:
-	$(GO) test -bench=BenchmarkCacheAccessHot -benchmem ./internal/cache
+	$(GO) test -run='^$$' -bench=BenchmarkCacheAccessHot -benchmem ./internal/cache
 	$(GO) test -run='^$$' -bench=BenchmarkHierarchyAccess -benchmem ./internal/mem
-	$(GO) test -bench=. -benchmem ./internal/pb
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/pb
 
 # Hot-path benchmark comparison against the parent commit: builds
 # HEAD~1 in a throwaway worktree, runs the microbenchmarks on both
@@ -134,7 +137,7 @@ bench-compare:
 	  fi
 	-@git worktree remove --force .bench-compare/head1 2>/dev/null || true; rm -rf .bench-compare
 
-# CPU-profile the Fig10 campaign (the batched hot path): writes
+# CPU-profile the Fig10 campaign (the issue hot path): writes
 # cpu.pprof at the repo root and prints the top consumers. Raise
 # PROFILE_SCALE for longer, steadier profiles.
 PROFILE_SCALE ?= 13

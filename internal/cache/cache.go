@@ -428,14 +428,14 @@ func (c *Cache) victimAddr(set int, tag uint64) uint64 {
 
 // BatchView exposes the packed per-line metadata and (when the policy
 // is mask-based Bit-PLRU) the replacement masks, so package mem can
-// inline this level's hit and fill paths inside AccessBatch without a
+// inline this level's hit and fill paths in its fast walk without a
 // call per reference. Meta and PLRU stay the level's own arrays for
-// its whole life (Reset clears them in place); Reserved is a snapshot,
-// stale after ReserveWays or Reset. Mutations through the view must
+// its whole life (Reset clears them in place); the way reservation is
+// not part of the view, as it changes mid-run (read ReservedWays
+// live). Mutations through the view must
 // follow the scalar access semantics exactly (fill way choice, dirty
 // bit, Bit-PLRU touch and victim via PLRUTouch and PLRUVictim), and
-// the caller counts those accesses in Stats itself (hits may be folded
-// in once per batch via AddBatchHits).
+// the caller counts those accesses in Stats itself.
 type BatchView struct {
 	Meta     []uint64 // packed tag<<2|dirty<<1|valid, indexed set*Ways+way
 	PLRU     []uint16 // per-set Bit-PLRU masks; nil if the policy is not mask Bit-PLRU
@@ -443,20 +443,18 @@ type BatchView struct {
 	SetMask  uint64
 	SetBits  uint
 	Ways     int
-	Reserved int
 }
 
 // BatchView returns the inline-probe view of this level. PLRU is
-// non-nil only for Bit-PLRU; with any other policy a batched caller
+// non-nil only for Bit-PLRU; with any other policy an inlining caller
 // must keep using the scalar methods, whose replacement updates cannot
 // be replayed externally.
 func (c *Cache) BatchView() BatchView {
 	v := BatchView{
-		Meta:     c.meta,
-		SetMask:  c.setMask,
-		SetBits:  c.setBits,
-		Ways:     c.ways,
-		Reserved: c.reserved,
+		Meta:    c.meta,
+		SetMask: c.setMask,
+		SetBits: c.setBits,
+		Ways:    c.ways,
 	}
 	if c.plru != nil {
 		v.PLRU = c.plru.mru
@@ -464,11 +462,6 @@ func (c *Cache) BatchView() BatchView {
 	}
 	return v
 }
-
-// AddBatchHits folds hits counted by a batched caller (probing through
-// BatchView) into this level's stats. Hit counts are pure sums, so
-// deferring them to one add per batch is counter-exact.
-func (c *Cache) AddBatchHits(n uint64) { c.Stats.Hits += n }
 
 // LastTouched returns the one-entry MRU filter: the (set, way) of the
 // last line located by a demand access or fill (set < 0 if none).

@@ -61,7 +61,7 @@ func newReplacer(kind PolicyKind, sets, ways int) replacer {
 // the lowest-indexed usable way with a clear bit.
 //
 // The mask layout makes touch two ALU ops and one store — the
-// branch-light update the batched hit path relies on — and is
+// branch-light update the fast walk's hit path relies on — and is
 // bit-for-bit equivalent to the per-line boolean layout it replaced:
 // the saturation check covers all ways of the set (including reserved
 // ones, whose stale bits persist exactly as the boolean version's did).
@@ -90,7 +90,7 @@ func (p *bitPLRU) reset() {
 
 // PLRUTouch returns the Bit-PLRU mask m after touching the way whose
 // bit is bit, in a set whose every way is set in full. It and
-// PLRUVictim are the policy itself, shared with batched callers that
+// PLRUVictim are the policy itself, shared with inlining callers that
 // update masks through BatchView.
 func PLRUTouch(m, bit, full uint16) uint16 {
 	m |= bit

@@ -13,7 +13,7 @@ import (
 func BenchmarkBinUpdate(b *testing.B) {
 	h := mem.New(mem.DefaultConfig())
 	c := cpu.New(cpu.DefaultConfig(), h)
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), DefaultConfig(8))
+	m := NewMachine(new(CBufStore), c, DefaultConfig(8))
 	if err := m.BinInit(1 << 20); err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func BenchmarkBinUpdateCoalescing(b *testing.B) {
 	c := cpu.New(cpu.DefaultConfig(), h)
 	cfg := DefaultConfig(8)
 	cfg.Coalesce = true
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), cfg)
+	m := NewMachine(new(CBufStore), c, cfg)
 	if err := m.BinInit(1 << 20); err != nil {
 		b.Fatal(err)
 	}

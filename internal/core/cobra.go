@@ -170,19 +170,12 @@ func (s Stats) CBufMissRate() float64 {
 	return float64(s.CBufMisses) / float64(s.CBufAccesses)
 }
 
-// Machine couples a core's op pipeline (and its hierarchy) with COBRA
-// state.
-//
-// Every micro-op the machine charges goes through B. B may hold ops
-// not yet retired, but timing never decides which binupdate fills an
-// L1 C-Buffer, so the machine knows where it needs the exact clock or
-// hierarchy state and flushes B only there: before BinInit reserves
-// ways and reads the clock, before a NoPartition insert walks the
-// hierarchy, before the context-switch check (only when a quantum is
-// set), before a full line enters the eviction buffer, and before
-// BinFlush reads the clock.
+// Machine couples a core (and its hierarchy) with COBRA state. Every
+// micro-op the machine charges is issued on CPU and has retired when
+// the call returns, so the machine reads the clock and the hierarchy
+// wherever it needs them.
 type Machine struct {
-	B   *cpu.OpBuf
+	CPU *cpu.Core
 	cfg Config
 
 	tuplesPerLine int
@@ -234,17 +227,16 @@ func (st *CBufStore) carve(l, numBufs, perBuf int) [][]Tuple {
 	return bufs
 }
 
-// NewMachine builds a COBRA machine issuing through an existing core's
-// op pipeline, carving its C-Buffers from st, which no other live
-// machine may use.
-func NewMachine(st *CBufStore, b *cpu.OpBuf, cfg Config) *Machine {
+// NewMachine builds a COBRA machine issuing on an existing core,
+// carving its C-Buffers from st, which no other live machine may use.
+func NewMachine(st *CBufStore, c *cpu.Core, cfg Config) *Machine {
 	if cfg.TupleBytes <= 0 || 64%cfg.TupleBytes != 0 {
 		panic(fmt.Sprintf("core: tuple size %d must divide the 64 B line", cfg.TupleBytes))
 	}
 	if cfg.CoalesceFn == nil {
 		cfg.CoalesceFn = func(old, val uint64) uint64 { return old + val }
 	}
-	return &Machine{B: b, cfg: cfg, tuplesPerLine: 64 / cfg.TupleBytes, store: st}
+	return &Machine{CPU: c, cfg: cfg, tuplesPerLine: 64 / cfg.TupleBytes, store: st}
 }
 
 // Config returns the machine configuration.
@@ -272,8 +264,7 @@ func (m *Machine) BinInit(numIndices uint64) error {
 	if numIndices == 0 {
 		return fmt.Errorf("core: BinInit with zero indices")
 	}
-	m.B.Flush()
-	h := m.B.Core().Mem
+	h := m.CPU.Mem
 	caches := [numLvls]*cache.Cache{h.L1c, h.L2c, h.LLCc}
 	reserve := [numLvls]int{m.cfg.ReserveL1, m.cfg.ReserveL2, m.cfg.ReserveLLC}
 	for l := 0; l < numLvls; l++ {
@@ -331,9 +322,8 @@ func (m *Machine) BinInit(numIndices uint64) error {
 	// Init cost: one bininit per level plus one tag-offset write per LLC
 	// C-Buffer (§V-E "initializes the starting offsets ... using a new
 	// ISA instruction"). Charge issue slots for them.
-	m.B.ALU(3 + m.lvl[lvlLLC].numBufs)
-	m.B.Flush()
-	m.St.InitCycles = m.B.Core().Cycles()
+	m.CPU.ALU(3 + m.lvl[lvlLLC].numBufs)
+	m.St.InitCycles = m.CPU.Cycles()
 	if m.cfg.CtxSwitchQuantum > 0 {
 		m.nextCtxSwitch = m.St.InitCycles + m.cfg.CtxSwitchQuantum
 	}
@@ -352,13 +342,10 @@ func (m *Machine) BinUpdate(key uint32, val uint64) {
 	if uint64(key) >= m.numIndices {
 		panic(fmt.Sprintf("core: key %d out of range [0,%d)", key, m.numIndices))
 	}
-	m.B.BinUpdate()
+	m.CPU.BinUpdate()
 	m.St.BinUpdates++
-	if m.cfg.CtxSwitchQuantum > 0 {
-		m.B.Flush()
-		if m.B.Core().Cycles() >= m.nextCtxSwitch {
-			m.contextSwitch()
-		}
+	if m.cfg.CtxSwitchQuantum > 0 && m.CPU.Cycles() >= m.nextCtxSwitch {
+		m.contextSwitch()
 	}
 	l1 := &m.lvl[lvlL1]
 	id := key >> l1.binShift
@@ -366,8 +353,7 @@ func (m *Machine) BinUpdate(key uint32, val uint64) {
 		// The C-Buffer line is an ordinary cached line: walk the real
 		// hierarchy and record whether the insert found it in L1.
 		m.St.CBufAccesses++
-		m.B.Flush()
-		if m.B.Core().Mem.Store(l1.baseAddr+uint64(id)*64) != mem.L1 {
+		if m.CPU.Mem.Store(l1.baseAddr+uint64(id)*64) != mem.L1 {
 			m.St.CBufMisses++
 		}
 	}
@@ -384,8 +370,7 @@ func (m *Machine) evictL1(id int) {
 	line := l1.bufs[id]
 	l1.bufs[id] = l1.bufs[id][:0]
 	m.St.L1Evictions++
-	m.B.Flush()
-	c := m.B.Core()
+	c := m.CPU
 	if stall := m.fifo1.push(c.Cycles()); stall > 0 {
 		c.AdvanceCycles(stall)
 		m.St.StallCycles += stall
@@ -451,7 +436,7 @@ func (m *Machine) evictLLC(id int, partial bool) {
 	}
 	m.Bins[id] = append(m.Bins[id], buf...)
 	m.binOffsets[id] += uint32(len(buf))
-	m.B.Core().Mem.WriteLineDirect(1)
+	m.CPU.Mem.WriteLineDirect(1)
 	m.St.MemWriteBytes += 64
 	if partial {
 		waste := uint64(m.tuplesPerLine-len(buf)) * uint64(m.cfg.TupleBytes)
@@ -486,8 +471,7 @@ func (m *Machine) BinFlush() {
 	if !m.inited {
 		panic("core: BinFlush before BinInit")
 	}
-	m.B.Flush()
-	c := m.B.Core()
+	c := m.CPU
 	start := c.Cycles()
 	var engineTuples int
 	l1 := &m.lvl[lvlL1]

@@ -14,7 +14,7 @@ func newMachine(t *testing.T, tupleBytes int, numIndices uint64) *Machine {
 	t.Helper()
 	h := mem.New(mem.DefaultConfig())
 	c := cpu.New(cpu.DefaultConfig(), h)
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), DefaultConfig(tupleBytes))
+	m := NewMachine(new(CBufStore), c, DefaultConfig(tupleBytes))
 	if err := m.BinInit(numIndices); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBinInitSmallNamespaceUsesFewerWays(t *testing.T) {
 	// unused reserved ways (§V-A).
 	h := mem.New(mem.DefaultConfig())
 	c := cpu.New(cpu.DefaultConfig(), h)
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), DefaultConfig(8))
+	m := NewMachine(new(CBufStore), c, DefaultConfig(8))
 	if err := m.BinInit(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBinInitSmallNamespaceUsesFewerWays(t *testing.T) {
 
 func TestBinInitRejectsZero(t *testing.T) {
 	h := mem.New(mem.DefaultConfig())
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(cpu.New(cpu.DefaultConfig(), h)), DefaultConfig(8))
+	m := NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(8))
 	if err := m.BinInit(0); err == nil {
 		t.Fatal("BinInit(0) should fail")
 	}
@@ -86,12 +86,12 @@ func TestBadTupleSizePanics(t *testing.T) {
 		}
 	}()
 	h := mem.New(mem.DefaultConfig())
-	NewMachine(new(CBufStore), cpu.NewOpBuf(cpu.New(cpu.DefaultConfig(), h)), DefaultConfig(7))
+	NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(7))
 }
 
 func TestBinUpdateBeforeInitPanics(t *testing.T) {
 	h := mem.New(mem.DefaultConfig())
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(cpu.New(cpu.DefaultConfig(), h)), DefaultConfig(8))
+	m := NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(8))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for BinUpdate before BinInit")
@@ -142,7 +142,7 @@ func TestTupleConservationProperty(t *testing.T) {
 		n := uint64(nRaw%5000) + 64
 		tupleBytes := []int{4, 8, 16}[tsel%3]
 		h := mem.New(mem.DefaultConfig())
-		m := NewMachine(new(CBufStore), cpu.NewOpBuf(cpu.New(cpu.DefaultConfig(), h)), DefaultConfig(tupleBytes))
+		m := NewMachine(new(CBufStore), cpu.New(cpu.DefaultConfig(), h), DefaultConfig(tupleBytes))
 		if err := m.BinInit(n); err != nil {
 			return false
 		}
@@ -197,7 +197,7 @@ func TestEvictionBufferStalls(t *testing.T) {
 		c := cpu.New(cpu.DefaultConfig(), h)
 		cfg := DefaultConfig(4) // 16 tuples/line -> heavy engine load
 		cfg.EvictBufL1L2 = entries
-		m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), cfg)
+		m := NewMachine(new(CBufStore), c, cfg)
 		if err := m.BinInit(1 << 20); err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestCoalescingReducesTraffic(t *testing.T) {
 		c := cpu.New(cpu.DefaultConfig(), h)
 		cfg := DefaultConfig(8)
 		cfg.Coalesce = coalesce
-		m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), cfg)
+		m := NewMachine(new(CBufStore), c, cfg)
 		if err := m.BinInit(1 << 16); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestCoalescedSumsPreserved(t *testing.T) {
 	c := cpu.New(cpu.DefaultConfig(), h)
 	cfg := DefaultConfig(8)
 	cfg.Coalesce = true
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), cfg)
+	m := NewMachine(new(CBufStore), c, cfg)
 	const n = 4096
 	if err := m.BinInit(n); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestContextSwitchWaste(t *testing.T) {
 		c := cpu.New(cpu.DefaultConfig(), h)
 		cfg := DefaultConfig(8)
 		cfg.CtxSwitchQuantum = quantum
-		m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), cfg)
+		m := NewMachine(new(CBufStore), c, cfg)
 		if err := m.BinInit(1 << 18); err != nil {
 			t.Fatal(err)
 		}
@@ -317,11 +317,9 @@ func TestContextSwitchWaste(t *testing.T) {
 
 func TestBinUpdateChargesOneInstruction(t *testing.T) {
 	m := newMachine(t, 8, 1<<16)
-	m.B.Flush()
-	before := m.B.Core().Ctr.Instructions
+	before := m.CPU.Ctr.Instructions
 	m.BinUpdate(1, 2)
-	m.B.Flush()
-	if d := m.B.Core().Ctr.Instructions - before; d != 1 {
+	if d := m.CPU.Ctr.Instructions - before; d != 1 {
 		t.Fatalf("binupdate charged %d instructions, want 1", d)
 	}
 }
@@ -367,7 +365,7 @@ func TestNoPartitionCBufMissRate(t *testing.T) {
 	c := cpu.New(cpu.DefaultConfig(), h)
 	cfg := DefaultConfig(8)
 	cfg.NoPartition = true
-	m := NewMachine(new(CBufStore), cpu.NewOpBuf(c), cfg)
+	m := NewMachine(new(CBufStore), c, cfg)
 	if err := m.BinInit(1 << 20); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +376,7 @@ func TestNoPartitionCBufMissRate(t *testing.T) {
 	var streamAddr uint64 = 1 << 30
 	for i := 0; i < 200000; i++ {
 		// Interleave streaming input loads with binupdates, as Binning does.
-		m.B.Load(streamAddr)
+		m.CPU.Load(streamAddr)
 		streamAddr += 8
 		m.BinUpdate(uint32(r.Uint64n(1<<20)), 1)
 	}
@@ -404,11 +402,16 @@ func TestPartitionedModeTracksNoCBufStats(t *testing.T) {
 
 // TestBatchedMachineMatchesOpAtATime drives a Binning loop — a stream
 // load, a loop branch and a binupdate per tuple, as the COBRA runner
-// does — through a machine on a 256-op OpBuf and through one whose
-// OpBuf retires every op as it arrives. The machine's own flushes must
-// make the two indistinguishable: same bins, stats, clock, counters and
+// does — through a machine whose hierarchy takes the fast walk and
+// through one on the scalar cache.Cache walk (mem's ScalarWalk). The
+// two must be indistinguishable: same bins, stats, clock, counters and
 // memory activity, for every configuration that reads the clock or the
-// hierarchy mid-stream.
+// hierarchy mid-stream: the way reservation BinInit makes after the
+// fast walk has recorded location hints, the NoPartition insert's
+// scalar Store between fast-walk references, the context-switch check
+// and the eviction buffer. (The name is the one the test had when the
+// fast side batched its micro-ops and the oracle retired them one at a
+// time.)
 func TestBatchedMachineMatchesOpAtATime(t *testing.T) {
 	cfgs := map[string]func(*Config){
 		"default":     func(*Config) {},
@@ -419,16 +422,20 @@ func TestBatchedMachineMatchesOpAtATime(t *testing.T) {
 	}
 	for name, tweak := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			run := func(capacity int) (*Machine, *cpu.Core) {
-				c := cpu.New(cpu.DefaultConfig(), mem.New(mem.DefaultConfig()))
+			run := func(scalar bool) (*Machine, *cpu.Core) {
+				h := mem.New(mem.DefaultConfig())
+				if scalar {
+					h.ScalarWalk()
+				}
+				c := cpu.New(cpu.DefaultConfig(), h)
 				cfg := DefaultConfig(4)
 				tweak(&cfg)
-				m := NewMachine(new(CBufStore), cpu.NewOpBufCap(c, capacity), cfg)
-				// Loads still buffered when BinInit reserves ways: the
-				// lines they fill must be the ones the reservation drops.
+				m := NewMachine(new(CBufStore), c, cfg)
+				// Lines the fast walk holds hints for when BinInit
+				// reserves ways: the reservation drops some of them.
 				input := uint64(1 << 32)
 				for i := uint64(0); i < 64; i++ {
-					m.B.Load(input + i*64)
+					c.Load(input + i*64)
 				}
 				const n = 1 << 16
 				if err := m.BinInit(n); err != nil {
@@ -440,31 +447,33 @@ func TestBatchedMachineMatchesOpAtATime(t *testing.T) {
 					if r.Float64() < 0.5 {
 						k %= 512 // a hot key range, so coalescing fires
 					}
-					m.B.Load(input + uint64(i)*8)
-					m.B.Branch(0x100, r.Intn(8) != 0)
+					c.Load(input + uint64(i)*8)
+					c.Branch(0x100, r.Intn(8) != 0)
 					m.BinUpdate(k, uint64(i))
 				}
 				m.BinFlush()
 				return m, c
 			}
-			batched, bc := run(256)
-			oracle, oc := run(1)
-			if !reflect.DeepEqual(batched.Bins, oracle.Bins) {
+			fast, fc := run(false)
+			oracle, oc := run(true)
+			if !reflect.DeepEqual(fast.Bins, oracle.Bins) {
 				t.Error("bins diverge")
 			}
-			if batched.St != oracle.St {
-				t.Errorf("stats diverge\nbatched: %+v\noracle:  %+v", batched.St, oracle.St)
+			if fast.St != oracle.St {
+				t.Errorf("stats diverge\nfast:    %+v\noracle:  %+v", fast.St, oracle.St)
 			}
-			if bc.Cycles() != oc.Cycles() || bc.Ctr != oc.Ctr {
-				t.Errorf("core diverges: cycles %v vs %v\nbatched: %+v\noracle:  %+v", bc.Cycles(), oc.Cycles(), bc.Ctr, oc.Ctr)
+			if fc.Cycles() != oc.Cycles() || fc.Ctr != oc.Ctr {
+				t.Errorf("core diverges: cycles %v vs %v\nfast:    %+v\noracle:  %+v", fc.Cycles(), oc.Cycles(), fc.Ctr, oc.Ctr)
 			}
-			if bc.Mem.DRAMTraffic != oc.Mem.DRAMTraffic || bc.Mem.L1c.Stats != oc.Mem.L1c.Stats {
+			fm, om := fc.Mem, oc.Mem
+			if fm.DRAMTraffic != om.DRAMTraffic || fm.L1c.Stats != om.L1c.Stats ||
+				fm.L2c.Stats != om.L2c.Stats || fm.LLCc.Stats != om.LLCc.Stats {
 				t.Error("memory activity diverges")
 			}
-			if name == "evictbuf2" && batched.St.StallCycles == 0 {
+			if name == "evictbuf2" && fast.St.StallCycles == 0 {
 				t.Error("a 2-line eviction buffer never stalled; the test exercises nothing")
 			}
-			if name == "quantum" && batched.St.CtxSwitches == 0 {
+			if name == "quantum" && fast.St.CtxSwitches == 0 {
 				t.Error("no context switch fired; the test exercises nothing")
 			}
 		})

@@ -123,6 +123,16 @@ type Core struct {
 	// runway caches robRunwayCycles() — a pure function of the config.
 	runway float64
 
+	// Hoisted once in New (the config is immutable): the clock
+	// increment n/IssueWidth of an n-op issue group for n < len(issueN)
+	// — the same constant division issue would perform, so reusing
+	// its result is bit-identical — the issue width, the load latency
+	// per servicing level, and the branch misprediction penalty.
+	issueN  [16]float64
+	width   float64
+	lat     [4]uint32
+	penalty float64
+
 	bp gshare
 }
 
@@ -140,6 +150,14 @@ func New(cfg Config, h *mem.Hierarchy) *Core {
 		doneAt:  make([]float64, cfg.MSHRs),
 	}
 	c.runway = c.robRunwayCycles()
+	c.width = float64(cfg.IssueWidth)
+	for n := range c.issueN {
+		c.issueN[n] = float64(n) / c.width
+	}
+	for l := range c.lat {
+		c.lat[l] = h.Config().Lat.Of(mem.Level(l))
+	}
+	c.penalty = float64(cfg.BranchPenalty)
 	c.bp.init()
 	return c
 }
@@ -178,9 +196,15 @@ func (c *Core) IPC() float64 {
 // model when the core blocks on a full FIFO).
 func (c *Core) AdvanceCycles(n float64) { c.cycle += n }
 
+// issue retires an issue group of n micro-ops: the clock advances by
+// n/IssueWidth.
 func (c *Core) issue(n uint64) {
 	c.Ctr.Instructions += n
-	c.cycle += float64(n) / float64(c.cfg.IssueWidth)
+	if n < uint64(len(c.issueN)) {
+		c.cycle += c.issueN[n]
+	} else {
+		c.cycle += float64(n) / c.width
+	}
 }
 
 // ALU retires n simple integer/FP micro-ops.
@@ -198,21 +222,19 @@ func (c *Core) robRunwayCycles() float64 {
 	return float64(c.cfg.ROB) / float64(c.cfg.IssueWidth)
 }
 
-// load performs the cache access and applies the MLP timing model.
-// Returns the completion cycle of the access.
+// load resolves the access in the hierarchy and applies the MLP timing
+// model. Returns the completion cycle of the access.
 func (c *Core) load(addr uint64) float64 {
 	c.Ctr.Loads++
 	c.issue(1)
-	level := c.Mem.Load(addr)
-	lat := c.Mem.Config().Lat.Of(level)
-	if level == mem.LLC || level == mem.DRAM {
-		// Shared-LLC NUCA mode: remote banks add NoC hops (also paid on
-		// the LLC lookup that precedes a DRAM fill).
-		lat += c.Mem.LLCExtraCycles(addr)
-	}
-	switch level {
-	case mem.L1:
+	level := c.Mem.Access(addr, mem.RefLoad)
+	if level == mem.L1 {
+		// Pipelined; the 3-cycle load-to-use latency is hidden by OoO issue.
 		c.Ctr.LoadsL1++
+		return c.cycle
+	}
+	lat := c.lat[level]
+	switch level {
 	case mem.L2:
 		c.Ctr.LoadsL2++
 	case mem.LLC:
@@ -220,9 +242,10 @@ func (c *Core) load(addr uint64) float64 {
 	default:
 		c.Ctr.LoadsDRAM++
 	}
-	if level == mem.L1 {
-		// Pipelined; the 3-cycle load-to-use latency is hidden by OoO issue.
-		return c.cycle
+	if level != mem.L2 {
+		// Shared-LLC NUCA mode: remote banks add NoC hops (also paid on
+		// the LLC lookup that precedes a DRAM fill).
+		lat += c.Mem.LLCExtraCycles(addr)
 	}
 	return c.occupy(float64(lat))
 }
@@ -318,9 +341,8 @@ func (c *Core) LoadDep(addr uint64) {
 func (c *Core) Store(addr uint64) {
 	c.Ctr.Stores++
 	c.issue(1)
-	level := c.Mem.Store(addr)
-	if level != mem.L1 {
-		c.occupy(float64(c.Mem.Config().Lat.Of(level)) / 2)
+	if level := c.Mem.Access(addr, mem.RefStore); level != mem.L1 {
+		c.occupy(float64(c.lat[level]) / 2)
 	}
 }
 
@@ -329,7 +351,7 @@ func (c *Core) Store(addr uint64) {
 func (c *Core) StoreNT(addr uint64) {
 	c.Ctr.Stores++
 	c.issue(1)
-	c.Mem.StoreNT(addr)
+	c.Mem.Access(addr, mem.RefStoreNT)
 }
 
 // Branch retires a conditional branch identified by pc with the given
@@ -340,7 +362,7 @@ func (c *Core) Branch(pc uint64, taken bool) {
 	c.issue(1)
 	if !c.bp.predict(pc, taken) {
 		c.Ctr.BranchMisses++
-		c.cycle += float64(c.cfg.BranchPenalty)
+		c.cycle += c.penalty
 	}
 }
 

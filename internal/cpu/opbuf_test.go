@@ -5,255 +5,215 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"cobra/internal/mem"
 )
 
+// opKind tags one micro-op of a test stream.
+type opKind uint8
+
+// Test stream events: the issue methods, and what core.Machine does to
+// a core between them (AdvanceCycles on an eviction-buffer stall,
+// DrainMem at BinFlush).
+const (
+	opALU opKind = iota
+	opLoad
+	opLoadDep
+	opStore
+	opStoreNT
+	opBranch
+	opBinUpdate
+	opAdvance // Core.AdvanceCycles(float64(addr))
+	opDrain   // Core.DrainMem()
+)
+
+// op is one test stream event. addr is the memory address, the branch
+// PC, the ALU op count, or the AdvanceCycles amount.
+type op struct {
+	addr  uint64
+	kind  opKind
+	taken bool // opBranch outcome
+}
+
 // genOps produces a random op stream that exercises every op kind,
 // same-line bursts (read-modify-write pairs), streaming runs,
-// correlated branch outcomes, and every ALU(n) shape: n = 0, n small
-// enough to fold, n of aluFoldMax or more, and two ALU groups in a row.
-func genOps(rng *rand.Rand, n int) []Op {
-	ops := make([]Op, 0, n)
+// correlated branch outcomes, and every ALU(n) shape: n = 0, n below
+// and above the core's hoisted n/IssueWidth table, and two ALU groups
+// in a row.
+func genOps(rng *rand.Rand, n int) []op {
+	ops := make([]op, 0, n)
 	addr := rng.Uint64() % (1 << 22)
 	for len(ops) < n {
 		switch rng.Intn(13) {
 		case 0:
-			ops = append(ops, Op{Addr: uint64(1 + rng.Intn(8)), Kind: OpALU})
+			ops = append(ops, op{addr: uint64(1 + rng.Intn(8)), kind: opALU})
 		case 1:
 			addr = rng.Uint64() % (1 << 22)
-			ops = append(ops, Op{Addr: addr, Kind: OpLoad})
+			ops = append(ops, op{addr: addr, kind: opLoad})
 		case 2: // read-modify-write to one address (the accumulate idiom)
 			a := rng.Uint64() % (1 << 22)
-			ops = append(ops, Op{Addr: a, Kind: OpLoad}, Op{Addr: a, Kind: OpStore})
+			ops = append(ops, op{addr: a, kind: opLoad}, op{addr: a, kind: opStore})
 		case 3:
 			addr += 64
-			ops = append(ops, Op{Addr: addr, Kind: OpLoad})
+			ops = append(ops, op{addr: addr, kind: opLoad})
 		case 4:
-			ops = append(ops, Op{Addr: rng.Uint64() % (1 << 22), Kind: OpLoadDep})
+			ops = append(ops, op{addr: rng.Uint64() % (1 << 22), kind: opLoadDep})
 		case 5:
-			ops = append(ops, Op{Addr: rng.Uint64() % (1 << 22), Kind: OpStore})
+			ops = append(ops, op{addr: rng.Uint64() % (1 << 22), kind: opStore})
 		case 6:
 			addr += 16
-			ops = append(ops, Op{Addr: addr, Kind: OpStoreNT})
+			ops = append(ops, op{addr: addr, kind: opStoreNT})
 		case 7:
 			pc := uint64(0x100 + 0x100*rng.Intn(3))
-			ops = append(ops, Op{Addr: pc, Kind: OpBranch, Taken: rng.Intn(4) != 0})
+			ops = append(ops, op{addr: pc, kind: opBranch, taken: rng.Intn(4) != 0})
 		case 8:
-			ops = append(ops, Op{Kind: OpBinUpdate})
+			ops = append(ops, op{kind: opBinUpdate})
 		case 9:
-			ops = append(ops, Op{Addr: 0, Kind: OpALU})
-		case 10: // too wide to fold (COBRA's bininit: 3 + C-Buffer count)
-			ops = append(ops, Op{Addr: uint64(aluFoldMax + rng.Intn(4096)), Kind: OpALU})
+			ops = append(ops, op{addr: 0, kind: opALU})
+		case 10: // past the hoisted table (COBRA's bininit: 3 + C-Buffer count)
+			ops = append(ops, op{addr: uint64(16 + rng.Intn(4096)), kind: opALU})
 		case 11:
-			ops = append(ops, Op{Addr: uint64(1 + rng.Intn(8)), Kind: OpALU},
-				Op{Addr: uint64(1 + rng.Intn(8)), Kind: OpALU})
+			ops = append(ops, op{addr: uint64(1 + rng.Intn(8)), kind: opALU},
+				op{addr: uint64(1 + rng.Intn(8)), kind: opALU})
 		default:
-			ops = append(ops, Op{Addr: uint64(1 + rng.Intn(3)), Kind: OpALU})
+			ops = append(ops, op{addr: uint64(1 + rng.Intn(3)), kind: opALU})
 		}
 	}
 	return ops[:n]
 }
 
-// Test-only stream events for what core.Machine does to a core
-// between emits: the buffered side flushes, then both sides call the
-// Core directly.
-const (
-	opAdvance OpKind = 100 + iota // Core.AdvanceCycles(float64(Addr))
-	opDrain                       // Core.DrainMem()
-)
-
 // withBarriers sprinkles AdvanceCycles and DrainMem events into ops,
 // about one per hundred ops.
-func withBarriers(rng *rand.Rand, ops []Op) []Op {
-	out := make([]Op, 0, len(ops)+len(ops)/50)
-	for _, op := range ops {
-		out = append(out, op)
+func withBarriers(rng *rand.Rand, ops []op) []op {
+	out := make([]op, 0, len(ops)+len(ops)/50)
+	for _, o := range ops {
+		out = append(out, o)
 		switch rng.Intn(200) {
 		case 0:
-			out = append(out, Op{Addr: uint64(1 + rng.Intn(40)), Kind: opAdvance})
+			out = append(out, op{addr: uint64(1 + rng.Intn(40)), kind: opAdvance})
 		case 1:
-			out = append(out, Op{Kind: opDrain})
+			out = append(out, op{kind: opDrain})
 		}
 	}
 	return out
 }
 
-// scalarFeed executes ops through the scalar Core methods: the
-// reference the buffered replay must match bit for bit.
-func scalarFeed(c *Core, ops []Op) {
-	for _, op := range ops {
-		switch op.Kind {
-		case OpALU:
-			c.ALU(int(op.Addr))
-		case OpLoad:
-			c.Load(op.Addr)
-		case OpLoadDep:
-			c.LoadDep(op.Addr)
-		case OpStore:
-			c.Store(op.Addr)
-		case OpStoreNT:
-			c.StoreNT(op.Addr)
-		case OpBranch:
-			c.Branch(op.Addr, op.Taken)
-		case OpBinUpdate:
+// scalarFeed executes ops on c directly: with c's hierarchy on the
+// scalar walk, the reference the OpBuf side must match bit for bit.
+func scalarFeed(c *Core, ops []op) {
+	for _, o := range ops {
+		switch o.kind {
+		case opALU:
+			c.ALU(int(o.addr))
+		case opLoad:
+			c.Load(o.addr)
+		case opLoadDep:
+			c.LoadDep(o.addr)
+		case opStore:
+			c.Store(o.addr)
+		case opStoreNT:
+			c.StoreNT(o.addr)
+		case opBranch:
+			c.Branch(o.addr, o.taken)
+		case opBinUpdate:
 			c.BinUpdate()
 		case opAdvance:
-			c.AdvanceCycles(float64(op.Addr))
+			c.AdvanceCycles(float64(o.addr))
 		case opDrain:
 			c.DrainMem()
 		}
 	}
 }
 
-// aluPaths counts which OpBuf.ALU path each emitted ALU group took.
-type aluPaths struct {
-	zero      int // n = 0: nothing buffered
-	wide      int // n >= aluFoldMax: an OpALU op of its own
-	afterFull int // the buffer had just flushed itself: an OpALU op of its own
-	twice     int // the previous op already carries a fold: an OpALU op of its own
-	folded    int // folded into the previous buffered op
-}
-
-func (p *aluPaths) add(o aluPaths) {
-	p.zero += o.zero
-	p.wide += o.wide
-	p.afterFull += o.afterFull
-	p.twice += o.twice
-	p.folded += o.folded
-}
-
-// check fails unless the streams of one cadence took both the fold
-// path and every no-fold path it must cover. A capacity-1 buffer is
-// empty whenever an op is emitted, so it never folds and every group
-// follows a self-flush. The random cadence's explicit flushes make a
-// self-flush right before an ALU group rare, so only the fixed
-// cadences must show one.
-func (p aluPaths) check(t *testing.T, cadence string) {
-	t.Helper()
-	ok := p.zero > 0 && p.wide > 0
-	switch cadence {
-	case "cap=1":
-		ok = ok && p.afterFull > 0 && p.folded == 0 && p.twice == 0
-	case "cap=256":
-		ok = ok && p.afterFull > 0 && p.folded > 0 && p.twice > 0
-	default:
-		ok = ok && p.folded > 0 && p.twice > 0
-	}
-	if !ok {
-		t.Fatalf("%s: ALU paths not covered as required: %+v", cadence, p)
-	}
-}
-
-// feed emits ops through b, flushing before every barrier event and
-// wherever flushAt (if non-nil) says so, then flushes the tail. It
-// reports which ALU paths the emitted groups took.
-func feed(b *OpBuf, ops []Op, flushAt func() bool) aluPaths {
-	var p aluPaths
-	selfFlushed := false // the last push left the buffer empty by flushing it
-	for _, op := range ops {
-		switch op.Kind {
-		case OpALU:
-			k := len(b.ops)
-			switch n := int(op.Addr); {
-			case n == 0:
-				p.zero++
-			case n >= aluFoldMax:
-				p.wide++
-			case k == 0:
-				if selfFlushed {
-					p.afterFull++
-				}
-			case b.ops[k-1].ALU != 0:
-				p.twice++
-			default:
-				p.folded++
-			}
-			b.ALU(int(op.Addr))
-		case OpLoad:
-			b.Load(op.Addr)
-		case OpLoadDep:
-			b.LoadDep(op.Addr)
-		case OpStore:
-			b.Store(op.Addr)
-		case OpStoreNT:
-			b.StoreNT(op.Addr)
-		case OpBranch:
-			b.Branch(op.Addr, op.Taken)
-		case OpBinUpdate:
+// feed issues ops through b, calling Flush wherever flushAt says so and
+// at the end.
+func feed(b *OpBuf, ops []op, flushAt func() bool) {
+	for _, o := range ops {
+		switch o.kind {
+		case opALU:
+			b.ALU(int(o.addr))
+		case opLoad:
+			b.Load(o.addr)
+		case opLoadDep:
+			b.LoadDep(o.addr)
+		case opStore:
+			b.Store(o.addr)
+		case opStoreNT:
+			b.StoreNT(o.addr)
+		case opBranch:
+			b.Branch(o.addr, o.taken)
+		case opBinUpdate:
 			b.BinUpdate()
 		case opAdvance:
-			b.Flush()
-			b.Core().AdvanceCycles(float64(op.Addr))
+			b.AdvanceCycles(float64(o.addr))
 		case opDrain:
-			b.Flush()
-			b.Core().DrainMem()
+			b.DrainMem()
 		}
-		switch {
-		case op.Kind == opAdvance || op.Kind == opDrain:
-			selfFlushed = false
-		case op.Kind != OpALU || op.Addr != 0:
-			selfFlushed = len(b.ops) == 0
-		}
-		if flushAt != nil && flushAt() {
+		if flushAt() {
 			b.Flush()
-			selfFlushed = false
 		}
 	}
 	b.Flush()
-	return p
 }
 
-// cadence is one way of cutting an op stream into flushes.
+// cadence is one way of calling Flush through an op stream.
 type cadence struct {
 	name    string
-	newBuf  func(c *Core) *OpBuf
 	flushAt func() bool
 }
 
-// cadences covers op-at-a-time retirement, the production batch size,
-// and random buffer capacities with random explicit flushes.
+// cadences calls Flush after every op and after every 256th (where a
+// capacity-1 buffer and the former 256-op buffer retired their ops),
+// and at random. Flush is a no-op, so no cadence may change a bit.
 func cadences(rng *rand.Rand) []cadence {
+	n := 0
 	return []cadence{
-		{"cap=1", func(c *Core) *OpBuf { return NewOpBufCap(c, 1) }, nil},
-		{"cap=256", NewOpBuf, nil},
-		{"random", func(c *Core) *OpBuf { return NewOpBufCap(c, 1+rng.Intn(opBufCap)) },
-			func() bool { return rng.Intn(50) == 0 }},
+		{"cap=1", func() bool { return true }},
+		{"cap=256", func() bool { n++; return n%256 == 0 }},
+		{"random", func() bool { return rng.Intn(50) == 0 }},
 	}
+}
+
+// twinCores returns a core on the scalar walk and one whose OpBuf
+// issues on the fast walk, over hierarchies built from mcfg.
+func twinCores(mcfg mem.Config) (scalar *Core, fast *OpBuf) {
+	h := mem.New(mcfg)
+	h.ScalarWalk()
+	return New(DefaultConfig(), h), NewOpBuf(New(DefaultConfig(), mem.New(mcfg)))
 }
 
 // checkSameCore fails unless the two cores — clock, counters, MSHRs,
 // branch predictor — and their hierarchies' stats and DRAM traffic are
 // identical. The clock must match bit for bit (==, not within epsilon).
-// (The hierarchies' host-side lookup hints legitimately differ between
-// the scalar and batched access paths, so they are not compared.)
-func checkSameCore(t *testing.T, what string, scalar, buffered *Core) {
+// (The hierarchies' host-side location hints legitimately differ
+// between the two walks, so they are not compared; the mem package's
+// tests compare the rest of the hierarchy state.)
+func checkSameCore(t *testing.T, what string, scalar, fast *Core) {
 	t.Helper()
-	if scalar.cycle != buffered.cycle {
-		t.Fatalf("%s: cycle diverged: scalar=%v buffered=%v (diff %v)",
-			what, scalar.cycle, buffered.cycle, scalar.cycle-buffered.cycle)
+	if scalar.cycle != fast.cycle {
+		t.Fatalf("%s: cycle diverged: scalar=%v fast=%v (diff %v)",
+			what, scalar.cycle, fast.cycle, scalar.cycle-fast.cycle)
 	}
-	if scalar.Ctr != buffered.Ctr {
-		t.Fatalf("%s: counters diverged\nscalar:   %+v\nbuffered: %+v", what, scalar.Ctr, buffered.Ctr)
+	if scalar.Ctr != fast.Ctr {
+		t.Fatalf("%s: counters diverged\nscalar: %+v\nfast:   %+v", what, scalar.Ctr, fast.Ctr)
 	}
-	s, b := *scalar, *buffered
-	s.Mem, b.Mem = nil, nil
-	if !reflect.DeepEqual(s, b) {
+	s, f := *scalar, *fast
+	s.Mem, f.Mem = nil, nil
+	if !reflect.DeepEqual(s, f) {
 		t.Fatalf("%s: MSHR or branch predictor state diverged", what)
 	}
-	sm, bm := scalar.Mem, buffered.Mem
-	if sm.DRAMTraffic != bm.DRAMTraffic {
-		t.Fatalf("%s: DRAM traffic diverged: %+v vs %+v", what, sm.DRAMTraffic, bm.DRAMTraffic)
+	sm, fm := scalar.Mem, fast.Mem
+	if sm.DRAMTraffic != fm.DRAMTraffic {
+		t.Fatalf("%s: DRAM traffic diverged: %+v vs %+v", what, sm.DRAMTraffic, fm.DRAMTraffic)
 	}
-	if sm.L1c.Stats != bm.L1c.Stats || sm.L2c.Stats != bm.L2c.Stats || sm.LLCc.Stats != bm.LLCc.Stats {
+	if sm.L1c.Stats != fm.L1c.Stats || sm.L2c.Stats != fm.L2c.Stats || sm.LLCc.Stats != fm.LLCc.Stats {
 		t.Fatalf("%s: cache stats diverged", what)
 	}
 }
 
-// TestOpBufMatchesScalarCore replays identical op streams through the
-// scalar Core methods and through an OpBuf at several flush cadences,
-// on twin cores; the cores must end bit-identical.
+// TestOpBufMatchesScalarCore issues identical op streams on a core over
+// the scalar walk and through an OpBuf over the fast walk, calling
+// Flush at several cadences; the cores must end bit-identical.
 func TestOpBufMatchesScalarCore(t *testing.T) {
 	cfgs := map[string]mem.Config{"default": mem.DefaultConfig()}
 	nuca := mem.DefaultConfig()
@@ -264,16 +224,13 @@ func TestOpBufMatchesScalarCore(t *testing.T) {
 			rng := rand.New(rand.NewSource(123))
 			for _, cd := range cadences(rng) {
 				t.Run(cd.name, func(t *testing.T) {
-					var paths aluPaths
 					for trial := 0; trial < 4; trial++ {
 						ops := genOps(rng, 5000+rng.Intn(3000))
-						scalarCore := New(DefaultConfig(), mem.New(mcfg))
-						bufCore := New(DefaultConfig(), mem.New(mcfg))
-						scalarFeed(scalarCore, ops)
-						paths.add(feed(cd.newBuf(bufCore), ops, cd.flushAt))
-						checkSameCore(t, fmt.Sprintf("trial %d", trial), scalarCore, bufCore)
+						scalar, fast := twinCores(mcfg)
+						scalarFeed(scalar, ops)
+						feed(fast, ops, cd.flushAt)
+						checkSameCore(t, fmt.Sprintf("trial %d", trial), scalar, fast.Core)
 					}
-					paths.check(t, cd.name)
 				})
 			}
 		})
@@ -282,36 +239,25 @@ func TestOpBufMatchesScalarCore(t *testing.T) {
 
 // TestOpBufFlushBoundaries interleaves AdvanceCycles and DrainMem
 // barriers into the stream, as core.Machine does mid-phase (eviction
-// stalls, BinFlush), and checks that every flush cadence still matches
+// stalls, BinFlush), and checks that every Flush cadence still matches
 // the scalar reference.
 func TestOpBufFlushBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, cd := range cadences(rng) {
 		t.Run(cd.name, func(t *testing.T) {
-			var paths aluPaths
 			for trial := 0; trial < 4; trial++ {
 				ops := withBarriers(rng, genOps(rng, 4000))
-				scalarCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
-				bufCore := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
-				scalarFeed(scalarCore, ops)
-				paths.add(feed(cd.newBuf(bufCore), ops, cd.flushAt))
-				checkSameCore(t, fmt.Sprintf("trial %d", trial), scalarCore, bufCore)
+				scalar, fast := twinCores(mem.DefaultConfig())
+				scalarFeed(scalar, ops)
+				feed(fast, ops, cd.flushAt)
+				checkSameCore(t, fmt.Sprintf("trial %d", trial), scalar, fast.Core)
 			}
-			paths.check(t, cd.name)
 		})
 	}
 }
 
-// TestOpSize pins Op at 16 bytes: the folded ALU count lives in what
-// was padding.
-func TestOpSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Op{}); sz != 16 {
-		t.Fatalf("Op is %d bytes, want 16", sz)
-	}
-}
-
-// TestOpBufZeroAllocSteadyState pins the buffered push+flush cycle at
-// zero allocations once constructed.
+// TestOpBufZeroAllocSteadyState pins the per-op issue path at zero
+// allocations.
 func TestOpBufZeroAllocSteadyState(t *testing.T) {
 	core := New(DefaultConfig(), mem.New(mem.DefaultConfig()))
 	b := NewOpBuf(core)
@@ -324,6 +270,6 @@ func TestOpBufZeroAllocSteadyState(t *testing.T) {
 		b.Flush()
 	})
 	if allocs != 0 {
-		t.Fatalf("OpBuf steady state allocates: %v allocs/op", allocs)
+		t.Fatalf("issue path allocates: %v allocs/op", allocs)
 	}
 }

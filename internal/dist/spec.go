@@ -8,8 +8,8 @@ package dist
 // must be one a worker would itself compute from the job — workers run
 // the stock sim.DefaultArch, toggling NUCA before applying the core
 // count exactly as srv.runJob does. Anything else (ablation cells with
-// hand-modified caches, op-at-a-time test variants) is declined and simulated
-// locally, which preserves byte-identity by construction.
+// hand-modified caches) is declined and simulated locally, which
+// preserves byte-identity by construction.
 
 import (
 	"cobra/internal/exp"

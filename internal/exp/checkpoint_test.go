@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,6 +41,21 @@ func TestArchFingerprintSensitivity(t *testing.T) {
 	b.CPU.MSHRs++
 	if ArchFingerprint(a) == ArchFingerprint(b) {
 		t.Fatal("MSHR change not reflected in arch fingerprint")
+	}
+	if ArchFingerprint(a) == ArchFingerprint(a.WithCores(4)) {
+		t.Fatal("core count not reflected in arch fingerprint")
+	}
+	// ArchFingerprint renders Arch's configuration fields by name; a
+	// field added to Arch must be added there too (or, if test-only,
+	// here), or cells recorded under one value would replay under
+	// another.
+	var fields []string
+	at := reflect.TypeOf(sim.Arch{})
+	for i := 0; i < at.NumField(); i++ {
+		fields = append(fields, at.Field(i).Name)
+	}
+	if want := []string{"Mem", "CPU", "NumCores", "scalarWalk"}; !reflect.DeepEqual(fields, want) {
+		t.Fatalf("sim.Arch fields are %v, ArchFingerprint covers %v", fields, want)
 	}
 }
 

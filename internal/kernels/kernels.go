@@ -36,8 +36,8 @@ type degreeApplier struct {
 
 func (a *degreeApplier) Apply(key uint32, val uint64) {
 	addr := a.deg.Addr(uint64(key) * 4)
-	a.m.B.Load(addr) // read-modify-write the counter
-	a.m.B.Store(addr)
+	a.m.CPU.Load(addr) // read-modify-write the counter
+	a.m.CPU.Store(addr)
 	a.cnt[key] += uint32(val)
 }
 
@@ -96,10 +96,10 @@ type neighPopApplier struct {
 
 func (a *neighPopApplier) Apply(key uint32, val uint64) {
 	curAddr := a.cursorR.Addr(uint64(key) * 4)
-	a.m.B.Load(curAddr) // offsetVal <- offsets[src]
+	a.m.CPU.Load(curAddr) // offsetVal <- offsets[src]
 	off := a.cursor[key]
-	a.m.B.Store(a.neighsR.Addr(uint64(off) * 4)) // neighs[offsetVal] <- dst
-	a.m.B.Store(curAddr)                         // offsets[src]++
+	a.m.CPU.Store(a.neighsR.Addr(uint64(off) * 4)) // neighs[offsetVal] <- dst
+	a.m.CPU.Store(curAddr)                         // offsets[src]++
 	a.neighs[off] = uint32(val)
 	a.cursor[key] = off + 1
 }
@@ -165,8 +165,8 @@ type pagerankApplier struct {
 
 func (a *pagerankApplier) Apply(key uint32, val uint64) {
 	addr := a.incoming.Addr(uint64(key) * 8)
-	a.m.B.Load(addr) // incoming[dst] += contrib
-	a.m.B.Store(addr)
+	a.m.CPU.Load(addr) // incoming[dst] += contrib
+	a.m.CPU.Store(addr)
 	a.sums[key] += float64FromBits(val)
 }
 
@@ -236,11 +236,11 @@ type radiiApplier struct {
 
 func (a *radiiApplier) Apply(key uint32, val uint64) {
 	maskAddr := a.nextR.Addr(uint64(key) * 8)
-	a.m.B.Load(maskAddr) // next[u] |= m
-	a.m.B.Store(maskAddr)
+	a.m.CPU.Load(maskAddr) // next[u] |= m
+	a.m.CPU.Store(maskAddr)
 	if val&^a.next[key] != 0 {
 		a.next[key] |= val
-		a.m.B.Store(a.radR.Addr(uint64(key) * 4)) // radii[u] = round
+		a.m.CPU.Store(a.radR.Addr(uint64(key) * 4)) // radii[u] = round
 		if a.radii[key] < a.round {
 			a.radii[key] = a.round
 		}
@@ -357,10 +357,10 @@ type isortApplier struct {
 
 func (a *isortApplier) Apply(key uint32, val uint64) {
 	curAddr := a.cursorR.Addr(uint64(key) * 4)
-	a.m.B.Load(curAddr)
+	a.m.CPU.Load(curAddr)
 	off := a.cursor[key]
-	a.m.B.Store(a.outR.Addr(uint64(off) * 4))
-	a.m.B.Store(curAddr)
+	a.m.CPU.Store(a.outR.Addr(uint64(off) * 4))
+	a.m.CPU.Store(curAddr)
 	a.out[off] = uint32(val)
 	a.cursor[key] = off + 1
 }
@@ -437,8 +437,8 @@ type spmvApplier struct {
 
 func (a *spmvApplier) Apply(key uint32, val uint64) {
 	addr := a.yR.Addr(uint64(key) * 8)
-	a.m.B.Load(addr)
-	a.m.B.Store(addr)
+	a.m.CPU.Load(addr)
+	a.m.CPU.Store(addr)
 	a.y[key] += float64FromBits(val)
 }
 
@@ -503,11 +503,11 @@ type transposeApplier struct {
 
 func (a *transposeApplier) Apply(key uint32, val uint64) {
 	curAddr := a.cursorR.Addr(uint64(key) * 4)
-	a.m.B.Load(curAddr)
+	a.m.CPU.Load(curAddr)
 	p := a.cursor[key]
-	a.m.B.Store(a.colR.Addr(uint64(p) * 4))
-	a.m.B.Store(a.valR.Addr(uint64(p) * 8))
-	a.m.B.Store(curAddr)
+	a.m.CPU.Store(a.colR.Addr(uint64(p) * 4))
+	a.m.CPU.Store(a.valR.Addr(uint64(p) * 8))
+	a.m.CPU.Store(curAddr)
 	a.colIdx[p] = uint32(val)
 	a.cursor[key] = p + 1
 }
@@ -588,7 +588,7 @@ type pinvApplier struct {
 func (a *pinvApplier) Apply(key uint32, val uint64) {
 	// Pure scatter: out[p[i]] = i. No read — each key written once, so
 	// Accumulate has no temporal reuse to harvest (the §VII-A anomaly).
-	a.m.B.Store(a.outR.Addr(uint64(key) * 4))
+	a.m.CPU.Store(a.outR.Addr(uint64(key) * 4))
 	a.out[key] = uint32(val)
 }
 

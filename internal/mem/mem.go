@@ -147,9 +147,38 @@ type Hierarchy struct {
 
 	pf wcAndPf
 
-	// Verified-slot cache over the L2 metadata, shared by the batched
-	// miss walk (demand lookups and L1-victim writeback installs) and
-	// the prefetcher's residency probes. Each slot remembers where a
+	// scalar puts Access on the scalar walk (Load, Store, StoreNT):
+	// always when L1 or L2 is not mask Bit-PLRU, whose replacement
+	// updates are the only ones the fast walk replays outside package
+	// cache, and otherwise only after ScalarWalk.
+	scalar bool
+
+	// L1 state the fast walk reads and updates in place, taken once from
+	// L1's BatchView (both slices are L1's own arrays for its whole
+	// life), as for L2 below. The walk reads L1's way reservation live.
+	l1Meta     []uint64
+	l1PLRU     []uint16
+	l1Full     uint16
+	l1SetMask  uint64
+	l1TagShift uint
+	l1Ways     int
+
+	// Verified location hints over the L1 metadata: a small
+	// direct-mapped cache of recently confirmed L1-resident lines (line
+	// → metadata index). The hot loops interleave several line streams
+	// (input / counter / C-Buffer; bin / accumulator), and a hint hit
+	// replaces the way scan with one metadata compare. A hint is trusted
+	// only after the live metadata word re-verifies (valid + tag), so
+	// evictions, reservations, resets and scalar calls made since it was
+	// recorded can never fake a hit; they just fall back to the scan.
+	// Hints are recorded only from scan and fill results, so a verified
+	// index always lies in a non-reserved way.
+	l1SlotLine [16]uint64
+	l1SlotIdx  [16]int32
+
+	// Verified-slot cache over the L2 metadata, shared by the fast
+	// walk's misses (demand lookups and L1-victim writeback installs)
+	// and the prefetcher's residency probes. Each slot remembers where a
 	// line was last located in L2 (its packed-metadata index); a slot
 	// is trusted only after the live metadata word re-verifies (valid +
 	// tag), so intervening evictions, resets, or reservations can never
@@ -159,7 +188,7 @@ type Hierarchy struct {
 	l2SlotLine [64]uint64
 	l2SlotIdx  [64]int32
 
-	// L2 state the batched miss walk reads and updates in place, taken
+	// L2 state the fast walk's misses read and update in place, taken
 	// once from L2's BatchView (both slices are L2's own arrays for its
 	// whole life). They are fields, not a per-miss BatchView() call,
 	// which would copy the view struct on every miss. The walk reads
@@ -170,6 +199,13 @@ type Hierarchy struct {
 	l2SetMask  uint64
 	l2TagShift uint
 	l2Ways     int
+
+	// The LLC's packed metadata and geometry, for the NT store's inline
+	// absence scan.
+	llcMeta     []uint64
+	llcSetMask  uint64
+	llcTagShift uint
+	llcWays     int
 
 	DRAMTraffic Traffic
 }
@@ -223,6 +259,13 @@ func New(cfg Config) *Hierarchy {
 	h.pf.prev = make([]int, cfg.PrefetchStreams)
 	h.pf.next = make([]int, cfg.PrefetchStreams)
 	h.pf.conf = make([]int, cfg.PrefetchStreams)
+	l1v := h.L1c.BatchView()
+	h.l1Meta = l1v.Meta
+	h.l1PLRU = l1v.PLRU
+	h.l1Full = l1v.PLRUFull
+	h.l1SetMask = l1v.SetMask
+	h.l1TagShift = cache.LineBits + l1v.SetBits
+	h.l1Ways = l1v.Ways
 	l2v := h.L2c.BatchView()
 	h.l2Meta = l2v.Meta
 	h.l2PLRU = l2v.PLRU
@@ -230,20 +273,48 @@ func New(cfg Config) *Hierarchy {
 	h.l2SetMask = l2v.SetMask
 	h.l2TagShift = cache.LineBits + l2v.SetBits
 	h.l2Ways = l2v.Ways
-	for i := range h.l2SlotLine {
-		h.l2SlotLine[i] = ^uint64(0) // unreachable line: slots start cold
-	}
+	llcv := h.LLCc.BatchView()
+	h.llcMeta = llcv.Meta
+	h.llcSetMask = llcv.SetMask
+	h.llcTagShift = cache.LineBits + llcv.SetBits
+	h.llcWays = llcv.Ways
+	h.scalar = h.l1PLRU == nil || h.l2PLRU == nil
+	h.clearHints()
 	h.pf.degree = cfg.PrefetchDegree
 	return h
+}
+
+// clearHints empties the L1 and L2 location hints. An unreachable line
+// address (no line reaches 2^58) marks a cold slot.
+func (h *Hierarchy) clearHints() {
+	for i := range h.l1SlotLine {
+		h.l1SlotLine[i] = ^uint64(0)
+	}
+	h.l1SlotIdx = [16]int32{}
+	for i := range h.l2SlotLine {
+		h.l2SlotLine[i] = ^uint64(0)
+	}
+	h.l2SlotIdx = [64]int32{}
+}
+
+// ScalarWalk puts h on the scalar walk for good: from now on Access
+// resolves every reference through Load, Store or StoreNT, entirely
+// through cache.Cache. It is the oracle the differential tests hold
+// the fast walk to; a run on it produces the same simulated state,
+// only slower.
+func (h *Hierarchy) ScalarWalk() {
+	h.scalar = true
+	h.clearHints()
 }
 
 // Reset restores the hierarchy to its post-New state so a recycled
 // machine is indistinguishable from a fresh one: every cache level
 // (lines, stats, replacement state, way reservation), the prefetcher's
-// stream table, the write-combining buffer, the L2 slot hints, and the
-// DRAM traffic counts. A field added to Hierarchy must be restored
-// here too; the sim package's recycling test compares a reset
-// hierarchy against mem.New field by field.
+// stream table, the write-combining buffer, the L1 and L2 location
+// hints, and the DRAM traffic counts. It keeps the walk Access takes
+// (ScalarWalk). A field added to Hierarchy must be restored here too;
+// the sim package's recycling test compares a reset hierarchy against
+// a new one field by field.
 func (h *Hierarchy) Reset() {
 	h.L1c.Reset()
 	h.L2c.Reset()
@@ -254,10 +325,7 @@ func (h *Hierarchy) Reset() {
 		pf.dir[i], pf.conf[i], pf.prev[i], pf.next[i] = 0, 0, 0, 0
 	}
 	h.pf = wcAndPf{lastLine: pf.lastLine, dir: pf.dir, conf: pf.conf, prev: pf.prev, next: pf.next, degree: pf.degree}
-	for i := range h.l2SlotLine {
-		h.l2SlotLine[i] = ^uint64(0)
-	}
-	h.l2SlotIdx = [64]int32{}
+	h.clearHints()
 	h.DRAMTraffic = Traffic{}
 }
 
@@ -298,7 +366,7 @@ func (h *Hierarchy) WriteLineDirect(lines uint64) { h.DRAMTraffic.WriteLines += 
 func (h *Hierarchy) ReadLineDirect(lines uint64) { h.DRAMTraffic.ReadLines += lines }
 
 // access is the scalar demand walk, entirely through cache.Cache: the
-// reference AccessBatch's inline walk must match.
+// reference Access's fast walk must match.
 func (h *Hierarchy) access(addr uint64, write bool) Level {
 	if r := h.L1c.Access(addr, write); r.Hit {
 		return L1
@@ -467,204 +535,146 @@ func (h *Hierarchy) issuePrefetches(line uint64, dir int64) {
 // machine. The zero value is a load.
 type RefKind uint8
 
-// Reference kinds carried by a batched stream.
+// Reference kinds.
 const (
 	RefLoad RefKind = iota
 	RefStore
 	RefStoreNT
 )
 
-// Ref is one memory reference in a batched stream.
+// Ref is one memory reference of an AccessBatch stream.
 type Ref struct {
 	Addr uint64
 	Kind RefKind
 }
 
-// Residency knowledge carried across consecutive references in a batch.
-const (
-	brNone = iota // nothing known about the previous reference's line
-	brL1          // previous reference's line is L1-resident at l1Idx
-	brWC          // previous reference was an NT store absorbed by an open WC entry
-)
-
-// AccessBatch resolves a stream of references, writing the servicing
-// level of refs[i] into out[i] (out is grown if needed and returned
-// with len(refs) entries — pass a reused buffer for zero allocations).
-//
-// It is counter-exact with the scalar Load/Store/StoreNT sequence: the
-// simulated state after a batch — every hit/miss/eviction/writeback
-// count, DRAM traffic, replacement metadata, prefetcher streams — is
-// bit-identical to issuing the same references one at a time. Four
-// amortizations make it faster, none of them observable:
-//
-//  1. Run-length coalescing: a reference to the same line as its
-//     predecessor, when that line is known L1-resident, is a
-//     guaranteed L1 hit whose only architectural effects are the hit
-//     count and (for stores) the dirty bit — the Bit-PLRU touch of an
-//     already-MRU way is a no-op, so it is skipped. Likewise an NT
-//     store to the line an NT store just write-combined is absorbed
-//     by the open WC entry with no state change at all.
-//  2. Inlined L1 hit path: the tag probe runs against the packed
-//     metadata words through cache.BatchView with a branch-light mask
-//     Bit-PLRU update, avoiding per-reference calls; hits are folded
-//     into L1 stats once per batch (sums commute with the miss path's
-//     in-place corrections).
-//  3. Inlined miss walk: an L1 demand miss fills L1 through the same
-//     view, installs the L1 victim's writeback in L2, and does the L2
-//     lookup or fill against L2's packed metadata and Bit-PLRU masks
-//     (held in Hierarchy), with no cache.Result passed back. The LLC
-//     stays behind cache.Cache, whose policy the ablations swap.
-//  4. Hoisting: set masks, tag shifts, and way bounds are loaded once
-//     per batch instead of per reference.
-//
-// NT stores that miss L1 take the scalar path below L1. When L1 or L2
-// is not mask Bit-PLRU, whose replacement updates are the only ones
-// replayed outside package cache, every reference takes the scalar
-// methods, which remain the oracle.
+// AccessBatch resolves a stream of references through Access, writing
+// the servicing level of refs[i] into out[i] (out is grown if needed
+// and returned with len(refs) entries — pass a reused buffer for zero
+// allocations).
 func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 	if cap(out) < len(refs) {
 		out = make([]Level, len(refs))
 	}
 	out = out[:len(refs)]
-	v := h.L1c.BatchView()
-	if v.PLRU == nil || h.l2PLRU == nil {
-		for i, r := range refs {
-			switch r.Kind {
-			case RefStore:
-				out[i] = h.access(r.Addr, true)
-			case RefStoreNT:
-				out[i] = h.StoreNT(r.Addr)
-			default:
-				out[i] = h.access(r.Addr, false)
-			}
-		}
-		return out
-	}
-
-	meta := v.Meta
-	plru := v.PLRU
-	full := v.PLRUFull
-	setMask := v.SetMask
-	tagShift := cache.LineBits + v.SetBits
-	ways := v.Ways
-	reserved := v.Reserved
-	l1 := &h.L1c.Stats
-
-	const noLine = ^uint64(0)
-	var hits uint64
-	state := brNone
-	curLine := noLine
-	l1Idx := 0
-	// A small direct-mapped cache of recently confirmed L1-resident
-	// lines (line → metadata index). The hot loops interleave several
-	// line streams (input / counter / C-Buffer; bin / accumulator), and
-	// a slot hit replaces the full way scan with one metadata compare.
-	// Slots are hints: a hit is trusted only after the packed word
-	// re-verifies (valid + tag), so intervening evictions can never
-	// fake a hit — they just fall back to the scan.
-	var slotLine [16]uint64
-	var slotIdx [16]int32
-	for i := range slotLine {
-		slotLine[i] = noLine
-	}
-
 	for i, r := range refs {
-		line := r.Addr >> cache.LineBits
-		if line == curLine {
-			if state == brL1 {
-				// Guaranteed L1 hit: nothing intervened since the last
-				// reference left this line resident.
-				if r.Kind != RefLoad {
-					meta[l1Idx] |= cache.MetaDirty
-				}
-				hits++
-				out[i] = L1
-				continue
-			}
-			if state == brWC && r.Kind == RefStoreNT {
-				out[i] = DRAM
-				continue
-			}
-		}
-		curLine = line
-
-		set := int(line & setMask)
-		want := r.Addr>>tagShift<<cache.MetaTagShift | cache.MetaValid
-		base := set * ways
-		slot := line & 15
-		idx := -1
-		if slotLine[slot] == line && meta[slotIdx[slot]]&^cache.MetaDirty == want {
-			idx = int(slotIdx[slot])
-		} else {
-			for w := reserved; w < ways; w++ {
-				if meta[base+w]&^cache.MetaDirty == want {
-					idx = base + w
-					slotLine[slot] = line
-					slotIdx[slot] = int32(idx)
-					break
-				}
-			}
-		}
-		if idx >= 0 {
-			// L1 hit (a set holds at most one valid copy of a tag, so the
-			// slot-verified way is the way the scalar find would return).
-			l1Idx = idx
-			if r.Kind != RefLoad {
-				meta[idx] |= cache.MetaDirty
-			}
-			plru[set] = cache.PLRUTouch(plru[set], uint16(1)<<uint(idx-base), full)
-			hits++
-			state = brL1
-			out[i] = L1
-			continue
-		}
-
-		// L1 miss (the inline probe is find() minus the MRU-filter
-		// shortcut, which re-verifies the metadata word, so the scalar
-		// path reaches the same verdict).
-		if r.Kind == RefStoreNT {
-			lvl := h.StoreNTL1Missed(r.Addr)
-			if lvl == DRAM {
-				state = brWC // line sits in an open write-combining entry
-			} else {
-				state = brNone // resident at L2/LLC: no replayable fast path
-			}
-			out[i] = lvl
-			continue
-		}
-		// Demand fill, as cache.Cache's fill. (The skipped MRU-filter
-		// update is a hint, re-verified on every use.)
-		way := cache.PLRUFillWay(meta[base:base+ways], plru[set], full, reserved)
-		victim, wroteBack := uint64(0), false
-		if old := meta[base+way]; old&cache.MetaValid != 0 {
-			l1.Evictions++
-			if old&cache.MetaDirty != 0 {
-				l1.Writebacks++
-				victim, wroteBack = old>>cache.MetaTagShift<<tagShift|uint64(set)<<cache.LineBits, true
-			}
-		}
-		if r.Kind == RefStore {
-			want |= cache.MetaDirty
-		}
-		l1Idx = base + way
-		meta[l1Idx] = want
-		plru[set] = cache.PLRUTouch(plru[set], uint16(1)<<uint(way), full)
-		l1.Misses++
-		l1.Fills++
-		// The rest of the scalar walk, in its order: the L1 victim's
-		// writeback, the prefetcher, then L2 and below. None of it
-		// touches L1, so the line stays resident at l1Idx.
-		if wroteBack {
-			h.l2Writeback(victim)
-		}
-		h.observeStream(r.Addr)
-		out[i] = h.l2Demand(r.Addr)
-		slotLine[slot] = line
-		slotIdx[slot] = int32(l1Idx)
-		state = brL1
+		out[i] = h.Access(r.Addr, r.Kind)
 	}
-	h.L1c.AddBatchHits(hits)
 	return out
+}
+
+// Access resolves one reference and returns the level that serviced
+// it. It is counter-exact with the scalar Load, Store and StoreNT:
+// every hit, miss, eviction and writeback count, the DRAM traffic, the
+// line metadata, the replacement state and the prefetcher streams end
+// up bit-identical to the scalar call's. Three things make it faster,
+// none of them observable:
+//
+//  1. Verified L1 hints: a reference to a recently confirmed line
+//     skips the way scan (see l1SlotLine).
+//  2. Inlined L1: the tag probe, the hit's dirty bit and Bit-PLRU
+//     touch, and the miss's fill run against L1's packed metadata and
+//     masks, with no call into package cache and no cache.Result.
+//  3. Inlined L2 below an L1 miss: the L1 victim's writeback install,
+//     the L2 lookup or fill, and an NT store's L2 update run against
+//     L2's packed metadata and masks, with verified hints of their
+//     own (see l2SlotLine). The LLC stays behind cache.Cache, whose
+//     policy the ablations swap.
+//
+// When L1 or L2 is not mask Bit-PLRU, or after ScalarWalk, every
+// reference takes the scalar methods, which remain the oracle.
+func (h *Hierarchy) Access(addr uint64, kind RefKind) Level {
+	line := addr >> cache.LineBits
+	want := addr>>h.l1TagShift<<cache.MetaTagShift | cache.MetaValid
+	if slot := line & 15; h.l1SlotLine[slot] == line {
+		if idx := int(h.l1SlotIdx[slot]); h.l1Meta[idx]&^cache.MetaDirty == want {
+			h.l1Hit(idx, int(line&h.l1SetMask), kind)
+			return L1
+		}
+	}
+	if h.scalar {
+		return h.accessScalar(addr, kind)
+	}
+	return h.accessL1(addr, line, want, kind)
+}
+
+// l1Hit applies an L1 hit on metadata index idx of set: the dirty bit
+// of a store, the Bit-PLRU touch and the hit count. (A set holds at
+// most one valid copy of a tag, so a hint-verified or scanned way is
+// the way the scalar find would return.)
+func (h *Hierarchy) l1Hit(idx, set int, kind RefKind) {
+	if kind != RefLoad {
+		h.l1Meta[idx] |= cache.MetaDirty
+	}
+	h.l1PLRU[set] = cache.PLRUTouch(h.l1PLRU[set], uint16(1)<<uint(idx-set*h.l1Ways), h.l1Full)
+	h.L1c.Stats.Hits++
+}
+
+// accessL1 is Access past a missed hint: the scan of line's L1 set
+// (want is its valid metadata word), which records a hint on a hit,
+// and on a miss the fill and the walk below L1.
+func (h *Hierarchy) accessL1(addr, line, want uint64, kind RefKind) Level {
+	meta := h.l1Meta
+	slot := line & 15
+	set := int(line & h.l1SetMask)
+	base := set * h.l1Ways
+	row := meta[base : base+h.l1Ways]
+	for w := h.L1c.ReservedWays(); w < len(row); w++ {
+		if row[w]&^cache.MetaDirty == want {
+			h.l1SlotLine[slot] = line
+			h.l1SlotIdx[slot] = int32(base + w)
+			h.l1Hit(base+w, set, kind)
+			return L1
+		}
+	}
+
+	// L1 miss (the inline probe is find() minus the MRU-filter
+	// shortcut, which re-verifies the metadata word, so the scalar
+	// path reaches the same verdict).
+	if kind == RefStoreNT {
+		return h.storeNTL2(addr)
+	}
+	// Demand fill, as cache.Cache's fill. (The skipped MRU-filter
+	// update is a hint, re-verified on every use.)
+	l1 := &h.L1c.Stats
+	way := cache.PLRUFillWay(meta[base:base+h.l1Ways], h.l1PLRU[set], h.l1Full, h.L1c.ReservedWays())
+	victim, wroteBack := uint64(0), false
+	if old := meta[base+way]; old&cache.MetaValid != 0 {
+		l1.Evictions++
+		if old&cache.MetaDirty != 0 {
+			l1.Writebacks++
+			victim, wroteBack = old>>cache.MetaTagShift<<h.l1TagShift|uint64(set)<<cache.LineBits, true
+		}
+	}
+	if kind == RefStore {
+		want |= cache.MetaDirty
+	}
+	meta[base+way] = want
+	h.l1PLRU[set] = cache.PLRUTouch(h.l1PLRU[set], uint16(1)<<uint(way), h.l1Full)
+	h.l1SlotLine[slot] = line
+	h.l1SlotIdx[slot] = int32(base + way)
+	l1.Misses++
+	l1.Fills++
+	// The rest of the scalar walk, in its order: the L1 victim's
+	// writeback, the prefetcher, then L2 and below. None of it touches
+	// L1.
+	if wroteBack {
+		h.l2Writeback(victim)
+	}
+	h.observeStream(addr)
+	return h.l2Demand(addr)
+}
+
+// accessScalar resolves one reference through the scalar methods.
+func (h *Hierarchy) accessScalar(addr uint64, kind RefKind) Level {
+	switch kind {
+	case RefStore:
+		return h.access(addr, true)
+	case RefStoreNT:
+		return h.StoreNT(addr)
+	default:
+		return h.access(addr, false)
+	}
 }
 
 // l2Demand is the demand walk below an L1 miss, with L2 inline: a hit
@@ -756,14 +766,30 @@ func (h *Hierarchy) l2Touch(set, way int) {
 	h.l2PLRU[set] = cache.PLRUTouch(h.l2PLRU[set], uint16(1)<<uint(way), h.l2Full)
 }
 
-// StoreNTL1Missed is StoreNT minus the L1 probe (which, on a miss, has
-// no side effects at all).
-func (h *Hierarchy) StoreNTL1Missed(addr uint64) Level {
-	if r := h.L2c.WriteNT(addr); r.Hit {
+// storeNTL2 is StoreNT below a missed L1 probe (which, on a miss, has
+// no side effects at all), with L2 inline: a resident copy turns dirty
+// and is touched, and counts a hit, as L2c.WriteNT does.
+func (h *Hierarchy) storeNTL2(addr uint64) Level {
+	line := addr >> cache.LineBits
+	set := int(line & h.l2SetMask)
+	base := set * h.l2Ways
+	if idx := h.l2Find(line, addr>>h.l2TagShift<<cache.MetaTagShift|cache.MetaValid, base); idx >= 0 {
+		h.l2Meta[idx] |= cache.MetaDirty
+		h.l2Touch(set, idx-base)
+		h.L2c.Stats.Hits++
 		return L2
 	}
-	if r := h.LLCc.WriteNT(addr); r.Hit {
-		return LLC
+	// A resident LLC copy is updated through cache.Cache (the policy
+	// varies); absence, the common case, is an inline scan of the
+	// set's usable ways, as WriteNT's miss has no side effects.
+	want := addr>>h.llcTagShift<<cache.MetaTagShift | cache.MetaValid
+	base = int(line&h.llcSetMask) * h.llcWays
+	row := h.llcMeta[base : base+h.llcWays]
+	for w := h.LLCc.ReservedWays(); w < len(row); w++ {
+		if row[w]&^cache.MetaDirty == want {
+			h.LLCc.WriteNT(addr)
+			return LLC
+		}
 	}
 	h.writeCombine(addr)
 	return DRAM

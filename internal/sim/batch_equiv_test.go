@@ -1,13 +1,15 @@
 package sim_test
 
-// Differential tests pinning the batched op pipeline (Mach.B over
-// mem.AccessBatch, 256 ops per flush) to the op-at-a-time oracle (a
-// capacity-1 op buffer, which retires each micro-op as it is emitted):
-// every Metrics field of every scheme must be bit-identical under
-// Arch.WithOpAtATime(). The op-at-a-time replay itself is pinned to the
-// scalar cpu.Core methods by the cpu package's tests; what these tests
-// catch is a flush missing where a runner or core.Machine reads the
-// clock or hierarchy mid-stream.
+// Differential tests pinning the fast walk (mem.Hierarchy.Access with
+// its verified location hints and inline L1/L2) to the scalar oracle
+// (the same machine with its hierarchy on the scalar cache.Cache walk,
+// Arch.WithScalarWalk()): every Metrics field of every scheme must be
+// bit-identical. The mem package's tests and fuzzer pin the walk
+// reference by reference; what these tests catch is a divergence that
+// only a whole run's reference mix, way reservations, scalar Store
+// calls (COBRA's NoPartition insert) and recycled machines bring out.
+// (The tests keep the names they had when the fast side batched its
+// micro-ops.)
 
 import (
 	"fmt"
@@ -84,27 +86,27 @@ func runAll(t *testing.T, arch sim.Arch) map[string]sim.Metrics {
 // TestBatchedPipelineMatchesScalar is the whole-simulation analogue of
 // the mem/cpu layer differential tests: Metrics — cycles (float64,
 // compared exactly), phase deltas, counters, traffic — must not differ
-// in any bit between the batched pipeline and the op-at-a-time oracle.
+// in any bit between the fast walk and the scalar-walk oracle.
 func TestBatchedPipelineMatchesScalar(t *testing.T) {
-	batched := runAll(t, sim.DefaultArch())
-	oracle := runAll(t, sim.DefaultArch().WithOpAtATime())
-	if len(batched) != len(oracle) {
-		t.Fatalf("scheme sets differ: %d vs %d", len(batched), len(oracle))
+	fast := runAll(t, sim.DefaultArch())
+	oracle := runAll(t, sim.DefaultArch().WithScalarWalk())
+	if len(fast) != len(oracle) {
+		t.Fatalf("scheme sets differ: %d vs %d", len(fast), len(oracle))
 	}
-	for name, b := range batched {
+	for name, b := range fast {
 		s, ok := oracle[name]
 		if !ok {
-			t.Fatalf("missing op-at-a-time run %q", name)
+			t.Fatalf("missing scalar-walk run %q", name)
 		}
 		if !reflect.DeepEqual(b, s) {
-			t.Errorf("%s: batched metrics diverge from op-at-a-time oracle\nbatched: %+v\noracle:  %+v", name, b, s)
+			t.Errorf("%s: fast-walk metrics diverge from scalar-walk oracle\nfast:   %+v\noracle: %+v", name, b, s)
 		}
 	}
 }
 
 // TestBatchedPipelineMatchesScalarNUCA repeats the check with NUCA hop
 // latencies enabled (the one place LLC/DRAM load timing depends on the
-// address, exercising the replay's hoisted NUCA math), on every scheme.
+// address, exercising the core's hoisted latencies), on every scheme.
 func TestBatchedPipelineMatchesScalarNUCA(t *testing.T) {
 	arch := sim.DefaultArch()
 	arch.Mem.NUCA = mem.DefaultNUCA()
@@ -117,12 +119,12 @@ func TestBatchedPipelineMatchesScalarNUCA(t *testing.T) {
 	}
 	for scheme, run := range runs {
 		b, err1 := run(arch)
-		s, err2 := run(arch.WithOpAtATime())
+		s, err2 := run(arch.WithScalarWalk())
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
 		if !reflect.DeepEqual(b, s) {
-			t.Errorf("%s under NUCA: batched diverges from op-at-a-time", scheme)
+			t.Errorf("%s under NUCA: fast walk diverges from scalar walk", scheme)
 		}
 	}
 }
@@ -178,13 +180,13 @@ func figureCells(t *testing.T, scale int, seed uint64) ([]figureCell, map[string
 // TestFigureCellsMatchScalar extends the equivalence to the workloads
 // the headline artifacts are built from: every Figure 10 and Table I
 // cell at scale 12, on 1 and 4 cores, must produce identical Metrics
-// on the batched pipeline and on the op-at-a-time oracle — so the
-// figure tables derived from them are byte-identical too.
+// on the fast walk and on the scalar-walk oracle — so the figure tables
+// derived from them are byte-identical too.
 func TestFigureCellsMatchScalar(t *testing.T) {
 	cells, apps := figureCells(t, 12, 42)
 	for _, cores := range []int{1, 4} {
 		arch := sim.DefaultArch().WithCores(cores)
-		oracleArch := arch.WithOpAtATime()
+		oracleArch := arch.WithScalarWalk()
 		for _, c := range cells {
 			name := fmt.Sprintf("%s/%s/%s/bins=%d/cores=%d", c.app, c.input, c.scheme, c.bins, cores)
 			app := apps[c.app+"/"+c.input]
@@ -194,10 +196,10 @@ func TestFigureCellsMatchScalar(t *testing.T) {
 			}
 			s, err := exp.RunScheme(app, c.scheme, c.bins, oracleArch)
 			if err != nil {
-				t.Fatalf("%s op-at-a-time: %v", name, err)
+				t.Fatalf("%s scalar walk: %v", name, err)
 			}
 			if !reflect.DeepEqual(b, s) {
-				t.Errorf("%s: batched metrics diverge from op-at-a-time oracle\nbatched: %+v\noracle:  %+v", name, b, s)
+				t.Errorf("%s: fast-walk metrics diverge from scalar-walk oracle\nfast:   %+v\noracle: %+v", name, b, s)
 			}
 		}
 	}

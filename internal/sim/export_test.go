@@ -1,6 +1,6 @@
 package sim
 
-// Test hooks for the external sim_test package: the op-at-a-time
+// Test hooks for the external sim_test package: the scalar-walk
 // oracle switch, and the machine pool's construction and checkout steps,
 // reachable without going through the pool (whose hand-outs a test
 // cannot force).
@@ -21,10 +21,10 @@ func DrainPool() {
 	}
 }
 
-// WithOpAtATime returns a copy of a whose machines retire every
-// micro-op as it is emitted, through an op buffer of capacity 1 (the
-// oracle the batched pipeline is verified against).
-func (a Arch) WithOpAtATime() Arch {
-	a.opAtATime = true
+// WithScalarWalk returns a copy of a whose machines' hierarchies take
+// the scalar cache.Cache walk (the oracle the fast walk is verified
+// against).
+func (a Arch) WithScalarWalk() Arch {
+	a.scalarWalk = true
 	return a
 }

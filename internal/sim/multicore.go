@@ -3,8 +3,8 @@ package sim
 // Scheme runners (DESIGN §9).
 //
 // Every scheme runs on a gang of Arch.Cores() per-core Machs — each
-// with its own L1/L2, OpBuf pipeline, and private NUCA LLC slice,
-// exactly the paper's Table II machine — and merges the per-core
+// with its own core, L1/L2, and private NUCA LLC slice, exactly the
+// paper's Table II machine — and merges the per-core
 // Metrics with MergeMetrics. A one-core run is a gang of one: the same
 // runner, with one chunk, one owner and an identity merge. The
 // sharding follows the paper's parallel PB/COBRA execution model:
@@ -222,13 +222,12 @@ func RunBaseline(app *App, arch Arch) (Metrics, error) {
 			if shardOwner(int(key), g.n, app.NumKeys) != c {
 				return
 			}
-			mach.B.Load(g.input.Addr(uint64(j) * uint64(app.StreamBytes)))
-			mach.B.Branch(pcInnerLoop, !newGroup)
-			mach.B.ALU(1 + app.ApplyALU) // address math + apply work
+			mach.CPU.Load(g.input.Addr(uint64(j) * uint64(app.StreamBytes)))
+			mach.CPU.Branch(pcInnerLoop, !newGroup)
+			mach.CPU.ALU(1 + app.ApplyALU) // address math + apply work
 			applier.Apply(key, val)
 			j++
 		})
-		mach.B.Flush()
 		mach.CPU.DrainMem()
 		// The whole run is "apply".
 		g.mets[c].AccumCycles = mach.CPU.Cycles()
@@ -246,19 +245,18 @@ func RunBaseline(app *App, arch Arch) (Metrics, error) {
 func (g *gang) initCount(cnt Region, shift uint, numBins int) error {
 	return g.phase("init.wall", func(c int, mach *Mach) {
 		g.forEachChunk(c, func(i int, key uint32, _ uint64, newGroup bool) {
-			mach.B.Load(g.input.Addr(uint64(i) * uint64(g.app.StreamBytes)))
-			mach.B.Branch(pcInnerLoop, !newGroup)
-			mach.B.ALU(2) // shift + address math
+			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(g.app.StreamBytes)))
+			mach.CPU.Branch(pcInnerLoop, !newGroup)
+			mach.CPU.ALU(2) // shift + address math
 			addr := cnt.Addr(uint64(key>>shift) * 4)
-			mach.B.Load(addr)
-			mach.B.Store(addr)
+			mach.CPU.Load(addr)
+			mach.CPU.Store(addr)
 		})
 		for b := 0; b < numBins; b++ {
-			mach.B.Load(cnt.Addr(uint64(b) * 4))
-			mach.B.ALU(2)
-			mach.B.Store(cnt.Addr(uint64(b) * 4))
+			mach.CPU.Load(cnt.Addr(uint64(b) * 4))
+			mach.CPU.ALU(2)
+			mach.CPU.Store(cnt.Addr(uint64(b) * 4))
 		}
-		mach.B.Flush()
 		mach.CPU.DrainMem()
 		g.mets[c].InitCycles = mach.CPU.Cycles()
 	})
@@ -300,19 +298,18 @@ func (g *gang) accumulate(perSrc [][][]core.Tuple, srcRegions []Region) error {
 				seg := perSrc[s][b]
 				pos := prefix[s][b]
 				// Per-(bin, source) prologue: offsets lookup + loop setup.
-				mach.B.ALU(6)
-				mach.B.Load(srcRegions[s].Addr(uint64(pos) * tb))
-				mach.B.Branch(pcBinLoop, len(seg) != 0)
+				mach.CPU.ALU(6)
+				mach.CPU.Load(srcRegions[s].Addr(uint64(pos) * tb))
+				mach.CPU.Branch(pcBinLoop, len(seg) != 0)
 				for _, t := range seg {
-					mach.B.Load(srcRegions[s].Addr(uint64(pos) * tb))
-					mach.B.Branch(pcBinLoop, true)
-					mach.B.ALU(1 + g.app.ApplyALU)
+					mach.CPU.Load(srcRegions[s].Addr(uint64(pos) * tb))
+					mach.CPU.Branch(pcBinLoop, true)
+					mach.CPU.ALU(1 + g.app.ApplyALU)
 					applier.Apply(t.Key, t.Val)
 					pos++
 				}
 			}
 		}
-		mach.B.Flush()
 		mach.CPU.DrainMem()
 		met := &g.mets[c]
 		met.AccumCycles, met.AccumCtr, met.AccumMem = start.since(mach)
@@ -405,47 +402,46 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 		binPos := scratch.binPos // write cursor into each memory bin
 		binRegion := lay.bins[c]
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {
-			mach.B.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
-			mach.B.Branch(pcInnerLoop, !newGroup)
+			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
+			mach.CPU.Branch(pcInnerLoop, !newGroup)
 			b := int(key >> lay.shift)
-			mach.B.ALU(2) // shift + C-Buffer address math
+			mach.CPU.ALU(2) // shift + C-Buffer address math
 			// Read-modify-write the C-Buffer fill counter, store the tuple.
 			cntAddr := lay.cnt.Addr(uint64(b) * 4)
-			mach.B.Load(cntAddr)
-			mach.B.Store(lay.cbuf.Addr(uint64(b)*64 + uint64(fill[b])*tb))
-			mach.B.ALU(1)
-			mach.B.Store(cntAddr)
+			mach.CPU.Load(cntAddr)
+			mach.CPU.Store(lay.cbuf.Addr(uint64(b)*64 + uint64(fill[b])*tb))
+			mach.CPU.ALU(1)
+			mach.CPU.Store(cntAddr)
 			fill[b]++
 			full := fill[b] == lay.tuplesPL
-			mach.B.Branch(pcCBufFull, !full)
+			mach.CPU.Branch(pcCBufFull, !full)
 			if full {
 				// Bulk transfer: non-temporal stores of the C-Buffer's
 				// tuples into the in-memory bin at this bin's cursor.
 				posAddr := lay.binPos.Addr(uint64(b) * 4)
-				mach.B.Load(posAddr)
+				mach.CPU.Load(posAddr)
 				for k := 0; k < lay.tuplesPL; k++ {
-					mach.B.StoreNT(binRegion.Addr(uint64(binPos[b]+k) * tb))
-					mach.B.ALU(1)
+					mach.CPU.StoreNT(binRegion.Addr(uint64(binPos[b]+k) * tb))
+					mach.CPU.ALU(1)
 				}
 				binPos[b] += lay.tuplesPL
-				mach.B.ALU(1)
-				mach.B.Store(posAddr)
+				mach.CPU.ALU(1)
+				mach.CPU.Store(posAddr)
 				fill[b] = 0
 			}
 			bins[b] = append(bins[b], core.Tuple{Key: key, Val: val})
 		})
 		// Flush partial C-Buffers (software epilogue).
 		for b := 0; b < lay.numBins; b++ {
-			mach.B.Load(lay.cnt.Addr(uint64(b) * 4))
-			mach.B.Branch(pcCBufFull, fill[b] == 0)
+			mach.CPU.Load(lay.cnt.Addr(uint64(b) * 4))
+			mach.CPU.Branch(pcCBufFull, fill[b] == 0)
 			for k := 0; k < fill[b]; k++ {
-				mach.B.StoreNT(binRegion.Addr(uint64(binPos[b]+k) * tb))
-				mach.B.ALU(1)
+				mach.CPU.StoreNT(binRegion.Addr(uint64(binPos[b]+k) * tb))
+				mach.CPU.ALU(1)
 			}
 			binPos[b] += fill[b]
 			fill[b] = 0
 		}
-		mach.B.Flush()
 		mach.CPU.DrainMem()
 		met := &g.mets[c]
 		met.BinCycles, met.BinCtr, met.BinMem = start.since(mach)
@@ -517,7 +513,7 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	defer g.close()
 	machines := make([]*core.Machine, g.n)
 	for c := range machines {
-		machines[c] = core.NewMachine(&g.machs[c].cbufs, g.machs[c].B, cfg)
+		machines[c] = core.NewMachine(&g.machs[c].cbufs, g.machs[c].CPU, cfg)
 		if err := machines[c].BinInit(uint64(app.NumKeys)); err != nil {
 			return Metrics{}, err
 		}
@@ -531,14 +527,12 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	}
 
 	// ---- Binning: one binupdate per tuple, per-core C-Buffers ----
-	// The loop emits through mach.B like every other phase; m.BinUpdate
-	// flushes B itself wherever it needs the exact clock (DESIGN §7).
 	err = g.phase("binning.wall", func(c int, mach *Mach) {
 		m := machines[c]
 		start := markPhase(mach)
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {
-			mach.B.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
-			mach.B.Branch(pcInnerLoop, !newGroup)
+			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
+			mach.CPU.Branch(pcInnerLoop, !newGroup)
 			m.BinUpdate(key, val)
 		})
 		m.BinFlush()
@@ -604,12 +598,11 @@ func RunPHI(app *App, numBins int, arch Arch) (Metrics, error) {
 		model := models[c]
 		start := markPhase(mach)
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {
-			mach.B.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
-			mach.B.Branch(pcInnerLoop, !newGroup)
-			mach.B.BinUpdate()     // PHI also uses a single update instruction
+			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
+			mach.CPU.Branch(pcInnerLoop, !newGroup)
+			mach.CPU.BinUpdate()   // PHI also uses a single update instruction
 			model.Update(key, val) // pure functional model: no machine state read
 		})
-		mach.B.Flush()
 		model.Flush()
 		mach.H.WriteLineDirect((model.St.MemBytes + 63) / 64)
 		mach.CPU.DrainMem()

@@ -27,18 +27,17 @@ type Arch struct {
 
 	// NumCores is the number of simulated cores; 0 and 1 both mean one
 	// core owning all the work. Every scheme shards across the
-	// NumCores per-core machines — each with its own L1/L2, OpBuf
-	// pipeline, and private NUCA LLC slice — and merges per-core
-	// Metrics via MergeMetrics, which is the identity on one core.
-	// See DESIGN.md §9 for the shard/merge model.
+	// NumCores per-core machines — each with its own core, L1/L2, and
+	// private NUCA LLC slice — and merges per-core Metrics via
+	// MergeMetrics, which is the identity on one core. See DESIGN.md
+	// §9 for the shard/merge model.
 	NumCores int
 
-	// opAtATime gives machines built from this Arch an op buffer of
-	// capacity 1, which retires every micro-op as it is emitted — the
-	// whole-run oracle the batched pipeline must match bit for bit.
-	// Only the differential tests set it, through a hook in
-	// export_test.go.
-	opAtATime bool
+	// scalarWalk puts the hierarchies of machines built from this Arch
+	// on the scalar cache.Cache walk (mem.Hierarchy.ScalarWalk) — the
+	// whole-run oracle the fast walk must match bit for bit. Only the
+	// differential tests set it, through a hook in export_test.go.
+	scalarWalk bool
 }
 
 // DefaultMultiCores is the paper's evaluated machine width (Table II:
@@ -82,10 +81,9 @@ func (r Region) Addr(off uint64) uint64 {
 
 // Mach is one simulated machine instance for one run.
 //
-// Every micro-op goes through B, the batched op pipeline (COBRA's
-// core.Machine included). CPU and H are read and driven directly only
-// for phase bookkeeping — clocks, counters, DrainMem, direct DRAM
-// traffic — and any such access must be preceded by B.Flush().
+// Every micro-op is issued on CPU (COBRA's core.Machine included) and
+// has resolved in H and retired by the time its issue method returns,
+// so clocks, counters and hierarchy state may be read at any point.
 //
 // Lifecycle: NewMach checks a machine out, the run drives it, and
 // Release returns it to a pool, from which a later NewMach with an
@@ -94,10 +92,9 @@ func (r Region) Addr(off uint64) uint64 {
 type Mach struct {
 	CPU *cpu.Core
 	H   *mem.Hierarchy
-	B   *cpu.OpBuf
 
-	opAtATime bool // B has capacity 1 (Arch.opAtATime)
-	next      uint64
+	scalarWalk bool // H is on the scalar walk (Arch.scalarWalk)
+	next       uint64
 
 	// cbufs outlives each run's COBRA machine so the next BinInit on
 	// this Mach reuses its C-Buffer arrays.
@@ -123,28 +120,25 @@ func NewMach(a Arch) *Mach {
 // buildMach constructs a machine from scratch.
 func buildMach(a Arch) *Mach {
 	h := mem.New(a.Mem)
-	c := cpu.New(a.CPU, h)
-	b := cpu.NewOpBuf(c)
-	if a.opAtATime {
-		b = cpu.NewOpBufCap(c, 1)
+	if a.scalarWalk {
+		h.ScalarWalk()
 	}
-	return &Mach{CPU: c, H: h, B: b, opAtATime: a.opAtATime, next: 1 << 20}
+	return &Mach{CPU: cpu.New(a.CPU, h), H: h, scalarWalk: a.scalarWalk, next: 1 << 20}
 }
 
 // fits reports whether m was built for a machine equal to a's. The core
 // count is not part of a machine: every core of a gang is the same.
 func (m *Mach) fits(a Arch) bool {
-	return m.H.Config() == a.Mem && m.CPU.Config() == a.CPU && m.opAtATime == a.opAtATime
+	return m.H.Config() == a.Mem && m.CPU.Config() == a.CPU && m.scalarWalk == a.scalarWalk
 }
 
 // recycle resets a released machine to the state buildMach leaves:
-// caches, prefetcher, write-combining, DRAM counts, core clock,
-// counters, MSHRs, branch predictor, op buffer and allocator. Only the
-// C-Buffer store keeps its (never-read) contents.
+// caches, prefetcher, write-combining, location hints, DRAM counts,
+// core clock, counters, MSHRs, branch predictor and allocator. Only
+// the C-Buffer store keeps its (never-read) contents.
 func (m *Mach) recycle() {
 	m.H.Reset()
 	m.CPU.Reset()
-	m.B.Reset()
 	m.next = 1 << 20
 	m.released = false
 }

@@ -101,7 +101,7 @@ func TestCOBRAPhaseMemConservation(t *testing.T) {
 func TestBinnedTupleConservation(t *testing.T) {
 	const numKeys, n = 1 << 14, 50000
 	mach := sim.NewMach(sim.DefaultArch())
-	m := core.NewMachine(new(core.CBufStore), mach.B, core.DefaultConfig(4))
+	m := core.NewMachine(new(core.CBufStore), mach.CPU, core.DefaultConfig(4))
 	if err := m.BinInit(numKeys); err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,8 @@ type countApplier struct {
 
 func (a *countApplier) Apply(key uint32, val uint64) {
 	addr := a.r.Addr(uint64(key) * 4)
-	a.m.B.Load(addr)
-	a.m.B.Store(addr)
+	a.m.CPU.Load(addr)
+	a.m.CPU.Store(addr)
 	a.c[key] += uint32(val)
 }
 

@@ -166,8 +166,8 @@ type applier struct {
 
 func (a *applier) Apply(key uint32, val uint64) {
 	addr := a.reg.Addr(uint64(key) * 8)
-	a.m.B.Load(addr)
-	a.m.B.Store(addr)
+	a.m.CPU.Load(addr)
+	a.m.CPU.Store(addr)
 	a.vals[key] += val
 }
 
