@@ -1,6 +1,6 @@
 # Build/test entry points. `make ci` is the gate PRs must keep green:
 # gofmt + vet + build + race-mode tests on the concurrency-bearing packages
-# (exp's worker pool and input memo, obsv's lock-free instruments,
+# (exp's worker pool, input memo and cell store, obsv's lock-free instruments,
 # cache's shared-model users, pb's parallel binning) + the full test
 # suite with coverage + a short fuzz pass over the hardened gio readers
 # and the memory hierarchy's fast walk
@@ -15,16 +15,20 @@ all: ci
 build:
 	$(GO) build ./...
 
+# perfbench is a separate module, so the root `go vet ./...` skips it.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
 
 # Race-mode pass over the packages that actually spawn goroutines or
-# share state across them (obsv: lock-free counters/histograms, the
+# share state across them (exp: the worker pool, the input memo, and
+# the cell store's single flight (Journal.Do), which srv's result cache
+# and fleet runs go through; obsv: lock-free counters/histograms, the
 # progress renderer goroutine, and the concurrent event log; srv: the
-# worker pool, single-flight result cache, drain-under-load and
+# worker pool, concurrent identical jobs, drain-under-load and
 # faulted-load tests; fault: the lock-free injection registry under
 # concurrent hits; client: retry/breaker state across goroutines;
 # dist: the fleet coordinator's dispatch slots, steal path, and prober;

@@ -243,9 +243,10 @@ func parseSpec(args []string, stderr io.Writer) (srv.JobSpec, int) {
 }
 
 // fleetRun scatters one cell per scheme across a worker fleet via the
-// dist coordinator. A cell no worker can take (fleet down) runs
-// locally — same metrics either way, by the coordinator's
-// byte-identity contract.
+// dist coordinator, through a cell store (the -journal file, or
+// memory): a recorded cell replays without dispatch. A cell no worker
+// can take (fleet down) runs locally — same metrics either way, by the
+// coordinator's byte-identity contract.
 func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, jsonOut bool) int {
 	fs := flag.NewFlagSet("cobractl fleet run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -259,7 +260,7 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 		bins     = fs.Int("bins", 0, "bin count (0 = sweep)")
 		cores    = fs.Int("cores", 1, "simulated core count")
 		nuca     = fs.Bool("nuca", false, "enable the NUCA latency model")
-		journal  = fs.String("journal", "", "fleet journal (fsync'd JSONL): gathered cells are recorded and replayed on rerun")
+		journal  = fs.String("journal", "", "cell journal (fsync'd JSONL): every finished cell, fleet or local, is recorded and replayed on rerun")
 		inflight = fs.Int("inflight", 4, "max in-flight cells per worker")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -291,17 +292,13 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 		return 2
 	}
 
-	cfg := dist.Config{Addrs: strings.Split(*addrs, ","), MaxInflight: *inflight}
-	if *journal != "" {
-		j, err := exp.OpenJournal(*journal, true)
-		if err != nil {
-			fmt.Fprintln(stderr, "cobractl:", err)
-			return 1
-		}
-		defer j.Close()
-		cfg.Journal = j
+	store, err := exp.OpenJournal(*journal, true)
+	if err != nil {
+		fmt.Fprintln(stderr, "cobractl:", err)
+		return 1
 	}
-	co, err := dist.New(cfg)
+	defer store.Close()
+	co, err := dist.New(dist.Config{Addrs: strings.Split(*addrs, ","), MaxInflight: *inflight})
 	if err != nil {
 		fmt.Fprintln(stderr, "cobractl:", err)
 		return 2
@@ -322,24 +319,26 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 	var results []cellResult
 	for _, id := range ids {
 		k := dist.FleetCellKey(spec, id)
-		m, remote, err := co.RunCell(ctx, k)
+		remote := false
+		m, hit, err := store.Do(k, func() (sim.Metrics, error) {
+			m, ok, err := co.RunCell(ctx, k)
+			if remote = ok; ok {
+				return m, err
+			}
+			fmt.Fprintf(stderr, "cobractl: fleet: cell %s declined — simulating locally\n", id)
+			appl, err := exp.BuildApp(*app, *input, *scale, *seed)
+			if err != nil {
+				return sim.Metrics{}, err
+			}
+			return exp.RunScheme(appl, id.Scheme(), *bins, arch)
+		})
 		if err != nil {
 			fmt.Fprintln(stderr, "cobractl:", err)
 			return 1
 		}
-		if !remote {
-			fmt.Fprintf(stderr, "cobractl: fleet: cell %s declined — simulating locally\n", id)
-			appl, err := exp.BuildApp(*app, *input, *scale, *seed)
-			if err != nil {
-				fmt.Fprintln(stderr, "cobractl:", err)
-				return 1
-			}
-			if m, err = exp.RunScheme(appl, id.Scheme(), *bins, arch); err != nil {
-				fmt.Fprintln(stderr, "cobractl:", err)
-				return 1
-			}
-		}
-		results = append(results, cellResult{Scheme: id.String(), Remote: remote, Metrics: m})
+		// A replay reports as a fleet cell: its key is one a stock
+		// worker serves.
+		results = append(results, cellResult{Scheme: id.String(), Remote: remote || hit, Metrics: m})
 	}
 
 	fi := co.Snapshot()

@@ -310,19 +310,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}()
 	opts.Ctx = ctx
 
-	var journal *exp.Journal
-	if *checkpoint != "" {
-		var err error
-		journal, err = exp.OpenJournal(*checkpoint, *resume)
-		if err != nil {
-			fmt.Fprintln(stderr, "figures:", err)
-			return 1
-		}
-		if *resume && journal.Len() > 0 {
-			fmt.Fprintf(stderr, "figures: resuming — %d completed cells in %s\n", journal.Len(), *checkpoint)
-		}
-		opts.Journal = journal
+	// The campaign's cell store: the -checkpoint journal, or memory. A
+	// repeated cell runs (and under -fleet goes out) once either way.
+	journal, err := exp.OpenJournal(*checkpoint, *resume)
+	if err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+		return 1
 	}
+	if *resume && journal.Len() > 0 {
+		fmt.Fprintf(stderr, "figures: resuming — %d completed cells in %s\n", journal.Len(), *checkpoint)
+	}
+	opts.Journal = journal
 
 	var events *obsv.EventLog
 	if *eventsPath != "" {
@@ -342,8 +340,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// Fleet mode: scatter servable cells across cobrad workers. The
-	// coordinator plugs in as opts.Remote, downstream of the checkpoint
-	// journal (replays never touch the network) and upstream of the
+	// coordinator plugs in as opts.Remote, downstream of the cell store
+	// (replays and repeats never touch the network) and upstream of the
 	// local simulator (declined cells fall back transparently).
 	var coord *dist.Coordinator
 	if *fleet != "" {
@@ -439,14 +437,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	prog.Finish()
 
-	if journal != nil {
+	if *checkpoint != "" {
 		replayed, recorded := journal.Stats()
 		fmt.Fprintf(stderr, "figures: checkpoint %s: %d cells replayed, %d newly recorded\n",
 			*checkpoint, replayed, recorded)
 		man.Checkpoint = &obsv.CheckpointInfo{Path: *checkpoint, Replayed: replayed, Recorded: recorded}
-		if err := journal.Close(); err != nil && runErr == nil {
-			runErr = fmt.Errorf("closing checkpoint: %w", err)
-		}
+	}
+	if err := journal.Close(); err != nil && runErr == nil {
+		runErr = fmt.Errorf("closing checkpoint: %w", err)
 	}
 
 	if coord != nil {

@@ -242,9 +242,6 @@ func NewMachine(st *CBufStore, c *cpu.Core, cfg Config) *Machine {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// TuplesPerLine returns tuples per C-Buffer line.
-func (m *Machine) TuplesPerLine() int { return m.tuplesPerLine }
-
 // LevelBufs returns the number of C-Buffers at L1, L2, and LLC
 // (after BinInit). The LLC count equals the number of in-memory bins.
 func (m *Machine) LevelBufs() (l1, l2, llc int) {

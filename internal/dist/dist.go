@@ -4,12 +4,14 @@
 // distributed run's output is byte-identical to a local one.
 //
 // The coordinator implements exp.RemoteRunner: cmd/figures plugs it
-// into exp.Opts.Remote and every cell flows journal-lookup -> remote
-// dispatch -> local fallback. Dispatch is least-loaded (local
-// in-flight plus the advisory queue depth from GET /v1/jobs) with a
-// bounded in-flight per node; each node gets its own resilient
-// internal/client (retries, jittered backoff, Retry-After honoring,
-// circuit breaker). A node whose dispatch fails for availability
+// into exp.Opts.Remote and every cell flows store lookup -> remote
+// dispatch -> local fallback. The store is the caller's exp.Journal:
+// it replays completed cells on resume and sends a repeated cell out
+// once, so the coordinator itself keeps no results. Dispatch is
+// least-loaded (local in-flight plus the advisory queue depth from
+// GET /v1/jobs) with a bounded in-flight per node; each node gets its
+// own resilient internal/client (retries, jittered backoff,
+// Retry-After honoring, circuit breaker). A node whose dispatch fails for availability
 // reasons is marked down and the cell is stolen — re-dispatched to a
 // healthy node; a background prober re-admits nodes whose /healthz and
 // /readyz recover. When no node can take a cell (fleet down, or the
@@ -20,10 +22,7 @@
 // exp.CellKey, the workers run the exact same simulator via
 // srv.runJob, and sim.Metrics round-trips JSON exactly (uint64 and
 // float64 fields decode bit-exact into the typed struct — the same
-// property the checkpoint journal's replay path relies on). Gathered
-// results are keyed by CellKey.Fingerprint, so duplicate dispatches
-// (steals that raced a slow first attempt) dedupe deterministically:
-// first write wins, and every write is identical.
+// property the checkpoint journal's replay path relies on).
 package dist
 
 import (
@@ -53,13 +52,6 @@ type Config struct {
 	// Client configures every per-node client; zero values select the
 	// client package defaults.
 	Client client.Options
-	// Journal, when non-nil, is the coordinator's own fleet journal:
-	// every gathered cell is recorded (fsync'd) and consulted before
-	// dispatching, so an interrupted campaign resumes without re-running
-	// completed cells. cmd/figures instead passes its -checkpoint
-	// journal through exp.Opts, which wraps RunCell the same way;
-	// cobractl fleet run uses this field directly.
-	Journal *exp.Journal
 	// Reg receives fleet metrics (dist.* counters); nil disables
 	// (zero-cost, per the obsv contract).
 	Reg *obsv.Registry
@@ -100,8 +92,7 @@ type Coordinator struct {
 	events *obsv.EventLog
 	nodes  []*node
 
-	mu      sync.Mutex
-	results map[string]sim.Metrics // gathered cells by fingerprint
+	mu sync.Mutex
 
 	// wake is a buffered slot-freed/node-recovered notification so
 	// blocked acquirers re-evaluate promptly without spinning.
@@ -133,7 +124,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		reg:     cfg.Reg,
 		events:  cfg.Events,
-		results: map[string]sim.Metrics{},
 		wake:    make(chan struct{}, 1),
 		closed:  make(chan struct{}),
 		archFPs: map[int]servableArchs{},
@@ -204,8 +194,8 @@ func (co *Coordinator) Probe(ctx context.Context) int {
 // not expressible as a cobrad job, rejected by every worker's
 // validation, or no healthy worker left — and the caller runs it
 // locally. err is only returned for the caller's own problems
-// (canceled context, closed coordinator) or a fleet-journal write
-// failure; worker failures never fail the campaign.
+// (canceled context, closed coordinator); worker failures never fail
+// the campaign.
 func (co *Coordinator) RunCell(ctx context.Context, k exp.CellKey) (sim.Metrics, bool, error) {
 	spec, servable := co.specFor(k)
 	if !servable {
@@ -213,16 +203,6 @@ func (co *Coordinator) RunCell(ctx context.Context, k exp.CellKey) (sim.Metrics,
 		return sim.Metrics{}, false, nil
 	}
 	fp := k.Fingerprint()
-	if m, ok := co.gathered(fp); ok {
-		co.reg.Counter("dist.cells.deduped").Add(1)
-		return m, true, nil
-	}
-	if co.cfg.Journal != nil {
-		if m, ok := co.cfg.Journal.Lookup(k); ok {
-			co.reg.Counter("dist.cells.replayed").Add(1)
-			return m, true, nil
-		}
-	}
 
 	var tried map[int]bool
 	steal := false
@@ -240,12 +220,6 @@ func (co *Coordinator) RunCell(ctx context.Context, k exp.CellKey) (sim.Metrics,
 		}
 		m, err := co.dispatch(ctx, n, spec, fp, steal)
 		if err == nil {
-			if co.cfg.Journal != nil {
-				if jerr := co.cfg.Journal.Record(k, m); jerr != nil {
-					return m, true, jerr
-				}
-			}
-			co.record(fp, m)
 			return m, true, nil
 		}
 		if ctx.Err() != nil {
@@ -384,25 +358,6 @@ func (co *Coordinator) markDown(n *node, cause error) {
 	co.notify()
 }
 
-// gathered returns an already-collected result by fingerprint.
-func (co *Coordinator) gathered(fp string) (sim.Metrics, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	m, ok := co.results[fp]
-	return m, ok
-}
-
-// record stores a gathered result. First write wins; duplicates (a
-// steal racing a slow first dispatch) are byte-identical by cell
-// determinism, so the dedup is itself deterministic.
-func (co *Coordinator) record(fp string, m sim.Metrics) {
-	co.mu.Lock()
-	if _, dup := co.results[fp]; !dup {
-		co.results[fp] = m
-	}
-	co.mu.Unlock()
-}
-
 // probeLoop periodically re-probes down nodes (re-admitting recovered
 // ones) and refreshes healthy nodes' advisory load from GET /v1/jobs.
 func (co *Coordinator) probeLoop() {
@@ -447,7 +402,7 @@ func (co *Coordinator) probeOnce() {
 func (co *Coordinator) Snapshot() *obsv.FleetInfo {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	info := &obsv.FleetInfo{Gathered: uint64(len(co.results))}
+	info := &obsv.FleetInfo{}
 	for _, n := range co.nodes {
 		cs := n.c.Stats()
 		info.Workers = append(info.Workers, obsv.FleetNode{
@@ -466,5 +421,8 @@ func (co *Coordinator) Snapshot() *obsv.FleetInfo {
 		info.Failed += n.failed
 		info.Stolen += n.stolen
 	}
+	// Every completed dispatch is a gathered cell: repeats and replays
+	// never reach the coordinator.
+	info.Gathered = info.Completed
 	return info
 }

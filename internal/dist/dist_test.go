@@ -4,8 +4,8 @@ package dist
 // behind httptest). The contract under test is the one cmd/figures
 // relies on: every gathered result is byte-identical to the local
 // simulation of the same cell, worker failures translate to steals or
-// local-fallback declines (never campaign errors), and the fleet
-// journal short-circuits re-dispatch on resume.
+// local-fallback declines (never campaign errors), and the caller's
+// cell store short-circuits re-dispatch on resume and for repeats.
 
 import (
 	"context"
@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,51 +198,90 @@ func TestAllWorkersDownFallsBackLocal(t *testing.T) {
 	}
 }
 
+// fig2 renders Figure 2 (one Baseline cell per suite pair, every one
+// fleet-servable) at the smallest scale under o.
+func fig2(o exp.Opts) (string, error) {
+	o.Scale, o.Seed, o.Arch, o.Parallel = exp.MinScale, 42, sim.DefaultArch(), 2
+	tab, err := exp.Fig2(o)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	tab.Fprint(&b)
+	return b.String(), nil
+}
+
+// TestJournalReplaySkipsDispatch: a campaign resumed from its journal
+// replays every recorded cell from the caller's store, upstream of the
+// coordinator, so none is dispatched.
 func TestJournalReplaySkipsDispatch(t *testing.T) {
-	k := testKey()
-	want := localMetrics(t, k)
 	path := filepath.Join(t.TempDir(), "fleet.journal")
 	j, err := exp.OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record(k, want); err != nil {
+	want, err := fig2(exp.Opts{Journal: j})
+	if err != nil {
 		t.Fatal(err)
-	}
-	// Workers are all dead: any dispatch attempt would show up as a
-	// decline instead of the replayed metrics.
-	co := newCoordinator(t, Config{Addrs: []string{deadWorker(t)}, Journal: j})
-	got, ok, err := co.RunCell(context.Background(), k)
-	if err != nil || !ok {
-		t.Fatalf("RunCell: ok=%v err=%v", ok, err)
-	}
-	if mustJSON(t, got) != mustJSON(t, want) {
-		t.Fatal("journal replay diverged")
-	}
-	if info := co.Snapshot(); info.Dispatched != 0 {
-		t.Fatalf("replayed cell was dispatched: %+v", info)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	if j, err = exp.OpenJournal(path, true); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	// Workers are all dead: a dispatch attempt would show up in the
+	// snapshot.
+	co := newCoordinator(t, Config{Addrs: []string{deadWorker(t)}})
+	got, err := fig2(exp.Opts{Journal: j, Remote: co})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("journal replay diverged:\n%s\nwant:\n%s", got, want)
+	}
+	if info := co.Snapshot(); info.Dispatched != 0 {
+		t.Fatalf("replayed cell was dispatched: %+v", info)
+	}
+	if replayed, recorded := j.Stats(); replayed != uint64(len(exp.DefaultSuite())) || recorded != 0 {
+		t.Fatalf("resume replayed %d and recorded %d cells, want %d and 0", replayed, recorded, len(exp.DefaultSuite()))
+	}
 }
 
+// TestDuplicateCellDedupes: two concurrent campaigns over one store
+// send each repeated cell to the fleet once, and both gather the same
+// bytes.
 func TestDuplicateCellDedupes(t *testing.T) {
 	co := newCoordinator(t, Config{Addrs: []string{startWorker(t)}})
-	k := testKey()
-	first, ok, err := co.RunCell(context.Background(), k)
-	if err != nil || !ok {
-		t.Fatalf("first RunCell: ok=%v err=%v", ok, err)
+	j, err := exp.OpenJournal("", false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	second, ok, err := co.RunCell(context.Background(), k)
-	if err != nil || !ok {
-		t.Fatalf("second RunCell: ok=%v err=%v", ok, err)
+	o := exp.Opts{Journal: j, Remote: co}
+	var wg sync.WaitGroup
+	texts := make([]string, 2)
+	errs := make([]error, 2)
+	for i := range texts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			texts[i], errs[i] = fig2(o)
+		}(i)
 	}
-	if mustJSON(t, first) != mustJSON(t, second) {
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if texts[0] != texts[1] {
 		t.Fatal("deduped result diverged")
 	}
-	if info := co.Snapshot(); info.Dispatched != 1 || info.Gathered != 1 {
-		t.Fatalf("duplicate was re-dispatched: %+v", info)
+	cells := uint64(len(exp.DefaultSuite()))
+	if info := co.Snapshot(); info.Dispatched != cells || info.Gathered != cells {
+		t.Fatalf("want %d cells dispatched and gathered once each: %+v", cells, info)
 	}
 }
 

@@ -113,13 +113,19 @@ type journalEntry struct {
 // (anything other than a truncated final line).
 var ErrJournalCorrupt = errors.New("exp: checkpoint journal corrupt")
 
-// Journal is the append-only, fsync'd record of completed cells.
-// Safe for concurrent use by parallel cells.
+// Journal is the one store of completed cells: campaigns, the cobrad
+// result cache and fleet runs all look cells up, compute them once and
+// record them through it. A journal opened on a path is the
+// append-only, fsync'd record described above; one opened on "" lives
+// in memory only. A nil *Journal is no store at all: Lookup misses,
+// Record does nothing and Do just runs. Safe for concurrent use by
+// parallel cells.
 type Journal struct {
-	mu    sync.Mutex
-	f     *os.File
-	path  string
-	cells map[string]sim.Metrics
+	mu       sync.Mutex
+	f        *os.File
+	path     string // "" for an in-memory journal
+	cells    map[string]sim.Metrics
+	inflight map[string]*flight // Do runs under way, by fingerprint
 
 	// size is the length of the durable, well-formed prefix. A failed
 	// append truncates back to it, so the on-disk journal is damaged in
@@ -127,21 +133,28 @@ type Journal struct {
 	size   int64
 	broken error // a rollback that itself failed; journal unusable
 
-	replayed uint64 // lookups served from the journal
-	recorded uint64 // cells appended this run
+	replayed uint64 // lookups and Do calls served a recorded or joined cell
+	recorded uint64 // cells recorded this run
 
 	// onRecord, when set, observes the total number of appends after
 	// each Record — the test hook that cancels a campaign after exactly
 	// K completed cells.
 	onRecord func(total uint64)
+	// onJoin, when set, is called by a Do about to wait on another's
+	// run — the test hook that settles a run only once a joiner waits.
+	onJoin func()
 }
 
 // OpenJournal opens (or creates) the journal at path. With resume=true
 // any existing entries are loaded and will be replayed; with
 // resume=false an existing journal is discarded and the campaign
-// starts from scratch.
+// starts from scratch. An empty path opens an in-memory journal that
+// starts empty and writes nothing.
 func OpenJournal(path string, resume bool) (*Journal, error) {
-	j := &Journal{path: path, cells: map[string]sim.Metrics{}}
+	j := &Journal{path: path, cells: map[string]sim.Metrics{}, inflight: map[string]*flight{}}
+	if path == "" {
+		return j, nil
+	}
 	if resume {
 		scan, err := scanJournal(path)
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -238,6 +251,9 @@ func scanJournal(path string) (*journalScan, error) {
 // Lookup returns the recorded metrics for key, if the cell already
 // completed in a previous (or the current) run.
 func (j *Journal) Lookup(key CellKey) (sim.Metrics, bool) {
+	if j == nil {
+		return sim.Metrics{}, false
+	}
 	fp := key.fingerprint()
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -254,15 +270,38 @@ func (j *Journal) Lookup(key CellKey) (sim.Metrics, bool) {
 // append (ENOSPC, short write, failed fsync — each behind a named
 // fault injection point) rolls the file back to the last good entry,
 // so an error can cost at most the entry being written, never the
-// journal prefix.
+// journal prefix. An in-memory journal only stores the cell.
 func (j *Journal) Record(key CellKey, m sim.Metrics) error {
-	line, err := json.Marshal(journalEntry{K: key.fingerprint(), M: m})
-	if err != nil {
-		return fmt.Errorf("exp: encoding checkpoint entry: %w", err)
+	if j == nil {
+		return nil
 	}
-	line = append(line, '\n')
+	fp := key.fingerprint()
+	var line []byte
+	if j.path != "" {
+		var err error
+		if line, err = json.Marshal(journalEntry{K: fp, M: m}); err != nil {
+			return fmt.Errorf("exp: encoding checkpoint entry: %w", err)
+		}
+		line = append(line, '\n')
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if line != nil {
+		if err := j.append(line); err != nil {
+			return err
+		}
+	}
+	j.cells[fp] = m
+	j.recorded++
+	if j.onRecord != nil {
+		j.onRecord(j.recorded)
+	}
+	return nil
+}
+
+// append writes one entry line and fsyncs it, rolling back on
+// failure. Caller holds j.mu.
+func (j *Journal) append(line []byte) error {
 	if j.broken != nil {
 		return fmt.Errorf("exp: checkpoint journal unusable after failed rollback: %w", j.broken)
 	}
@@ -276,12 +315,69 @@ func (j *Journal) Record(key CellKey, m sim.Metrics) error {
 		return j.rollback("syncing checkpoint journal", err)
 	}
 	j.size += int64(len(line))
-	j.cells[key.fingerprint()] = m
-	j.recorded++
-	if j.onRecord != nil {
-		j.onRecord(j.recorded)
-	}
 	return nil
+}
+
+// flight is one Do run under way; joiners wait on done, then read m
+// and err.
+type flight struct {
+	done chan struct{}
+	m    sim.Metrics
+	err  error
+}
+
+// Do returns key's recorded metrics, joins a run of the same
+// fingerprint already under way, or calls run and records what it
+// returns; hit reports a recorded or joined result. Errors are never
+// stored: a failed run fails its joiners, and the next Do runs again.
+// run executes outside j.mu, so cells with different keys never wait
+// on each other, and the flight settles from a defer, so a run that
+// panics wakes every joiner with an error before the panic goes on.
+func (j *Journal) Do(key CellKey, run func() (sim.Metrics, error)) (m sim.Metrics, hit bool, err error) {
+	if j == nil {
+		m, err = run()
+		return m, false, err
+	}
+	fp := key.fingerprint()
+	j.mu.Lock()
+	if m, ok := j.cells[fp]; ok {
+		j.replayed++
+		j.mu.Unlock()
+		return m, true, nil
+	}
+	if f := j.inflight[fp]; f != nil {
+		j.mu.Unlock()
+		if j.onJoin != nil {
+			j.onJoin()
+		}
+		<-f.done
+		if f.err != nil {
+			return sim.Metrics{}, false, f.err
+		}
+		j.mu.Lock()
+		j.replayed++
+		j.mu.Unlock()
+		return f.m, true, nil
+	}
+	// The panic error stands until run returns and overwrites it.
+	f := &flight{done: make(chan struct{}), err: fmt.Errorf("exp: cell %s panicked", fp)}
+	j.inflight[fp] = f
+	j.mu.Unlock()
+	defer func() {
+		j.mu.Lock()
+		delete(j.inflight, fp)
+		j.mu.Unlock()
+		close(f.done)
+	}()
+	m, err = run()
+	if err == nil {
+		err = j.Record(key, m)
+	}
+	if err != nil {
+		m = sim.Metrics{}
+	}
+	f.m, f.err = m, err
+	return m, false, err
 }
 
 // rollback restores the journal to its last good prefix after a failed
@@ -305,8 +401,9 @@ func (j *Journal) Len() int {
 	return len(j.cells)
 }
 
-// Stats reports how many cells were replayed from the journal and how
-// many were newly recorded during this run.
+// Stats reports how many cells were replayed from the journal (a Do
+// that joined a run under way counts too) and how many were newly
+// recorded during this run.
 func (j *Journal) Stats() (replayed, recorded uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -326,19 +423,14 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// journaled runs one simulation cell through o's checkpoint journal
-// and (optionally) its remote runner: a journal hit replays the
-// recorded metrics without simulating; a miss offers the cell to
-// o.Remote and falls back to the local simulator when the remote
-// declines it; either way the result is recorded durably before
-// returning. Without a journal or remote it is a plain call. Common
-// key fields (Scale, Seed, Arch) are filled from o unless the caller
-// already set them (ablations pass an explicit fingerprint for their
-// modified architectures).
+// journaled runs one simulation cell through o's cell store, o.Journal:
+// a stored (or joined) result replays without simulating; a miss
+// offers the cell to o.Remote and falls back to the local simulator
+// when the remote declines it, and the result is recorded before
+// returning. Common key fields (Scale, Seed, Arch) are filled from o
+// unless the caller already set them (ablations pass an explicit
+// fingerprint for their modified architectures).
 func (o Opts) journaled(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics, error) {
-	if o.Journal == nil && o.Remote == nil {
-		return o.observed(k, run)
-	}
 	k.Scale, k.Seed = o.Scale, o.Seed
 	if k.Cores == 0 {
 		k.Cores = o.Arch.Cores()
@@ -346,28 +438,22 @@ func (o Opts) journaled(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics
 	if k.Arch == "" {
 		k.Arch = ArchFingerprint(o.Arch)
 	}
-	if o.Journal != nil {
-		if m, ok := o.Journal.Lookup(k); ok {
-			obsv.Default().Counter("exp.checkpoint.replayed").Add(1)
-			o.Progress.Replayed()
-			o.Events.Emit("cell_replay", cellFields(k, 0, nil))
-			return m, nil
+	m, hit, err := o.Journal.Do(k, func() (sim.Metrics, error) {
+		m, ran, err := o.remote(k)
+		if !ran {
+			m, err = o.observed(k, run)
 		}
-	}
-	m, ran, err := o.remote(k)
-	if !ran {
-		m, err = o.observed(k, run)
-	}
-	if err != nil {
 		return m, err
-	}
-	if o.Journal != nil {
-		if err := o.Journal.Record(k, m); err != nil {
-			return m, err
-		}
+	})
+	switch {
+	case hit:
+		obsv.Default().Counter("exp.checkpoint.replayed").Add(1)
+		o.Progress.Replayed()
+		o.Events.Emit("cell_replay", cellFields(k, 0, nil))
+	case err == nil && o.Journal != nil:
 		obsv.Default().Counter("exp.checkpoint.recorded").Add(1)
 	}
-	return m, nil
+	return m, err
 }
 
 // cell runs one plain-scheme cell (sim.Run's default CobraOpt) through

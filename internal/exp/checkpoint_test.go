@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cobra/internal/fault"
 	"cobra/internal/fsx"
@@ -505,5 +506,137 @@ func TestJournaledPassThrough(t *testing.T) {
 	// Error text should be the cell's own error, not journal noise.
 	if !strings.Contains(boom.Error(), "sim failed") {
 		t.Fatal("unexpected")
+	}
+}
+
+// TestJournalDoErrorNotStored: a failed run is not recorded, so the
+// next Do for the key runs again; a success is then served as a hit.
+// A nil journal stores nothing.
+func TestJournalDoErrorNotStored(t *testing.T) {
+	for _, path := range []string{"", filepath.Join(t.TempDir(), "j.ckpt")} {
+		j, err := OpenJournal(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := CellKey{Figure: "x", App: "A"}
+		boom := errors.New("sim failed")
+		if _, hit, err := j.Do(k, func() (sim.Metrics, error) { return sim.Metrics{Cycles: 1}, boom }); !errors.Is(err, boom) || hit {
+			t.Fatalf("%q: failed run: hit=%v err=%v", path, hit, err)
+		}
+		if _, ok := j.Lookup(k); ok {
+			t.Fatalf("%q: failed run was stored", path)
+		}
+		runs := 0
+		for i, wantHit := range []bool{false, true} {
+			m, hit, err := j.Do(k, func() (sim.Metrics, error) {
+				runs++
+				return sim.Metrics{Cycles: 7}, nil
+			})
+			if err != nil || hit != wantHit || m.Cycles != 7 || runs != 1 {
+				t.Fatalf("%q: Do #%d: m=%v hit=%v err=%v runs=%d", path, i+1, m.Cycles, hit, err, runs)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var none *Journal
+	if err := none.Record(CellKey{}, sim.Metrics{Cycles: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := none.Lookup(CellKey{}); ok {
+		t.Fatal("nil journal hit")
+	}
+	if m, hit, err := none.Do(CellKey{}, func() (sim.Metrics, error) { return sim.Metrics{Cycles: 3}, nil }); hit || err != nil || m.Cycles != 3 {
+		t.Fatalf("nil journal Do: m=%v hit=%v err=%v", m.Cycles, hit, err)
+	}
+}
+
+// TestJournalDoPanicWakesJoiners: a run that panics fails the Do
+// waiting on it with an error instead of stranding it, stores nothing,
+// and lets the panic go on.
+func TestJournalDoPanicWakesJoiners(t *testing.T) {
+	j, err := OpenJournal("", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := CellKey{Figure: "x", App: "P"}
+	joining, release := make(chan struct{}), make(chan struct{})
+	j.onJoin = func() { close(joining) }
+	started := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		j.Do(k, func() (sim.Metrics, error) {
+			close(started)
+			<-release
+			panic("cell blew up")
+		})
+	}()
+	<-started
+	joined := make(chan error, 1)
+	go func() {
+		_, _, err := j.Do(k, func() (sim.Metrics, error) {
+			return sim.Metrics{}, errors.New("joiner ran its own cell")
+		})
+		joined <- err
+	}()
+	<-joining
+	close(release)
+	if r := <-recovered; r == nil {
+		t.Fatal("panic did not propagate out of Do")
+	}
+	select {
+	case err := <-joined:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("joiner err = %v, want the run's panic", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the joiner of a panicked run was never woken")
+	}
+	if j.Len() != 0 {
+		t.Fatal("panicked run was stored")
+	}
+}
+
+// TestJournalDoRunsOutsideLock: a run for key A that cannot finish
+// until key B's run starts completes, so runs never hold the
+// journal's lock.
+func TestJournalDoRunsOutsideLock(t *testing.T) {
+	j, err := OpenJournal("", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aStarted, bStarted := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 2)
+	go func() {
+		_, _, err := j.Do(CellKey{App: "A"}, func() (sim.Metrics, error) {
+			close(aStarted)
+			<-bStarted
+			return sim.Metrics{}, nil
+		})
+		done <- err
+	}()
+	go func() {
+		<-aStarted
+		_, _, err := j.Do(CellKey{App: "B"}, func() (sim.Metrics, error) {
+			close(bStarted)
+			return sim.Metrics{}, nil
+		})
+		done <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Do for A and B deadlocked: a run holds the journal lock")
+		}
+	}
+	if j.Len() != 2 {
+		t.Fatalf("stored %d cells, want 2", j.Len())
 	}
 }

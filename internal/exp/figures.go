@@ -34,12 +34,13 @@ type Opts struct {
 	// CellTimeout, when > 0, bounds each cell's context lifetime (see
 	// WithCellTimeout).
 	CellTimeout time.Duration
-	// Journal, when non-nil, checkpoints every completed simulation
-	// cell and replays already-completed cells on resume (see
-	// checkpoint.go).
+	// Journal, when non-nil, is the campaign's cell store: every
+	// simulation cell is looked up there, computed once and recorded,
+	// so a resumed campaign replays completed cells and a repeated cell
+	// runs once (see checkpoint.go).
 	Journal *Journal
 	// Remote, when non-nil, is offered every simulation cell before it
-	// runs locally (after the journal lookup, so replays stay free). A
+	// runs locally (after the store lookup, so replays stay free). A
 	// runner that returns ok=false declines the cell — not expressible
 	// remotely, or no worker able to take it — and the cell falls back
 	// to the local simulator. Output is byte-identical either way:

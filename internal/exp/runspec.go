@@ -41,7 +41,7 @@ func DefaultWindowUpdates(scale int) int { return 2 << scale }
 // Limits bounds a RunSpec at normalization time. The zero value
 // applies only the registry's own bounds (exp.MinScale/MaxScale, no
 // core cap) — what CLIs use; the cobrad service fills it from its
-// Config.
+// Config and its core cap.
 type Limits struct {
 	// DefaultScale replaces a zero Scale (0: DefaultOpts().Scale).
 	DefaultScale int
@@ -206,13 +206,6 @@ func (s RunSpec) Arch(base sim.Arch) sim.Arch {
 // Offline and streamed cells share the format; streamed windows append
 // their 1-based index via CellKey.Window at run time.
 func (s RunSpec) CellKey(fig string, scheme sim.SchemeID, base sim.Arch) CellKey {
-	return s.CellKeyFP(fig, scheme, ArchFingerprint(s.Arch(base)))
-}
-
-// CellKeyFP is CellKey with a precomputed architecture fingerprint —
-// the cobrad hot path precomputes its NUCA fingerprint pair so job
-// admission never hashes an arch struct.
-func (s RunSpec) CellKeyFP(fig string, scheme sim.SchemeID, archFP string) CellKey {
 	cores := s.Cores
 	if cores == 0 {
 		cores = 1
@@ -226,7 +219,7 @@ func (s RunSpec) CellKeyFP(fig string, scheme sim.SchemeID, archFP string) CellK
 		Scheme: string(scheme.Scheme()),
 		Bins:   s.Bins,
 		Cores:  cores,
-		Arch:   archFP,
+		Arch:   ArchFingerprint(s.Arch(base)),
 	}
 }
 

@@ -83,31 +83,27 @@ func RunStream(o Opts, figure string, spec RunSpec, scheme sim.SchemeID) (*strea
 		return nil, err
 	}
 	base := spec.CellKey(figure, scheme, o.Arch)
+	window := func(i int) CellKey {
+		k := base
+		k.Window = i + 1
+		return k
+	}
 	cfg := stream.Config{
 		Scheme: scheme.Scheme(),
 		Bins:   spec.Bins,
 		Arch:   spec.Arch(o.Arch),
 		Ctx:    o.Ctx,
-	}
-	if o.Journal != nil {
-		cfg.Lookup = func(i int) (sim.Metrics, bool) {
-			k := base
-			k.Window = i + 1
-			return o.Journal.Lookup(k)
-		}
-		cfg.Record = func(i int, m sim.Metrics) error {
-			k := base
-			k.Window = i + 1
-			if err := o.Journal.Record(k, m); err != nil {
+		Lookup: func(i int) (sim.Metrics, bool) { return o.Journal.Lookup(window(i)) },
+		Record: func(i int, m sim.Metrics) error {
+			if err := o.Journal.Record(window(i), m); err != nil {
 				return err
 			}
 			obsv.Default().Counter("exp.checkpoint.recorded").Add(1)
 			return nil
-		}
+		},
 	}
 	cfg.OnWindow = func(i int, m sim.Metrics, replayed bool) {
-		k := base
-		k.Window = i + 1
+		k := window(i)
 		if replayed {
 			obsv.Default().Counter("exp.checkpoint.replayed").Add(1)
 			obsv.Default().Counter("exp.stream.windows_replayed").Add(1)

@@ -294,9 +294,6 @@ func (e *injectedError) Unwrap() error { return e.err }
 // injection point is inert.
 var active atomic.Pointer[Plan]
 
-// Enabled reports whether a fault plan is active.
-func Enabled() bool { return active.Load() != nil }
-
 // Activate installs a plan process-wide. Passing nil disables
 // injection (same as Deactivate).
 func Activate(p *Plan) { active.Store(p) }

@@ -47,8 +47,9 @@ type FleetNode struct {
 }
 
 // FleetInfo summarizes a distributed campaign for the manifest: the
-// per-node accounting plus fleet-wide totals. Gathered counts distinct
-// cell fingerprints collected (duplicates deduped).
+// per-node accounting plus fleet-wide totals. Gathered counts the
+// cells collected from workers; the caller's cell store dedupes and
+// replays upstream, so it equals Completed.
 type FleetInfo struct {
 	Workers    []FleetNode `json:"workers"`
 	Dispatched uint64      `json:"dispatched"`

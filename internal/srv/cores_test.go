@@ -12,9 +12,9 @@ import (
 
 // TestSpecCoresValidation pins the cores field of the job wire format:
 // 0 normalizes to the single-core model, negatives and counts above
-// the server limit are client errors.
+// the server's maxCores cap are client errors.
 func TestSpecCoresValidation(t *testing.T) {
-	cfg := Config{MaxCores: 8}.withDefaults()
+	cfg := Config{}.withDefaults()
 	base := JobSpec{RunSpec: exp.RunSpec{
 		App: "DegreeCount", Input: "URND", Schemes: []sim.SchemeID{sim.SchemeIDBaseline},
 	}}
@@ -28,7 +28,7 @@ func TestSpecCoresValidation(t *testing.T) {
 	}
 
 	sp = base
-	sp.Cores = 8
+	sp.Cores = maxCores
 	if _, err := sp.normalize(cfg); err != nil {
 		t.Fatalf("cores at the limit rejected: %v", err)
 	}
@@ -40,14 +40,9 @@ func TestSpecCoresValidation(t *testing.T) {
 	}
 
 	sp = base
-	sp.Cores = 9
+	sp.Cores = maxCores + 1
 	if _, err := sp.normalize(cfg); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("cores over limit: err = %v", err)
-	}
-
-	// Default limit resolves when unset.
-	if got := (Config{}).withDefaults().MaxCores; got != 64 {
-		t.Fatalf("default MaxCores = %d, want 64", got)
 	}
 }
 

@@ -235,7 +235,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // scrape time so a quiet server still reports truth.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.Gauge("srv.queue.depth").Set(float64(len(s.queue)))
-	s.reg.Gauge("srv.cache.size").Set(float64(s.cache.len()))
+	s.reg.Gauge("srv.cache.size").Set(float64(s.cache.Len()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		// Headers are gone; nothing useful to do but note it.

@@ -37,7 +37,7 @@ func (sp *JobSpec) normalize(cfg Config) ([]sim.SchemeID, error) {
 	if err := sp.RunSpec.Normalize(exp.Limits{
 		DefaultScale: cfg.DefaultScale,
 		MaxScale:     cfg.MaxScale,
-		MaxCores:     cfg.MaxCores,
+		MaxCores:     maxCores,
 	}); err != nil {
 		return nil, err
 	}

@@ -5,8 +5,15 @@ package srv
 // Request path:  handler -> validate -> enqueue (non-blocking; a full
 // queue is backpressure, HTTP 429) -> worker dequeues -> each scheme
 // runs as one exp cell (panic isolation, per-cell timeout) through the
-// fingerprint-keyed result cache -> job reaches a terminal state and
-// wakes sync waiters.
+// result cache -> job reaches a terminal state and wakes sync waiters.
+//
+// The result cache is an exp.Journal, the cell store cmd/figures
+// checkpoints through: every scheme execution is one simulation cell,
+// keyed by the exact checkpoint fingerprint (exp.CellKey), so
+// concurrent identical requests run once (Journal.Do's single flight;
+// joiners count as hits), errors are never cached, and with CachePath
+// set the cache is the same fsync'd JSONL format as a figures
+// checkpoint: it survives restarts and can seed a figures -resume run.
 //
 // Shutdown path (Drain): flip readiness, stop intake, cancel
 // never-started queued jobs, wait for in-flight jobs to finish, then
@@ -24,7 +31,6 @@ import (
 
 	"cobra/internal/exp"
 	"cobra/internal/fault"
-	"cobra/internal/mem"
 	"cobra/internal/obsv"
 	"cobra/internal/sim"
 	"cobra/internal/stream"
@@ -47,15 +53,10 @@ type Config struct {
 	DefaultScale int
 	// MaxScale caps job scale (0: exp.MaxScale).
 	MaxScale int
-	// MaxCores caps the per-job simulated core count (<= 0: 64).
-	MaxCores int
 	// DefaultJobTimeout bounds jobs that do not ask for a timeout
 	// (<= 0: 5m); MaxJobTimeout clamps requested ones (<= 0: 30m).
 	DefaultJobTimeout time.Duration
 	MaxJobTimeout     time.Duration
-	// Arch is the base architecture for every job (zero: Table II
-	// defaults). Jobs may toggle the NUCA knob per request.
-	Arch sim.Arch
 	// CachePath, when set, persists the result cache as an fsync'd
 	// JSONL journal (the figures checkpoint format). CacheReset
 	// truncates an existing file instead of resuming from it.
@@ -80,29 +81,23 @@ func (c Config) withDefaults() Config {
 	if c.MaxScale <= 0 || c.MaxScale > exp.MaxScale {
 		c.MaxScale = exp.MaxScale
 	}
-	if c.MaxCores <= 0 {
-		c.MaxCores = 64
-	}
 	if c.DefaultJobTimeout <= 0 {
 		c.DefaultJobTimeout = 5 * time.Minute
 	}
 	if c.MaxJobTimeout <= 0 {
 		c.MaxJobTimeout = 30 * time.Minute
 	}
-	var zero sim.Arch
-	if c.Arch == zero {
-		c.Arch = sim.DefaultArch()
-	}
 	return c
 }
 
+// maxCores caps the per-job simulated core count.
+const maxCores = 64
+
 // Server is the cobrad simulation service.
 type Server struct {
-	cfg     Config
-	reg     *obsv.Registry
-	cache   *resultCache
-	journal *exp.Journal
-	archFP  map[bool]string // NUCA toggle -> arch fingerprint
+	cfg   Config
+	reg   *obsv.Registry
+	cache *exp.Journal // in memory when CachePath is empty
 
 	// qmu serializes intake against queue close; draining flips once.
 	qmu      sync.Mutex
@@ -133,28 +128,17 @@ func New(cfg Config) (*Server, error) {
 		queue: make(chan *Job, cfg.QueueDepth),
 		jobs:  map[string]*Job{},
 	}
-	if cfg.CachePath != "" {
-		j, err := exp.OpenJournal(cfg.CachePath, !cfg.CacheReset)
-		if err != nil {
-			return nil, fmt.Errorf("srv: opening result cache: %w", err)
-		}
-		s.journal = j
+	cache, err := exp.OpenJournal(cfg.CachePath, !cfg.CacheReset)
+	if err != nil {
+		return nil, fmt.Errorf("srv: opening result cache: %w", err)
 	}
-	s.cache = newResultCache(s.journal, s.reg)
-	// Architecture fingerprints are pure functions of the config; both
-	// NUCA variants are precomputed so the job hot path never hashes.
-	nucaArch := cfg.Arch
-	nucaArch.Mem.NUCA = mem.DefaultNUCA()
-	s.archFP = map[bool]string{
-		false: exp.ArchFingerprint(cfg.Arch),
-		true:  exp.ArchFingerprint(nucaArch),
-	}
+	s.cache = cache
 	return s, nil
 }
 
 // CacheLen reports the number of fingerprints in the result cache
 // (restored + recorded).
-func (s *Server) CacheLen() int { return s.cache.len() }
+func (s *Server) CacheLen() int { return s.cache.Len() }
 
 // Start launches the worker pool. Safe to call once.
 func (s *Server) Start() {
@@ -203,12 +187,10 @@ func (s *Server) Drain(ctx context.Context) error {
 			s.drainErr = fmt.Errorf("srv: drain interrupted with %d jobs in flight: %w",
 				s.inflight.Load(), ctx.Err())
 		}
-		if s.journal != nil {
-			// The journal fsyncs per record; Close flushes the handle. Done
-			// after the workers stop so every drained job's cells are on disk.
-			if err := s.journal.Close(); err != nil && s.drainErr == nil {
-				s.drainErr = fmt.Errorf("srv: closing result cache: %w", err)
-			}
+		// The journal fsyncs per record; Close flushes the handle. Done
+		// after the workers stop so every drained job's cells are on disk.
+		if err := s.cache.Close(); err != nil && s.drainErr == nil {
+			s.drainErr = fmt.Errorf("srv: closing result cache: %w", err)
 		}
 	})
 	return s.drainErr
@@ -314,7 +296,7 @@ func (s *Server) jobsSummary() JobsSummary {
 	sum := JobsSummary{
 		Workers:   s.cfg.Workers,
 		QueueCap:  s.cfg.QueueDepth,
-		CacheSize: s.cache.len(),
+		CacheSize: s.cache.Len(),
 	}
 	for i := range views {
 		switch views[i].State {
@@ -351,7 +333,7 @@ func (s *Server) timeoutFor(spec JobSpec) time.Duration {
 
 // runJob executes one job on the calling worker goroutine: every
 // scheme is one exp cell with panic isolation and a per-cell deadline,
-// and every cell goes through the fingerprint cache. Streamed jobs run
+// and every cell goes through the result cache. Streamed jobs run
 // their windows sequentially inside one cell, each window individually
 // cached and checkpointed.
 func (s *Server) runJob(job *Job) {
@@ -367,20 +349,11 @@ func (s *Server) runJob(job *Job) {
 	defer cancel()
 	ctx = exp.WithCellTimeout(ctx, timeout)
 
-	// The canonical knob order (NUCA, then cores) lives in RunSpec.Arch;
-	// the single-core fingerprint pair is precomputed so the hot path
-	// never hashes.
-	arch := job.spec.Arch(s.cfg.Arch)
-	archFP := s.archFP[job.spec.NUCA]
-	if job.spec.Cores > 1 {
-		// Multi-core jobs are the cold path: the sharded arch differs per
-		// core count, so its fingerprint is hashed here instead of being
-		// served from the precomputed single-core pair.
-		archFP = exp.ArchFingerprint(arch)
-	}
-
+	// Every worker runs the stock architecture; the canonical knob
+	// order (NUCA, then cores) lives in RunSpec.Arch.
+	arch := job.spec.Arch(sim.DefaultArch())
 	if job.spec.Kind == exp.KindStream {
-		s.runStreamJob(ctx, job, arch, archFP)
+		s.runStreamJob(ctx, job, arch)
 		return
 	}
 
@@ -390,9 +363,9 @@ func (s *Server) runJob(job *Job) {
 	// per-scheme latency attribution exact.
 	results, err := exp.MapCellsCtx(ctx, 1, len(job.schemes), func(ctx context.Context, i int) (sim.Metrics, error) {
 		scheme := job.schemes[i]
-		key := job.spec.CellKeyFP("srv", scheme, archFP)
+		key := job.spec.CellKey("srv", scheme, sim.DefaultArch())
 		t := s.reg.Timer("srv.scheme." + scheme.String() + ".wall")
-		m, hit, err := s.cache.getOrRun(key, func() (sim.Metrics, error) {
+		m, hit, err := s.cache.Do(key, func() (sim.Metrics, error) {
 			app, err := exp.BuildApp(job.spec.App, job.spec.Input, job.spec.Scale, job.spec.Seed)
 			if err != nil {
 				return sim.Metrics{}, err
@@ -404,7 +377,7 @@ func (s *Server) runJob(job *Job) {
 			// Completion fault: the simulation finished, but the worker
 			// "dies" before the result lands. Firing inside the compute
 			// closure guarantees a fired fault discards the metrics and is
-			// never cached — the cache's error-never-cached contract under
+			// never cached — the store's error-never-cached contract under
 			// test in the backpressure suite.
 			if ferr := fault.Hit(fault.PointSrvComplete); ferr != nil {
 				return sim.Metrics{}, ferr
@@ -413,11 +386,7 @@ func (s *Server) runJob(job *Job) {
 		})
 		t.Stop()
 		if err == nil {
-			if hit {
-				hits.Add(1)
-			} else {
-				misses.Add(1)
-			}
+			s.countCache(hit, &hits, &misses)
 		}
 		return m, err
 	})
@@ -437,12 +406,12 @@ func (s *Server) runJob(job *Job) {
 // /metrics registry as windows complete. Results carries the one
 // MergeMetrics fold; JobView.Windows the per-window metrics.
 //
-// Stream windows bypass the cache's single-flight layer: windows of
-// one run are strictly sequential, and concurrent identical stream
-// jobs dedupe through the journal after each window instead.
-func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch, archFP string) {
+// Stream windows bypass the cache's single flight: windows of one run
+// are strictly sequential, and concurrent identical stream jobs dedupe
+// through the store after each window instead.
+func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch) {
 	scheme := job.schemes[0]
-	base := job.spec.CellKeyFP("srv", scheme, archFP)
+	base := job.spec.CellKey("srv", scheme, sim.DefaultArch())
 	var hits, misses atomic.Int64
 	t := s.reg.Timer("srv.scheme." + scheme.String() + ".wall")
 	// The whole streamed run is one exp cell: one panic barrier, one
@@ -460,7 +429,7 @@ func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch, arch
 			Lookup: func(i int) (sim.Metrics, bool) {
 				k := base
 				k.Window = i + 1
-				return s.cache.lookup(k)
+				return s.cache.Lookup(k)
 			},
 			Record: func(i int, m sim.Metrics) error {
 				k := base
@@ -468,14 +437,13 @@ func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch, arch
 				if ferr := fault.Hit(fault.PointSrvComplete); ferr != nil {
 					return ferr
 				}
-				return s.cache.record(k, m)
+				return s.cache.Record(k, m)
 			},
 			OnWindow: func(i int, m sim.Metrics, replayed bool) {
+				s.countCache(replayed, &hits, &misses)
 				if replayed {
-					hits.Add(1)
 					s.reg.Counter("srv.stream.windows_replayed").Add(1)
 				} else {
-					misses.Add(1)
 					s.reg.Counter("srv.stream.windows_done").Add(1)
 				}
 				s.reg.Gauge("srv.stream.window").Set(float64(i + 1))
@@ -494,4 +462,16 @@ func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch, arch
 		s.reg.Counter("srv.jobs.completed").Add(1)
 	}
 	job.finish(results, int(hits.Load()), int(misses.Load()), err, time.Now())
+}
+
+// countCache tallies one cell's or window's cache outcome: a hit is a
+// stored or joined result, a miss one computed and recorded here.
+func (s *Server) countCache(hit bool, hits, misses *atomic.Int64) {
+	if hit {
+		hits.Add(1)
+		s.reg.Counter("srv.cache.hits").Add(1)
+	} else {
+		misses.Add(1)
+		s.reg.Counter("srv.cache.misses").Add(1)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,6 +223,51 @@ func TestAsyncJobLifecycleAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestConcurrentIdenticalJobsRunOnce: identical sync jobs submitted
+// at once compute their cell once (the others join the run or hit its
+// stored result) and all return the same metrics bytes.
+func TestConcurrentIdenticalJobsRunOnce(t *testing.T) {
+	const n = 4
+	_, ts, reg := newTestServer(t, func(c *Config) { c.Workers = n })
+	body, err := json.Marshal(JobSpec{RunSpec: exp.RunSpec{App: "DegreeCount", Input: "URND", Scale: 12, Seed: 5,
+		Schemes: []sim.SchemeID{sim.SchemeIDCOBRA}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var view JobView
+			if err := json.NewDecoder(resp.Body).Decode(&view); err != nil || view.State != JobDone {
+				t.Errorf("job %d: state %q err %v (%s)", i, view.State, err, view.Error)
+				return
+			}
+			results[i], _ = json.Marshal(view.Results)
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(results[i], results[0]) {
+			t.Fatalf("job %d metrics differ:\n%s\nvs\n%s", i, results[i], results[0])
+		}
+	}
+	if misses, hits := reg.Counter("srv.cache.misses").Value(), reg.Counter("srv.cache.hits").Value(); misses != 1 || hits != n-1 {
+		t.Fatalf("srv.cache misses/hits = %d/%d, want 1/%d", misses, hits, n-1)
+	}
+}
+
 func TestRuntimeFailureIs500(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
 	// COBRA-COMM on a non-commutative app passes name validation but
@@ -418,15 +464,10 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 	if len(schemes) != 1 || schemes[0] != sim.SchemeIDBaseline {
 		t.Fatalf("schemes = %v", schemes)
 	}
-	// Fingerprint equality across NUCA must differ.
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.archFP[false] == s.archFP[true] {
-		t.Fatal("NUCA toggle does not change the arch fingerprint")
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	// The cache key must tell a NUCA job from a plain one.
+	nuca := sp
+	nuca.NUCA = true
+	if sp.CellKey("srv", schemes[0], sim.DefaultArch()) == nuca.CellKey("srv", schemes[0], sim.DefaultArch()) {
+		t.Fatal("NUCA toggle does not change the cell key")
 	}
 }
