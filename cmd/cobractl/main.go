@@ -30,6 +30,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,6 +53,17 @@ func main() {
 
 // run is the CLI behind a testable seam: argv in, exit code out.
 func run(argv []string, stdout, stderr io.Writer) int {
+	fs, command := newCommand(stdout, stderr)
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	return command()
+}
+
+// newCommand declares the global flags on a fresh set and returns it
+// with the subcommand they configure, to run once the set is parsed
+// (tests parse the set alone).
+func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() int) {
 	fs := flag.NewFlagSet("cobractl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -65,181 +77,149 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: cobractl [flags] <health|submit|get|wait|run|jobs|fleet> [args]")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(argv); err != nil {
-		return 2
-	}
-	if fs.NArg() == 0 {
-		fs.Usage()
-		return 2
-	}
-	cmd, rest := fs.Arg(0), fs.Args()[1:]
-
-	c := client.New(*addr, client.Options{
-		MaxRetries:   *retries,
-		PollInterval: *poll,
-	})
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	switch cmd {
-	case "health":
-		if err := c.Health(ctx); err != nil {
-			fmt.Fprintln(stderr, "cobractl:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "ok")
-		return 0
-
-	case "submit":
-		spec, code := parseSpec(rest, stderr)
-		if code != 0 {
-			return code
-		}
-		v, err := c.Submit(ctx, spec)
-		if err != nil {
-			fmt.Fprintln(stderr, "cobractl:", err)
-			return 1
-		}
-		return printJob(stdout, v, *jsonOut)
-
-	case "get", "wait":
-		if len(rest) != 1 {
-			fmt.Fprintf(stderr, "cobractl: %s needs exactly one job id\n", cmd)
+	return fs, func() int {
+		if fs.NArg() == 0 {
+			fs.Usage()
 			return 2
 		}
-		var (
-			v   srv.JobView
-			err error
-		)
-		if cmd == "get" {
-			v, err = c.Get(ctx, rest[0])
-		} else {
-			v, err = c.Wait(ctx, rest[0])
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "cobractl:", err)
-			return 1
-		}
-		return printJob(stdout, v, *jsonOut)
+		cmd, rest := fs.Arg(0), fs.Args()[1:]
 
-	case "run":
-		spec, code := parseSpec(rest, stderr)
-		if code != 0 {
-			return code
-		}
-		v, err := c.Run(ctx, spec)
-		if err != nil {
-			fmt.Fprintln(stderr, "cobractl:", err)
-			return 1
-		}
-		return printJob(stdout, v, *jsonOut)
+		c := client.New(*addr, client.Options{
+			MaxRetries:   *retries,
+			PollInterval: *poll,
+		})
 
-	case "jobs":
-		sum, err := c.Jobs(ctx)
-		if err != nil {
-			fmt.Fprintln(stderr, "cobractl:", err)
-			return 1
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			enc.Encode(sum)
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		defer cancel()
+		ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+
+		switch cmd {
+		case "health":
+			if err := c.Health(ctx); err != nil {
+				fmt.Fprintln(stderr, "cobractl:", err)
+				return 1
+			}
+			fmt.Fprintln(stdout, "ok")
 			return 0
-		}
-		fmt.Fprintf(stdout, "queued=%d running=%d done=%d failed=%d canceled=%d workers=%d queue_cap=%d cache=%d\n",
-			sum.Queued, sum.Running, sum.Done, sum.Failed, sum.Canceled, sum.Workers, sum.QueueCap, sum.CacheSize)
-		for _, v := range sum.Recent {
-			fmt.Fprintf(stdout, "%s\t%s\t%s/%s scale=%d schemes=%s\n",
-				v.ID, v.State, v.Spec.App, v.Spec.Input, v.Spec.Scale, strings.Join(sim.SchemeNames(v.Spec.Schemes), ","))
-		}
-		return 0
 
-	case "fleet":
-		if len(rest) == 0 || rest[0] != "run" {
-			fmt.Fprintln(stderr, "cobractl: fleet supports exactly one subcommand: run")
+		case "submit":
+			spec, code := parseSpec(rest, stderr)
+			if code != 0 {
+				return code
+			}
+			v, err := c.Submit(ctx, spec)
+			if err != nil {
+				fmt.Fprintln(stderr, "cobractl:", err)
+				return 1
+			}
+			return printJob(stdout, v, *jsonOut)
+
+		case "get", "wait":
+			if len(rest) != 1 {
+				fmt.Fprintf(stderr, "cobractl: %s needs exactly one job id\n", cmd)
+				return 2
+			}
+			var (
+				v   srv.JobView
+				err error
+			)
+			if cmd == "get" {
+				v, err = c.Get(ctx, rest[0])
+			} else {
+				v, err = c.Wait(ctx, rest[0])
+			}
+			if err != nil {
+				fmt.Fprintln(stderr, "cobractl:", err)
+				return 1
+			}
+			return printJob(stdout, v, *jsonOut)
+
+		case "run":
+			spec, code := parseSpec(rest, stderr)
+			if code != 0 {
+				return code
+			}
+			v, err := c.Run(ctx, spec)
+			if err != nil {
+				fmt.Fprintln(stderr, "cobractl:", err)
+				return 1
+			}
+			return printJob(stdout, v, *jsonOut)
+
+		case "jobs":
+			sum, err := c.Jobs(ctx)
+			if err != nil {
+				fmt.Fprintln(stderr, "cobractl:", err)
+				return 1
+			}
+			if *jsonOut {
+				enc := json.NewEncoder(stdout)
+				enc.SetIndent("", "  ")
+				enc.Encode(sum)
+				return 0
+			}
+			fmt.Fprintf(stdout, "queued=%d running=%d done=%d failed=%d canceled=%d workers=%d queue_cap=%d cache=%d\n",
+				sum.Queued, sum.Running, sum.Done, sum.Failed, sum.Canceled, sum.Workers, sum.QueueCap, sum.CacheSize)
+			for _, v := range sum.Recent {
+				fmt.Fprintf(stdout, "%s\t%s\t%s/%s scale=%d schemes=%s\n",
+					v.ID, v.State, v.Spec.App, v.Spec.Input, v.Spec.Scale, strings.Join(sim.SchemeNames(v.Spec.Schemes), ","))
+			}
+			return 0
+
+		case "fleet":
+			if len(rest) == 0 || rest[0] != "run" {
+				fmt.Fprintln(stderr, "cobractl: fleet supports exactly one subcommand: run")
+				return 2
+			}
+			return fleetRun(ctx, rest[1:], stdout, stderr, *jsonOut)
+
+		default:
+			fmt.Fprintf(stderr, "cobractl: unknown command %q\n", cmd)
+			fs.Usage()
 			return 2
 		}
-		return fleetRun(ctx, rest[1:], stdout, stderr, *jsonOut)
-
-	default:
-		fmt.Fprintf(stderr, "cobractl: unknown command %q\n", cmd)
-		fs.Usage()
-		return 2
 	}
 }
 
-// parseSchemeList resolves a comma-separated scheme list to typed ids
-// (lenient case, like the wire format).
-func parseSchemeList(arg string, stderr io.Writer) ([]sim.SchemeID, bool) {
-	var ids []sim.SchemeID
-	for _, s := range strings.Split(arg, ",") {
-		if s = strings.TrimSpace(s); s == "" {
-			continue
-		}
-		id, err := sim.ParseSchemeIDLenient(s)
-		if err != nil {
-			fmt.Fprintln(stderr, "cobractl:", err)
-			return nil, false
-		}
-		ids = append(ids, id)
-	}
-	return ids, true
-}
-
-// parseSpec parses the job-spec flags shared by submit and run into
-// the canonical exp.RunSpec. Full validation happens server-side
-// through the same RunSpec.Normalize every other surface uses.
-func parseSpec(args []string, stderr io.Writer) (srv.JobSpec, int) {
-	fs := flag.NewFlagSet("cobractl job", flag.ContinueOnError)
+// jobFlags declares submit's and run's flags: the run-spec flags exp
+// binds (seed 42; everything else zero or required) and -job-timeout.
+func jobFlags(stderr io.Writer) (fs *flag.FlagSet, spec func() (exp.RunSpec, error), jobTO *time.Duration) {
+	fs = flag.NewFlagSet("cobractl job", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		app     = fs.String("app", "", "application (required)")
-		input   = fs.String("input", "", "input distribution (required)")
-		scale   = fs.Int("scale", 0, "input scale (0 = server default)")
-		seed    = fs.Uint64("seed", 42, "generator seed")
-		schemes = fs.String("schemes", "", "comma-separated scheme list (required)")
-		bins    = fs.Int("bins", 0, "bin count (0 = sweep)")
-		nuca    = fs.Bool("nuca", false, "enable the NUCA latency model")
-		cores   = fs.Int("cores", 0, "simulated core count (0 = single-core)")
-		stream  = fs.Bool("stream", false, "run as a streamed (windowed) job")
-		windows = fs.Int("windows", 0, "stream window count (0 = server default)")
-		winUpd  = fs.Int("window-updates", 0, "updates per stream window (0 = server default)")
-		jobTO   = fs.Duration("job-timeout", 0, "per-job wall-clock budget (0 = server default)")
-	)
+	spec = exp.BindFlags(fs, exp.RunSpec{Seed: 42})
+	jobTO = fs.Duration("job-timeout", 0, "per-job wall-clock budget (0 = server default)")
+	return fs, spec, jobTO
+}
+
+// parseSpec parses submit's and run's flags into the canonical
+// exp.RunSpec. Full validation happens server-side through the same
+// RunSpec.Normalize every other surface uses.
+func parseSpec(args []string, stderr io.Writer) (srv.JobSpec, int) {
+	fs, parse, jobTO := jobFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return srv.JobSpec{}, 2
 	}
-	if *app == "" || *input == "" || *schemes == "" {
-		fmt.Fprintln(stderr, "cobractl: -app, -input and -schemes are required")
+	spec, err := parse()
+	if err == nil && (spec.App == "" || spec.Input == "" || len(spec.Schemes) == 0) {
+		err = errors.New("-app, -input and -schemes are required")
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "cobractl:", err)
 		return srv.JobSpec{}, 2
 	}
-	ids, ok := parseSchemeList(*schemes, stderr)
-	if !ok {
-		return srv.JobSpec{}, 2
-	}
-	kind := exp.KindOffline
-	if *stream {
-		kind = exp.KindStream
-	}
-	return srv.JobSpec{
-		RunSpec: exp.RunSpec{
-			App:           *app,
-			Input:         *input,
-			Scale:         *scale,
-			Seed:          *seed,
-			Schemes:       ids,
-			Bins:          *bins,
-			NUCA:          *nuca,
-			Cores:         *cores,
-			Kind:          kind,
-			Windows:       *windows,
-			WindowUpdates: *winUpd,
-		},
-		TimeoutMS: jobTO.Milliseconds(),
-	}, 0
+	return srv.JobSpec{RunSpec: spec, TimeoutMS: jobTO.Milliseconds()}, 0
+}
+
+// fleetFlags declares fleet run's flags: the run-spec flags exp binds
+// (scale 16, seed 42, cores 1), -addrs and -journal.
+func fleetFlags(stderr io.Writer) (fs *flag.FlagSet, spec func() (exp.RunSpec, error), addrs, journal *string) {
+	fs = flag.NewFlagSet("cobractl fleet run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec = exp.BindFlags(fs, exp.RunSpec{Scale: 16, Seed: 42, Cores: 1})
+	addrs = fs.String("addrs", "", "comma-separated cobrad worker URLs (required)")
+	journal = fs.String("journal", "", "cell journal (fsync'd JSONL): every finished cell, fleet or local, is recorded and replayed on rerun")
+	return fs, spec, addrs, journal
 }
 
 // fleetRun scatters one cell per scheme across a worker fleet via the
@@ -248,46 +228,24 @@ func parseSpec(args []string, stderr io.Writer) (srv.JobSpec, int) {
 // can take (fleet down) runs locally — same metrics either way, by the
 // coordinator's byte-identity contract.
 func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, jsonOut bool) int {
-	fs := flag.NewFlagSet("cobractl fleet run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		addrs    = fs.String("addrs", "", "comma-separated cobrad worker URLs (required)")
-		app      = fs.String("app", "", "application (required)")
-		input    = fs.String("input", "", "input distribution (required)")
-		scale    = fs.Int("scale", 16, "input scale")
-		seed     = fs.Uint64("seed", 42, "generator seed")
-		schemes  = fs.String("schemes", "", "comma-separated scheme list (required)")
-		bins     = fs.Int("bins", 0, "bin count (0 = sweep)")
-		cores    = fs.Int("cores", 1, "simulated core count")
-		nuca     = fs.Bool("nuca", false, "enable the NUCA latency model")
-		journal  = fs.String("journal", "", "cell journal (fsync'd JSONL): every finished cell, fleet or local, is recorded and replayed on rerun")
-		inflight = fs.Int("inflight", 4, "max in-flight cells per worker")
-	)
+	fs, parse, addrs, journal := fleetFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *addrs == "" || *app == "" || *input == "" || *schemes == "" {
-		fmt.Fprintln(stderr, "cobractl: fleet run requires -addrs, -app, -input and -schemes")
-		return 2
+	// One canonical spec covers every scheme's cell, normalized through
+	// the same shared path cobrad uses. A fleet dispatches offline cells
+	// only.
+	spec, err := parse()
+	switch {
+	case err != nil:
+	case *addrs == "" || spec.App == "" || spec.Input == "" || len(spec.Schemes) == 0:
+		err = errors.New("fleet run requires -addrs, -app, -input and -schemes")
+	case spec.Kind == exp.KindStream:
+		err = errors.New("fleet run dispatches offline cells only; stream with cobractl run -stream")
+	default:
+		err = spec.Normalize(exp.Limits{})
 	}
-	ids, ok := parseSchemeList(*schemes, stderr)
-	if !ok {
-		return 2
-	}
-	// One canonical spec covers every scheme's cell; validated through
-	// the same shared path cobrad uses.
-	spec := exp.RunSpec{
-		App:   *app,
-		Input: *input,
-		Scale: *scale,
-		Seed:  *seed,
-		Bins:  *bins,
-		NUCA:  *nuca,
-		Cores: *cores,
-	}
-	probe := spec
-	probe.Schemes = ids
-	if err := probe.Validate(); err != nil {
+	if err != nil {
 		fmt.Fprintln(stderr, "cobractl:", err)
 		return 2
 	}
@@ -298,7 +256,7 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 		return 1
 	}
 	defer store.Close()
-	co, err := dist.New(dist.Config{Addrs: strings.Split(*addrs, ","), MaxInflight: *inflight})
+	co, err := dist.New(dist.Config{Addrs: strings.Split(*addrs, ",")})
 	if err != nil {
 		fmt.Fprintln(stderr, "cobractl:", err)
 		return 2
@@ -317,7 +275,7 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 		Metrics sim.Metrics `json:"metrics"`
 	}
 	var results []cellResult
-	for _, id := range ids {
+	for _, id := range spec.Schemes {
 		k := dist.FleetCellKey(spec, id)
 		remote := false
 		m, hit, err := store.Do(k, func() (sim.Metrics, error) {
@@ -326,11 +284,11 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 				return m, err
 			}
 			fmt.Fprintf(stderr, "cobractl: fleet: cell %s declined — simulating locally\n", id)
-			appl, err := exp.BuildApp(*app, *input, *scale, *seed)
+			appl, err := exp.BuildApp(spec.App, spec.Input, spec.Scale, spec.Seed)
 			if err != nil {
 				return sim.Metrics{}, err
 			}
-			return exp.RunScheme(appl, id.Scheme(), *bins, arch)
+			return exp.RunScheme(appl, id.Scheme(), spec.Bins, arch)
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "cobractl:", err)

@@ -6,10 +6,17 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"cobra/internal/exp"
 	"cobra/internal/fault"
 	"cobra/internal/srv"
 )
@@ -182,5 +189,152 @@ func TestFleetRunUsage(t *testing.T) {
 	}
 	if code, _, _ := runCtl(t, "fleet", "run", "-app", "X"); code != 2 {
 		t.Fatal("fleet run without -addrs accepted")
+	}
+}
+
+// TestFleetRunRefusesStream: fleet run dispatches offline cells only,
+// so a streamed spec (or a window flag without -stream) is a usage
+// error before any worker is contacted.
+func TestFleetRunRefusesStream(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer ts.Close()
+	code, _, errOut := runCtl(t, "fleet", "run", "-addrs", ts.URL,
+		"-app", "StreamIngest", "-input", "URND", "-scale", "8", "-schemes", "COBRA", "-stream")
+	if code != 2 || !strings.Contains(errOut, "cobractl run -stream") {
+		t.Fatalf("-stream: code=%d err=%q, want exit 2 pointing to cobractl run -stream", code, errOut)
+	}
+	code, _, errOut = runCtl(t, "fleet", "run", "-addrs", ts.URL,
+		"-app", "DegreeCount", "-input", "URND", "-scale", "8", "-schemes", "COBRA", "-windows", "4")
+	if code != 2 || !strings.Contains(errOut, "window parameters") {
+		t.Fatalf("-windows: code=%d err=%q, want exit 2", code, errOut)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("refused specs contacted the worker %d times", n)
+	}
+}
+
+// flagTable renders a flag set as "name type default" lines in name
+// order.
+func flagTable(fs *flag.FlagSet) string {
+	var b strings.Builder
+	fs.VisitAll(func(f *flag.Flag) {
+		fmt.Fprintf(&b, "%s %T %q\n", f.Name, f.Value.(flag.Getter).Get(), f.DefValue)
+	})
+	return b.String()
+}
+
+// TestFlagTables pins every flag's name, type and default: the global
+// flags, submit's and run's, and fleet run's.
+func TestFlagTables(t *testing.T) {
+	global, _ := newCommand(io.Discard, io.Discard)
+	job, _, _ := jobFlags(io.Discard)
+	fleet, _, _, _ := fleetFlags(io.Discard)
+	for _, c := range []struct {
+		fs   *flag.FlagSet
+		want string
+	}{
+		{global, `addr string "http://127.0.0.1:8372"
+json bool "false"
+poll time.Duration "250ms"
+retries int "4"
+timeout time.Duration "10m0s"
+`},
+		{job, `app string ""
+bins int "0"
+cores int "0"
+input string ""
+job-timeout time.Duration "0s"
+nuca bool "false"
+scale int "0"
+schemes string ""
+seed uint64 "42"
+stream bool "false"
+window-updates int "0"
+windows int "0"
+`},
+		{fleet, `addrs string ""
+app string ""
+bins int "0"
+cores int "1"
+input string ""
+journal string ""
+nuca bool "false"
+scale int "16"
+schemes string ""
+seed uint64 "42"
+stream bool "false"
+window-updates int "0"
+windows int "0"
+`},
+	} {
+		if got := flagTable(c.fs); got != c.want {
+			t.Errorf("%s flag table drifted:\n got:\n%s\nwant:\n%s", c.fs.Name(), got, c.want)
+		}
+	}
+}
+
+// readmeCommands returns the arguments of every `go run ./cmd/<name>`
+// command in README.md, with backslash continuations joined and
+// trailing comments and `&` dropped.
+func readmeCommands(t *testing.T, name string) [][]string {
+	t.Helper()
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds [][]string
+	for _, line := range strings.Split(strings.ReplaceAll(string(b), "\\\n", " "), "\n") {
+		_, args, ok := strings.Cut(line, "go run ./cmd/"+name+" ")
+		if !ok {
+			continue
+		}
+		args, _, _ = strings.Cut(args, "#")
+		cmds = append(cmds, strings.Fields(strings.TrimSuffix(strings.TrimSpace(args), "&")))
+	}
+	if len(cmds) == 0 {
+		t.Fatalf("README.md has no go run ./cmd/%s command", name)
+	}
+	return cmds
+}
+
+// TestREADMECommands parses every README cobractl example through the
+// global flag set and its subcommand's, without contacting a server:
+// an example that cites a removed or renamed flag fails here.
+func TestREADMECommands(t *testing.T) {
+	for _, args := range readmeCommands(t, "cobractl") {
+		global, _ := newCommand(io.Discard, io.Discard)
+		if err := global.Parse(args); err != nil || global.NArg() == 0 {
+			t.Errorf("%v: %v (no subcommand?)", args, err)
+			continue
+		}
+		cmd, rest := global.Arg(0), global.Args()[1:]
+		switch {
+		case cmd == "submit" || cmd == "run":
+			if _, code := parseSpec(rest, io.Discard); code != 0 {
+				t.Errorf("%v: %s spec exits %d", args, cmd, code)
+			}
+		case cmd == "fleet" && len(rest) > 0 && rest[0] == "run":
+			fs, spec, _, _ := fleetFlags(io.Discard)
+			err := fs.Parse(rest[1:])
+			if err == nil {
+				var s exp.RunSpec
+				if s, err = spec(); err == nil {
+					err = s.Normalize(exp.Limits{})
+				}
+			}
+			if err != nil {
+				t.Errorf("%v: %v", args, err)
+			}
+		case cmd == "get" || cmd == "wait":
+			if len(rest) != 1 {
+				t.Errorf("%v: %s takes one job id", args, cmd)
+			}
+		case cmd == "health" || cmd == "jobs":
+		default:
+			t.Errorf("%v: unknown subcommand %q", args, cmd)
+		}
 	}
 }

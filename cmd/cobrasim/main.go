@@ -12,8 +12,10 @@
 //	cobrasim -app DegreeCount -input URND -json   # machine-readable metrics
 //	cobrasim -list
 //
-// The flags assemble one canonical exp.RunSpec — the same structure the
-// cobrad wire format and the fleet translator use — and validation is
+// The run-spec flags are exp.BindFlags's — the same names, help and
+// scheme-list rule as cobractl's — and assemble one canonical
+// exp.RunSpec, the structure the cobrad wire format and the fleet
+// translator use. Validation is
 // exp.RunSpec.Normalize, not a CLI-local copy: a spec that validates
 // here validates everywhere. An invalid spec exits 2 before any
 // simulation runs. -json emits the sim.Metrics slice as JSON — the same
@@ -23,8 +25,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,99 +37,78 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// parseSpec assembles the RunSpec from flags and validates it through
-// the shared Normalize path. Returns exit code 2 on any usage error, -1
-// to proceed.
-func parseSpec() (exp.RunSpec, bool, int) {
-	var (
-		asJSON  = flag.Bool("json", false, "emit the metrics slice as JSON (the cobrad wire format) instead of tables")
-		appName = flag.String("app", "DegreeCount", "workload: "+strings.Join(exp.AppNames(), ", "))
-		input   = flag.String("input", "URND", "input: "+strings.Join(exp.InputNames(), ", "))
-		scale   = flag.Int("scale", 18, "input scale (vertices/keys ~ 2^scale)")
-		seed    = flag.Uint64("seed", 42, "generator seed")
-		bins    = flag.Int("bins", 0, "PB-SW bin count (0 = sweep for best; fixed epoch default when streaming)")
-		schemes = flag.String("schemes", "Baseline,PB-SW,COBRA", "comma-separated schemes")
-		nuca    = flag.Bool("nuca", false, "model Table II's 4x4-mesh NUCA latency for the shared LLC")
-		cores   = flag.Int("cores", 1, "simulated core count (1 = one core)")
-		stream  = flag.Bool("stream", false, "drive the workload through the windowed streaming engine")
-		windows = flag.Int("windows", 0, "stream window count (0 = default; needs -stream)")
-		winUpd  = flag.Int("window-updates", 0, "updates per stream window (0 = default; needs -stream)")
-		list    = flag.Bool("list", false, "list workloads and inputs, then exit")
-	)
-	flag.Parse()
+// defaults are cobrasim's run-spec flag defaults.
+var defaults = exp.RunSpec{
+	App: "DegreeCount", Input: "URND", Scale: 18, Seed: 42,
+	Schemes: []sim.SchemeID{sim.SchemeIDBaseline, sim.SchemeIDPBSW, sim.SchemeIDCOBRA},
+	Cores:   1,
+}
 
-	if *list {
-		fmt.Println("workloads:", strings.Join(exp.AppNames(), ", "))
-		fmt.Println("inputs:   ", strings.Join(exp.InputNames(), ", "))
-		fmt.Println("schemes:  ", strings.Join(sim.SchemeNames(sim.SchemeIDs()), ", "))
-		fmt.Println("streaming:", strings.Join(exp.StreamApps(), ", "), "(with -stream)")
-		return exp.RunSpec{}, false, 0
-	}
+// newFlags declares cobrasim's flags on a fresh set: the run-spec
+// flags exp binds, -json and -list. spec assembles the run after
+// fs.Parse.
+func newFlags(stderr io.Writer) (fs *flag.FlagSet, spec func() (exp.RunSpec, error), asJSON, list *bool) {
+	fs = flag.NewFlagSet("cobrasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec = exp.BindFlags(fs, defaults)
+	asJSON = fs.Bool("json", false, "emit the metrics slice as JSON (the cobrad wire format) instead of tables")
+	list = fs.Bool("list", false, "list workloads and inputs, then exit")
+	return fs, spec, asJSON, list
+}
 
-	var ids []sim.SchemeID
-	for _, s := range strings.Split(*schemes, ",") {
-		id, err := sim.ParseSchemeIDLenient(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cobrasim:", err)
-			return exp.RunSpec{}, false, 2
+// run is the CLI behind a testable seam: argv in, exit code out.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs, parse, asJSON, list := newFlags(stderr)
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		ids = append(ids, id)
+		return 2
 	}
-	spec := exp.RunSpec{
-		App: *appName, Input: *input, Scale: *scale, Seed: *seed,
-		Schemes: ids, Bins: *bins, NUCA: *nuca, Cores: *cores,
-		Windows: *windows, WindowUpdates: *winUpd,
-	}
-	if *stream {
-		spec.Kind = exp.KindStream
+	if *list {
+		fmt.Fprintln(stdout, "workloads:", strings.Join(exp.AppNames(), ", "))
+		fmt.Fprintln(stdout, "inputs:   ", strings.Join(exp.InputNames(), ", "))
+		fmt.Fprintln(stdout, "schemes:  ", strings.Join(sim.SchemeNames(sim.SchemeIDs()), ", "))
+		fmt.Fprintln(stdout, "streaming:", strings.Join(exp.StreamApps(), ", "), "(with -stream)")
+		return 0
 	}
 	// The one shared validation path: a typo in the last scheme, an
 	// out-of-range scale, or a stream knob on an offline run must not
 	// waste a partial simulation (usage error, exit 2).
-	if err := spec.Normalize(exp.Limits{}); err != nil {
-		fmt.Fprintln(os.Stderr, "cobrasim:", err)
-		return exp.RunSpec{}, false, 2
+	spec, err := parse()
+	if err == nil {
+		err = spec.Normalize(exp.Limits{})
 	}
-	return spec, *asJSON, -1
-}
-
-func run() int {
-	spec, asJSON, code := parseSpec()
-	if code >= 0 {
-		return code
-	}
-	if spec.Kind == exp.KindStream {
-		return runStream(spec, asJSON)
-	}
-	return runOffline(spec, asJSON)
-}
-
-// runOffline is the historical path: one static cell per scheme.
-func runOffline(spec exp.RunSpec, asJSON bool) int {
-	app, err := exp.BuildApp(spec.App, spec.Input, spec.Scale, spec.Seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cobrasim:", err)
+		fmt.Fprintln(stderr, "cobrasim:", err)
+		return 2
+	}
+	cells := offlineCells
+	if spec.Kind == exp.KindStream {
+		cells = streamCells
+	}
+	header, cell, err := cells(spec)
+	if err != nil {
+		fmt.Fprintln(stderr, "cobrasim:", err)
 		return 1
 	}
-	arch := spec.Arch(sim.DefaultArch())
-	if !asJSON {
-		fmt.Printf("%s on %s: %d keys, %d updates, %d B tuples, commutative=%v\n\n",
-			app.Name, app.InputName, app.NumKeys, app.NumUpdates, app.TupleBytes, app.Commutative)
+	if !*asJSON {
+		fmt.Fprint(stdout, header)
 	}
 
 	var results []sim.Metrics
 	var base *sim.Metrics
 	failed := false
 	for _, id := range spec.Schemes {
-		m, err := exp.RunScheme(app, id.Scheme(), spec.Bins, arch)
+		m, err := cell(id)
 		if err != nil {
 			// Scheme names were validated up front; failures here are
 			// applicability errors (e.g. COBRA-COMM on a non-commutative
 			// app). Report and keep going so the valid schemes still run.
-			fmt.Fprintf(os.Stderr, "cobrasim: %s: %v\n", id, err)
+			fmt.Fprintf(stderr, "cobrasim: %s: %v\n", id, err)
 			failed = true
 			continue
 		}
@@ -134,49 +117,50 @@ func runOffline(spec exp.RunSpec, asJSON bool) int {
 			base = &results[len(results)-1]
 		}
 	}
-	return render(results, base, asJSON, failed)
+	return render(stdout, stderr, results, base, *asJSON, failed)
 }
 
-// runStream drives each scheme through the windowed streaming engine
-// and reports the merged (MergeMetrics-folded) metrics per scheme.
-func runStream(spec exp.RunSpec, asJSON bool) int {
+// offlineCells is the historical path: one static cell per scheme.
+func offlineCells(spec exp.RunSpec) (string, func(sim.SchemeID) (sim.Metrics, error), error) {
+	app, err := exp.BuildApp(spec.App, spec.Input, spec.Scale, spec.Seed)
+	if err != nil {
+		return "", nil, err
+	}
+	arch := spec.Arch(sim.DefaultArch())
+	header := fmt.Sprintf("%s on %s: %d keys, %d updates, %d B tuples, commutative=%v\n\n",
+		app.Name, app.InputName, app.NumKeys, app.NumUpdates, app.TupleBytes, app.Commutative)
+	return header, func(id sim.SchemeID) (sim.Metrics, error) {
+		return exp.RunScheme(app, id.Scheme(), spec.Bins, arch)
+	}, nil
+}
+
+// streamCells drives each scheme through the windowed streaming engine
+// and reports its merged (MergeMetrics-folded) metrics.
+func streamCells(spec exp.RunSpec) (string, func(sim.SchemeID) (sim.Metrics, error), error) {
+	w, err := spec.StreamWorkload()
+	if err != nil {
+		return "", nil, err
+	}
 	o := exp.DefaultOpts()
 	o.Scale, o.Seed = spec.Scale, spec.Seed
-	if !asJSON {
-		w, err := spec.StreamWorkload()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cobrasim:", err)
-			return 1
-		}
-		fmt.Printf("%s on %s: %d keys, %d windows x %d updates (streamed)\n\n",
-			w.Name, w.InputName, w.NumKeys, w.Windows, w.WindowUpdates)
-	}
-
-	var results []sim.Metrics
-	var base *sim.Metrics
-	failed := false
-	for _, id := range spec.Schemes {
+	header := fmt.Sprintf("%s on %s: %d keys, %d windows x %d updates (streamed)\n\n",
+		w.Name, w.InputName, w.NumKeys, w.Windows, w.WindowUpdates)
+	return header, func(id sim.SchemeID) (sim.Metrics, error) {
 		r, err := exp.RunStream(o, "cli", spec, id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cobrasim: %s: %v\n", id, err)
-			failed = true
-			continue
+			return sim.Metrics{}, err
 		}
-		results = append(results, r.Merged)
-		if r.Merged.Scheme == sim.SchemeBaseline {
-			base = &results[len(results)-1]
-		}
-	}
-	return render(results, base, asJSON, failed)
+		return r.Merged, nil
+	}, nil
 }
 
 // render emits the metrics slice as JSON or the two human tables.
-func render(results []sim.Metrics, base *sim.Metrics, asJSON, failed bool) int {
+func render(stdout, stderr io.Writer, results []sim.Metrics, base *sim.Metrics, asJSON, failed bool) int {
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintln(os.Stderr, "cobrasim:", err)
+			fmt.Fprintln(stderr, "cobrasim:", err)
 			return 1
 		}
 		if failed {
@@ -185,20 +169,20 @@ func render(results []sim.Metrics, base *sim.Metrics, asJSON, failed bool) int {
 		return 0
 	}
 
-	fmt.Printf("%-12s %12s %10s %12s %12s %12s %8s %9s %8s\n",
+	fmt.Fprintf(stdout, "%-12s %12s %10s %12s %12s %12s %8s %9s %8s\n",
 		"scheme", "cycles", "speedup", "init", "binning", "accumulate", "bins", "instr", "brMiss%")
 	for _, m := range results {
 		speedup := "-"
 		if base != nil && m.Cycles > 0 {
 			speedup = fmt.Sprintf("%.2fx", base.Cycles/m.Cycles)
 		}
-		fmt.Printf("%-12s %12.3e %10s %12.3e %12.3e %12.3e %8d %9.2e %8.2f\n",
+		fmt.Fprintf(stdout, "%-12s %12.3e %10s %12.3e %12.3e %12.3e %8d %9.2e %8.2f\n",
 			m.Scheme, m.Cycles, speedup, m.InitCycles, m.BinCycles, m.AccumCycles,
 			m.NumBins, float64(m.Ctr.Instructions), 100*m.Ctr.BranchMissRate())
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, m := range results {
-		fmt.Printf("%-12s L1miss=%9d L2miss=%9d LLCmiss=%9d LLCmissRate=%.3f DRAM rd/wr lines=%d/%d\n",
+		fmt.Fprintf(stdout, "%-12s L1miss=%9d L2miss=%9d LLCmiss=%9d LLCmissRate=%.3f DRAM rd/wr lines=%d/%d\n",
 			m.Scheme, m.L1Misses, m.L2Misses, m.LLCMisses, m.LLCMissRate,
 			m.DRAM.ReadLines, m.DRAM.WriteLines)
 	}

@@ -11,6 +11,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -243,5 +246,85 @@ func TestProgressLineRendersToStderr(t *testing.T) {
 	}
 	if strings.Contains(stdout, "cells/s") || strings.Contains(stdout, "\r") {
 		t.Fatal("progress leaked into stdout")
+	}
+}
+
+// flagTable renders a flag set as "name type default" lines in name
+// order.
+func flagTable(fs *flag.FlagSet) string {
+	var b strings.Builder
+	fs.VisitAll(func(f *flag.Flag) {
+		fmt.Fprintf(&b, "%s %T %q\n", f.Name, f.Value.(flag.Getter).Get(), f.DefValue)
+	})
+	return b.String()
+}
+
+// TestFlagTable pins every flag's name, type and default.
+func TestFlagTable(t *testing.T) {
+	const want = `all bool "false"
+checkpoint string ""
+compact-checkpoint bool "false"
+cores int "1"
+cpuprofile string ""
+events string ""
+fig string ""
+fleet string ""
+list bool "false"
+manifest string "auto"
+memprofile string ""
+o string ""
+parallel int "0"
+progress bool "false"
+quick bool "false"
+resume bool "false"
+scale int "0"
+seed uint64 "42"
+trace string ""
+window-updates int "0"
+windows int "0"
+`
+	fs, _ := newCommand(io.Discard, io.Discard)
+	if got := flagTable(fs); got != want {
+		t.Fatalf("flag table drifted:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// readmeCommands returns the arguments of every `go run ./cmd/<name>`
+// command in README.md, with backslash continuations joined and
+// trailing comments and `&` dropped.
+func readmeCommands(t *testing.T, name string) [][]string {
+	t.Helper()
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds [][]string
+	for _, line := range strings.Split(strings.ReplaceAll(string(b), "\\\n", " "), "\n") {
+		_, args, ok := strings.Cut(line, "go run ./cmd/"+name+" ")
+		if !ok {
+			continue
+		}
+		args, _, _ = strings.Cut(args, "#")
+		cmds = append(cmds, strings.Fields(strings.TrimSuffix(strings.TrimSpace(args), "&")))
+	}
+	if len(cmds) == 0 {
+		t.Fatalf("README.md has no go run ./cmd/%s command", name)
+	}
+	return cmds
+}
+
+// TestREADMECommands parses every README figures example through the
+// flag set without running a campaign: an example that cites a removed
+// or renamed flag, or an unknown figure, fails here.
+func TestREADMECommands(t *testing.T) {
+	for _, args := range readmeCommands(t, "figures") {
+		fs, _ := newCommand(io.Discard, io.Discard)
+		if err := fs.Parse(args); err != nil || fs.NArg() != 0 {
+			t.Errorf("%v: %v (stray args %v)", args, err, fs.Args())
+			continue
+		}
+		if fig := fs.Lookup("fig").Value.String(); fig != "" && figures[fig] == nil {
+			t.Errorf("%v: unknown figure %q", args, fig)
+		}
 	}
 }

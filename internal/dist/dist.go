@@ -46,9 +46,6 @@ type Config struct {
 	// Addrs are the cobrad worker base URLs ("http://host:port"; a bare
 	// host:port gets the scheme prefixed). At least one is required.
 	Addrs []string
-	// MaxInflight bounds concurrently dispatched cells per worker
-	// (<= 0: 4). Dispatch blocks when every healthy node is at its cap.
-	MaxInflight int
 	// Client configures every per-node client; zero values select the
 	// client package defaults.
 	Client client.Options
@@ -106,6 +103,10 @@ type Coordinator struct {
 	archFPs map[int]servableArchs // cores -> fingerprints a worker computes
 }
 
+// maxInflight bounds concurrently dispatched cells per worker.
+// Dispatch blocks when every healthy node is at its cap.
+const maxInflight = 4
+
 var (
 	errNoWorkers = errors.New("dist: no healthy worker can take the cell")
 	errClosed    = errors.New("dist: coordinator closed")
@@ -114,9 +115,6 @@ var (
 // New builds a Coordinator and starts its background health prober.
 // Call Close when the campaign ends.
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 4
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
@@ -263,7 +261,7 @@ func (co *Coordinator) acquire(ctx context.Context, tried map[int]bool) (*node, 
 				continue
 			}
 			candidates = true
-			if n.inflight >= co.cfg.MaxInflight {
+			if n.inflight >= maxInflight {
 				continue
 			}
 			if best == nil || n.score() < best.score() {

@@ -427,9 +427,9 @@ func (j *Journal) Close() error {
 // a stored (or joined) result replays without simulating; a miss
 // offers the cell to o.Remote and falls back to the local simulator
 // when the remote declines it, and the result is recorded before
-// returning. Common key fields (Scale, Seed, Arch) are filled from o
-// unless the caller already set them (ablations pass an explicit
-// fingerprint for their modified architectures).
+// returning. The key's Scale and Seed are always o's; Cores (when 0)
+// and Arch (when empty) come from o.Arch, so a caller that runs a
+// modified architecture (the ablations) passes its own fingerprint.
 func (o Opts) journaled(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics, error) {
 	k.Scale, k.Seed = o.Scale, o.Seed
 	if k.Cores == 0 {

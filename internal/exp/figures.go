@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"cobra/internal/obsv"
 	"cobra/internal/sim"
@@ -31,9 +30,6 @@ type Opts struct {
 	// dispatch of new simulation cells (in-flight cells drain) and the
 	// figure returns an ErrInterrupted-wrapping error.
 	Ctx context.Context
-	// CellTimeout, when > 0, bounds each cell's context lifetime (see
-	// WithCellTimeout).
-	CellTimeout time.Duration
 	// Journal, when non-nil, is the campaign's cell store: every
 	// simulation cell is looked up there, computed once and recorded,
 	// so a resumed campaign replays completed cells and a repeated cell
@@ -72,26 +68,22 @@ type RemoteRunner interface {
 // workers resolves the pool size for this regeneration.
 func (o Opts) workers() int { return Workers(o.Parallel) }
 
-// ctx resolves the campaign context, including the per-cell timeout.
+// ctx resolves the campaign context.
 func (o Opts) ctx() context.Context {
-	c := o.Ctx
-	if c == nil {
-		c = context.Background()
+	if o.Ctx == nil {
+		return context.Background()
 	}
-	if o.CellTimeout > 0 {
-		c = WithCellTimeout(c, o.CellTimeout)
-	}
-	return c
+	return o.Ctx
 }
 
 // mapCells runs a figure's independent cells under o's campaign
 // controls: bounded pool, cancellation-with-drain, per-cell panic
-// isolation, and the optional per-cell timeout. Every figure driver
-// schedules through this (never raw goroutines), so one Ctrl-C drains
-// every figure the same way.
+// isolation, and any per-cell timeout o.Ctx carries (WithCellTimeout).
+// Every figure driver schedules through this (never raw goroutines),
+// so one Ctrl-C drains every figure the same way.
 func mapCells[T any](o Opts, n int, cell func(i int) (T, error)) ([]T, error) {
 	o.Progress.AddTotal(n)
-	return MapCellsCtx(o.ctx(), o.Parallel, n, func(_ context.Context, i int) (T, error) {
+	return MapCells(o.ctx(), o.Parallel, n, func(_ context.Context, i int) (T, error) {
 		v, err := cell(i)
 		o.Progress.CellDone()
 		return v, err

@@ -24,7 +24,7 @@ func swapDefault(r *obsv.Registry) func() {
 
 // TestDisabledRegistryAddsZeroAllocs pins the zero-cost-disabled rule
 // at the exact seam every campaign cell passes through: obsCell, the
-// wrapper RunCells/MapCells put around user code.
+// wrapper MapCells puts around user code.
 func TestDisabledRegistryAddsZeroAllocs(t *testing.T) {
 	defer swapDefault(nil)()
 	ctx := context.Background()
@@ -53,11 +53,11 @@ func TestEnabledRegistryCountsCells(t *testing.T) {
 		return nil
 	}
 	const n = 8
-	if err := RunCells(2, n, func(i int) error { return cell(context.Background(), i) }); err != nil {
+	if err := runAll(context.Background(), 2, n, cell); err != nil {
 		t.Fatal(err)
 	}
 	fail.Store(true)
-	if err := RunCells(1, 1, func(i int) error { return cell(context.Background(), i) }); err == nil {
+	if err := runAll(context.Background(), 1, 1, cell); err == nil {
 		t.Fatal("expected the panicking cell to fail")
 	}
 	if got := reg.Counter("exp.cells.completed").Value(); got != n {
@@ -71,20 +71,20 @@ func TestEnabledRegistryCountsCells(t *testing.T) {
 	}
 }
 
-// benchCells drives the RunCells hot path with a cheap but non-empty
+// benchCells drives the MapCells hot path with a cheap but non-empty
 // cell, the shape the overhead comparison is about: the harness wrapper
 // must stay negligible next to even a trivial cell body.
 func benchCells(b *testing.B) {
 	b.Helper()
 	b.ReportAllocs()
 	var sink atomic.Uint64
-	cell := func(i int) error {
+	cell := func(_ context.Context, i int) error {
 		sink.Add(uint64(i))
 		return nil
 	}
 	b.ResetTimer()
 	for b.Loop() {
-		if err := RunCells(1, 64, cell); err != nil {
+		if err := runAll(context.Background(), 1, 64, cell); err != nil {
 			b.Fatal(err)
 		}
 	}

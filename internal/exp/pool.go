@@ -3,7 +3,7 @@ package exp
 // The parallel experiment executor. Every figure is a collection of
 // independent simulation cells — one (app, input, scheme, bin-count)
 // run, each owning its own sim.Mach — so cells are embarrassingly
-// parallel. RunCells/MapCells schedule them on a bounded worker pool
+// parallel. MapCells schedules them on a bounded worker pool
 // while keeping results strictly ordered by cell index: a figure built
 // at -parallel N is byte-identical to the serial one, because each cell
 // writes only its own slot and aggregation happens after the barrier in
@@ -60,10 +60,10 @@ func (e *CellError) Error() string {
 type cellTimeoutKey struct{}
 
 // WithCellTimeout returns a context under which every cell dispatched
-// by RunCellsCtx/MapCellsCtx gets its own child context expiring after
-// d. Cells that respect their context (long external steps, future
-// remote backends) fail individually with a deadline error instead of
-// wedging the whole campaign; d <= 0 disables the limit.
+// by MapCells gets its own child context expiring after d. Cells that
+// respect their context (long external steps, future remote backends)
+// fail individually with a deadline error instead of wedging the whole
+// campaign; d <= 0 disables the limit.
 func WithCellTimeout(ctx context.Context, d time.Duration) context.Context {
 	return context.WithValue(ctx, cellTimeoutKey{}, d)
 }
@@ -120,28 +120,19 @@ func obsCell(ctx context.Context, i int, cell func(ctx context.Context, i int) e
 	return err
 }
 
-// RunCells executes cell(i) for every i in [0, n) on a pool of at most
+// runCells executes cell(i) for every i in [0, n) on a pool of at most
 // `workers` goroutines (resolved via Workers). workers == 1 runs the
 // cells serially on the calling goroutine — the exact serial semantics
-// the determinism tests compare against.
+// the determinism tests compare against. Cancelling ctx stops the
+// dispatch of new cells while in-flight cells drain to completion.
 //
 // Every cell runs even if an earlier cell fails (cells are independent
-// simulations; partial results stay valid). The returned error is the
-// one from the lowest-indexed failing cell, so error reporting is
-// deterministic under any schedule. Panics are isolated per cell (see
-// CellError).
-func RunCells(workers, n int, cell func(i int) error) error {
-	return RunCellsCtx(context.Background(), workers, n, func(_ context.Context, i int) error {
-		return cell(i)
-	})
-}
-
-// RunCellsCtx is RunCells under a context: cancelling ctx stops the
-// dispatch of new cells while in-flight cells drain to completion. The
-// result is the lowest-indexed genuine cell error if any cell failed,
-// an ErrInterrupted-wrapping error if the run was cut short without a
-// cell failure, or nil.
-func RunCellsCtx(ctx context.Context, workers, n int, cell func(ctx context.Context, i int) error) error {
+// simulations; partial results stay valid). The result is the
+// lowest-indexed genuine cell error if any cell failed — deterministic
+// under any schedule — an ErrInterrupted-wrapping error if the run was
+// cut short without a cell failure, or nil. Panics are isolated per
+// cell (see CellError).
+func runCells(ctx context.Context, workers, n int, cell func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -199,19 +190,13 @@ func RunCellsCtx(ctx context.Context, workers, n int, cell func(ctx context.Cont
 	return nil
 }
 
-// MapCells runs cell(i) for every i in [0, n) on the bounded pool and
-// returns the results keyed by cell index (never completion order).
-func MapCells[T any](workers, n int, cell func(i int) (T, error)) ([]T, error) {
-	return MapCellsCtx(context.Background(), workers, n, func(_ context.Context, i int) (T, error) {
-		return cell(i)
-	})
-}
-
-// MapCellsCtx is MapCells under a context, with the same drain and
-// deterministic-error semantics as RunCellsCtx.
-func MapCellsCtx[T any](ctx context.Context, workers, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// MapCells runs cell(i) for every i in [0, n) on the bounded pool
+// under ctx and returns the results keyed by cell index (never
+// completion order), with runCells's drain, panic and
+// deterministic-error semantics; on error it returns no results.
+func MapCells[T any](ctx context.Context, workers, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := RunCellsCtx(ctx, workers, n, func(ctx context.Context, i int) error {
+	err := runCells(ctx, workers, n, func(ctx context.Context, i int) error {
 		v, err := cell(ctx, i)
 		if err != nil {
 			return err

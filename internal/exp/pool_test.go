@@ -11,6 +11,15 @@ import (
 	"time"
 )
 
+// runAll drives MapCells with error-only cells: the pool's drain,
+// panic and error rules do not depend on the result type.
+func runAll(ctx context.Context, workers, n int, cell func(ctx context.Context, i int) error) error {
+	_, err := MapCells(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
+		return struct{}{}, cell(ctx, i)
+	})
+	return err
+}
+
 func TestWorkersResolution(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Fatalf("Workers(3) = %d", got)
@@ -28,7 +37,7 @@ func TestWorkersResolution(t *testing.T) {
 func TestMapCellsOrdering(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 2, 4, 0} {
-		got, err := MapCells(workers, n, func(i int) (int, error) {
+		got, err := MapCells(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -47,7 +56,7 @@ func TestMapCellsOrdering(t *testing.T) {
 func TestRunCellsLowestError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := RunCells(workers, 16, func(i int) error {
+		err := runAll(context.Background(), workers, 16, func(_ context.Context, i int) error {
 			ran.Add(1)
 			if i == 3 || i == 11 {
 				return fmt.Errorf("cell %d failed", i)
@@ -64,7 +73,7 @@ func TestRunCellsLowestError(t *testing.T) {
 }
 
 func TestRunCellsEmpty(t *testing.T) {
-	if err := RunCells(4, 0, func(int) error { return errors.New("never") }); err != nil {
+	if err := runAll(context.Background(), 4, 0, func(context.Context, int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,7 +85,7 @@ func TestRunCellsEmpty(t *testing.T) {
 func TestRunCellsPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 4, 0} {
 		var ran atomic.Int64
-		err := RunCells(workers, 16, func(i int) error {
+		err := runAll(context.Background(), workers, 16, func(_ context.Context, i int) error {
 			ran.Add(1)
 			if i == 5 || i == 12 {
 				panic(fmt.Sprintf("cell %d exploded", i))
@@ -113,7 +122,7 @@ func TestRunCellsCtxCancelDrains(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n, stopAfter = 64, 5
 		var done atomic.Int64
-		err := RunCellsCtx(ctx, workers, n, func(_ context.Context, i int) error {
+		err := runAll(ctx, workers, n, func(_ context.Context, i int) error {
 			// Cells take long enough that the pool cannot race through
 			// all n of them inside the cancellation window.
 			time.Sleep(time.Millisecond)
@@ -138,7 +147,7 @@ func TestRunCellsCtxCancelDrains(t *testing.T) {
 func TestRunCellsCtxCellErrorBeatsInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
-	err := RunCellsCtx(ctx, 1, 8, func(_ context.Context, i int) error {
+	err := runAll(ctx, 1, 8, func(_ context.Context, i int) error {
 		if i == 2 {
 			cancel()
 			return boom
@@ -156,7 +165,7 @@ func TestRunCellsCtxCellErrorBeatsInterrupt(t *testing.T) {
 func TestRunCellsCtxCompletedRunNotInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := RunCellsCtx(ctx, 2, 8, func(context.Context, int) error { return nil }); err != nil {
+	if err := runAll(ctx, 2, 8, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,7 +174,7 @@ func TestRunCellsCtxCompletedRunNotInterrupted(t *testing.T) {
 // cell that respects it fails individually without wedging the pool.
 func TestWithCellTimeout(t *testing.T) {
 	ctx := WithCellTimeout(context.Background(), time.Millisecond)
-	err := RunCellsCtx(ctx, 2, 4, func(cctx context.Context, i int) error {
+	err := runAll(ctx, 2, 4, func(cctx context.Context, i int) error {
 		if i == 1 {
 			select {
 			case <-cctx.Done():
@@ -184,12 +193,12 @@ func TestWithCellTimeout(t *testing.T) {
 	}
 }
 
-// TestMapCellsCtxDropsResultsOnError mirrors MapCells semantics under
-// cancellation: no partial slice escapes.
+// TestMapCellsCtxDropsResultsOnError: under cancellation no partial
+// slice escapes.
 func TestMapCellsCtxDropsResultsOnError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := MapCellsCtx(ctx, 2, 8, func(context.Context, int) (int, error) { return 1, nil })
+	out, err := MapCells(ctx, 2, 8, func(context.Context, int) (int, error) { return 1, nil })
 	if err == nil || out != nil {
 		t.Fatalf("out=%v err=%v, want nil slice and interrupt error", out, err)
 	}
@@ -200,7 +209,7 @@ func TestMapCellsCtxDropsResultsOnError(t *testing.T) {
 func TestRunCellsBoundedConcurrency(t *testing.T) {
 	const workers, n = 2, 32
 	var inFlight, peak atomic.Int64
-	err := RunCells(workers, n, func(i int) error {
+	err := runAll(context.Background(), workers, n, func(_ context.Context, i int) error {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()

@@ -4,6 +4,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -242,7 +243,7 @@ func BestPBSW(app *sim.App, arch sim.Arch) (best sim.Metrics, sweep []sim.Metric
 // `best` is the first strict minimum, regardless of schedule.
 func BestPBSWN(app *sim.App, arch sim.Arch, workers int) (best sim.Metrics, sweep []sim.Metrics, err error) {
 	bins := validBins(app)
-	sweep, err = MapCells(workers, len(bins), func(i int) (sim.Metrics, error) {
+	sweep, err = MapCells(context.TODO(), workers, len(bins), func(_ context.Context, i int) (sim.Metrics, error) {
 		return sim.Run(app, sim.SchemeIDPBSW, bins[i], arch)
 	})
 	if err != nil {

@@ -11,7 +11,9 @@ package exp
 // and the stream window parameters exist in exactly one place.
 
 import (
+	"flag"
 	"fmt"
+	"strings"
 
 	"cobra/internal/mem"
 	"cobra/internal/sim"
@@ -230,4 +232,68 @@ func (s RunSpec) StreamWorkload() (stream.Workload, error) {
 		return stream.Workload{}, fmt.Errorf("exp: spec kind %q is not %q", s.Kind, KindStream)
 	}
 	return streamWorkload(s.App, s.Input, s.Scale, s.Seed, s.Windows, s.WindowUpdates)
+}
+
+// ParseSchemes resolves a comma-separated scheme list, the one rule
+// every CLI uses: each entry is trimmed and matched case-insensitively
+// (sim.ParseSchemeIDLenient, as on the wire), and empty entries are
+// skipped, so "Baseline," is one scheme. A list with no entries yields
+// nil, which Normalize refuses.
+func ParseSchemes(list string) ([]sim.SchemeID, error) {
+	var ids []sim.SchemeID
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		id, err := sim.ParseSchemeIDLenient(name)
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
+// BindKnobFlags registers the spec's numeric knobs (-scale, -seed,
+// -cores, -windows, -window-updates) on fs, each defaulting to def's
+// field, and returns the spec those flags assemble once fs is parsed.
+// figures binds only these: its workload identity comes per figure.
+func BindKnobFlags(fs *flag.FlagSet, def RunSpec) func() RunSpec {
+	s := def
+	fs.IntVar(&s.Scale, "scale", def.Scale, "input scale (keys/vertices ~ 2^scale; 0 = default)")
+	fs.Uint64Var(&s.Seed, "seed", def.Seed, "generator seed")
+	fs.IntVar(&s.Cores, "cores", def.Cores, "simulated core count (0 or 1 = one core; >1 = the sharded multi-core model)")
+	fs.IntVar(&s.Windows, "windows", def.Windows, "stream window count (0 = default; streamed runs only)")
+	fs.IntVar(&s.WindowUpdates, "window-updates", def.WindowUpdates, "updates per stream window (0 = default; streamed runs only)")
+	return func() RunSpec { return s }
+}
+
+// BindFlags registers the eleven run-spec flags on fs — the knobs of
+// BindKnobFlags plus -app, -input, -schemes, -bins, -nuca and -stream
+// — each defaulting to def's field, and returns a function that
+// assembles the spec once fs is parsed. The scheme list goes through
+// ParseSchemes and -stream selects KindStream. Validation stays with
+// Normalize, wherever the caller runs it.
+func BindFlags(fs *flag.FlagSet, def RunSpec) func() (RunSpec, error) {
+	knobs := BindKnobFlags(fs, def)
+	app := fs.String("app", def.App, "workload: "+strings.Join(AppNames(), ", "))
+	input := fs.String("input", def.Input, "input: "+strings.Join(InputNames(), ", "))
+	schemes := fs.String("schemes", strings.Join(sim.SchemeNames(def.Schemes), ","),
+		"comma-separated schemes: "+strings.Join(sim.SchemeNames(sim.SchemeIDs()), ", "))
+	bins := fs.Int("bins", def.Bins, "PB-SW/PHI bin count (0 = sweep for best offline; fixed epoch default when streaming)")
+	nuca := fs.Bool("nuca", def.NUCA, "model Table II's 4x4-mesh NUCA latency for the shared LLC")
+	stream := fs.Bool("stream", def.Kind == KindStream, "drive the workload through the windowed streaming engine")
+	return func() (RunSpec, error) {
+		s := knobs()
+		ids, err := ParseSchemes(*schemes)
+		if err != nil {
+			return RunSpec{}, err
+		}
+		s.App, s.Input, s.Schemes, s.Bins, s.NUCA = *app, *input, ids, *bins, *nuca
+		s.Kind = KindOffline
+		if *stream {
+			s.Kind = KindStream
+		}
+		return s, nil
+	}
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -289,5 +290,91 @@ func TestBuildStreamApps(t *testing.T) {
 		if _, err := BuildApp(app, "KRON", 8, 42); err == nil {
 			t.Fatalf("BuildApp(%s, KRON) accepted a non-stream input", app)
 		}
+	}
+}
+
+// TestParseSchemes pins the one scheme-list rule every CLI shares:
+// entries are trimmed and matched case-insensitively, empty entries are
+// skipped, and an empty list is left for Normalize to refuse.
+func TestParseSchemes(t *testing.T) {
+	for _, c := range []struct {
+		list    string
+		want    []sim.SchemeID
+		wantErr string
+	}{
+		{list: "Baseline,COBRA", want: []sim.SchemeID{sim.SchemeIDBaseline, sim.SchemeIDCOBRA}},
+		{list: "Baseline,", want: []sim.SchemeID{sim.SchemeIDBaseline}},
+		{list: " PB-SW , PHI ", want: []sim.SchemeID{sim.SchemeIDPBSW, sim.SchemeIDPHI}},
+		{list: "baseline,pb-sw-ideal", want: []sim.SchemeID{sim.SchemeIDBaseline, sim.SchemeIDPBIdeal}},
+		{list: "Baseline,NoSuchScheme", wantErr: `unknown scheme "NoSuchScheme"`},
+		{list: ""},
+		{list: " , ,"},
+	} {
+		got, err := ParseSchemes(c.list)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("ParseSchemes(%q) error = %v, want %q", c.list, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseSchemes(%q) = %v, %v; want %v", c.list, got, err, c.want)
+		}
+		if len(got) == 0 {
+			s := RunSpec{App: "DegreeCount", Input: "URND", Scale: MinScale, Schemes: got}
+			if err := s.Normalize(Limits{}); err == nil || !strings.Contains(err.Error(), "at least one scheme") {
+				t.Errorf("ParseSchemes(%q): Normalize error = %v, want the at-least-one-scheme error", c.list, err)
+			}
+		}
+	}
+}
+
+// TestBindFlags: every flag defaults to the given spec's field, and a
+// parsed command line assembles the spec field by field, -stream
+// selecting KindStream.
+func TestBindFlags(t *testing.T) {
+	def := RunSpec{App: "PageRank", Input: "KRON", Scale: 12, Seed: 7,
+		Schemes: []sim.SchemeID{sim.SchemeIDCOBRA}, Bins: 64, NUCA: true, Cores: 2,
+		Kind: KindStream, Windows: 3, WindowUpdates: 100}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	spec := BindFlags(fs, def)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := spec()
+	if err != nil || !reflect.DeepEqual(got, def) {
+		t.Fatalf("defaults assemble %+v, %v; want %+v", got, err, def)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 11 {
+		t.Fatalf("BindFlags registered %d flags, want the 11 run-spec flags", n)
+	}
+
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	spec = BindFlags(fs, RunSpec{})
+	argv := []string{"-app", "StreamIngest", "-input", "SKEW", "-scale", "9", "-seed", "3",
+		"-schemes", "baseline, PHI,", "-bins", "16", "-nuca", "-cores", "4",
+		"-stream", "-windows", "5", "-window-updates", "64"}
+	if err := fs.Parse(argv); err != nil {
+		t.Fatal(err)
+	}
+	want := RunSpec{App: "StreamIngest", Input: "SKEW", Scale: 9, Seed: 3,
+		Schemes: []sim.SchemeID{sim.SchemeIDBaseline, sim.SchemeIDPHI}, Bins: 16, NUCA: true, Cores: 4,
+		Kind: KindStream, Windows: 5, WindowUpdates: 64}
+	if got, err := spec(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%v assembles %+v, %v; want %+v", argv, got, err, want)
+	}
+
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	knobs := BindKnobFlags(fs, RunSpec{Seed: 42, Cores: 1})
+	if err := fs.Parse([]string{"-scale", "10", "-window-updates", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := knobs(); !reflect.DeepEqual(got, RunSpec{Scale: 10, Seed: 42, Cores: 1, WindowUpdates: 8}) {
+		t.Fatalf("knob flags assemble %+v", got)
+	}
+	if fs.Lookup("app") != nil {
+		t.Fatal("BindKnobFlags registered a workload flag")
 	}
 }

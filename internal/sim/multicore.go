@@ -26,7 +26,7 @@ package sim
 // within a phase (no shared machine state), phases are separated by
 // barriers (one runShards call each, giving cross-core bin handoff a
 // happens-before edge), and per-core results are folded in core-index
-// order — the same discipline as exp.RunCells. The goroutine schedule
+// order — the same discipline as exp.MapCells. The goroutine schedule
 // can therefore never change a single byte of the output.
 
 import (
@@ -124,7 +124,7 @@ func (g *gang) alloc(bytes uint64) Region {
 // runShards runs f(c) for every core on its own goroutine and joins
 // deterministically: every shard finishes (or panics, captured as a
 // per-core error) before runShards returns, and the lowest core index
-// with an error wins — the exp.RunCells discipline. Each call is one
+// with an error wins — the exp.MapCells discipline. Each call is one
 // phase barrier.
 func runShards(n int, f func(c int) error) error {
 	errs := make([]error, n)

@@ -8,7 +8,7 @@ import (
 
 // binScratch is the software-PB scratch state of one run: the
 // materialized bins plus the C-Buffer fill counters and bin write
-// cursors. Runs executed back-to-back on one worker (exp.MapCellsCtx
+// cursors. Runs executed back-to-back on one worker (exp.MapCells
 // cells) churn megabytes of these per cell; pooling them keeps the
 // tuple capacity warm across cells. Contents are fully re-initialized
 // on checkout, so reuse is invisible to the simulation.

@@ -361,7 +361,7 @@ func (s *Server) runJob(job *Job) {
 	// Schemes run serially within the job (workers=1): the service's
 	// parallelism unit is the job worker pool, and serial cells keep
 	// per-scheme latency attribution exact.
-	results, err := exp.MapCellsCtx(ctx, 1, len(job.schemes), func(ctx context.Context, i int) (sim.Metrics, error) {
+	results, err := exp.MapCells(ctx, 1, len(job.schemes), func(ctx context.Context, i int) (sim.Metrics, error) {
 		scheme := job.schemes[i]
 		key := job.spec.CellKey("srv", scheme, sim.DefaultArch())
 		t := s.reg.Timer("srv.scheme." + scheme.String() + ".wall")
@@ -416,7 +416,7 @@ func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch) {
 	t := s.reg.Timer("srv.scheme." + scheme.String() + ".wall")
 	// The whole streamed run is one exp cell: one panic barrier, one
 	// deadline, windows sequential inside.
-	results, err := exp.MapCellsCtx(ctx, 1, 1, func(ctx context.Context, _ int) (sim.Metrics, error) {
+	results, err := exp.MapCells(ctx, 1, 1, func(ctx context.Context, _ int) (sim.Metrics, error) {
 		w, err := job.spec.StreamWorkload()
 		if err != nil {
 			return sim.Metrics{}, err
