@@ -25,8 +25,8 @@ test:
 
 # Race-mode pass over the packages that actually spawn goroutines or
 # share state across them (exp: the worker pool, the input memo, and
-# the cell store's single flight (Journal.Do), which srv's result cache
-# and fleet runs go through; obsv: lock-free counters/histograms, the
+# the cell store's single flight (Journal.Do), which campaign cells,
+# streamed windows, srv's result cache and fleet runs go through; obsv: lock-free counters/histograms, the
 # progress renderer goroutine, and the concurrent event log; srv: the
 # worker pool, concurrent identical jobs, drain-under-load and
 # faulted-load tests; fault: the lock-free injection registry under
@@ -92,11 +92,15 @@ fleet-smoke:
 
 # Streaming-engine smoke: a tiny 3-window streamed run byte-compared
 # against the offline oracle (same updates replayed in one batch), both
-# in-process (engine conformance, incl. multi-core) and end-to-end over
-# HTTP (POST /v1/stream vs a direct engine run, plus mid-stream kill
-# and window-granularity resume through the result-cache journal).
+# in-process (engine conformance, incl. multi-core), through exp's
+# journaled RunStream (the window path `figures -fig stream` takes:
+# resume, and what exp.checkpoint.recorded counts), and end-to-end over
+# HTTP (POST /v1/stream vs a direct engine run, mid-stream kill and
+# window-granularity resume through the result-cache journal, and
+# concurrent identical stream jobs simulating each window once).
 stream-smoke:
 	$(SMOKE) -run '^TestStreamOfflineConformance$$' ./internal/stream
+	$(SMOKE) -run '^TestRunStream' ./internal/exp
 	$(SMOKE) -run '^TestStreamJob' ./internal/srv
 
 # Benchmark smoke: perfbench is a separate module (it imports this

@@ -85,9 +85,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// The service always runs instrumented: /metrics is part of the
-	// API. The registry is installed process-wide so the exp/sim layers
-	// (cell latency, input-cache hits, checkpoint counters) surface in
-	// the same exposition as the srv.* metrics.
+	// API. The registry is installed process-wide so the exp and sim
+	// layers surface in the same exposition as the srv.* metrics: exp's
+	// cell pool (exp.cell.wall, exp.cells.completed/failed), its input
+	// memo (exp.inputcache.hits/misses) and sim's per-scheme run metrics
+	// (sim.<scheme>.runs, .updates, .wall, ...). The result cache reports
+	// through srv.cache.hits/misses; exp's checkpoint counters belong to
+	// figures campaigns and never appear here.
 	reg := obsv.New()
 	obsv.SetDefault(reg)
 	defer obsv.SetDefault(nil)

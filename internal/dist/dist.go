@@ -98,9 +98,6 @@ type Coordinator struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 	probeWG   sync.WaitGroup
-
-	fpmu    sync.Mutex
-	archFPs map[int]servableArchs // cores -> fingerprints a worker computes
 }
 
 // maxInflight bounds concurrently dispatched cells per worker.
@@ -119,12 +116,11 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.ProbeInterval = 2 * time.Second
 	}
 	co := &Coordinator{
-		cfg:     cfg,
-		reg:     cfg.Reg,
-		events:  cfg.Events,
-		wake:    make(chan struct{}, 1),
-		closed:  make(chan struct{}),
-		archFPs: map[int]servableArchs{},
+		cfg:    cfg,
+		reg:    cfg.Reg,
+		events: cfg.Events,
+		wake:   make(chan struct{}, 1),
+		closed: make(chan struct{}),
 	}
 	for _, addr := range cfg.Addrs {
 		addr = strings.TrimSpace(addr)

@@ -21,6 +21,7 @@ import (
 
 	"cobra/internal/client"
 	"cobra/internal/exp"
+	"cobra/internal/mem"
 	"cobra/internal/sim"
 	"cobra/internal/srv"
 )
@@ -328,5 +329,60 @@ func TestProbeReadmitsRecoveredWorker(t *testing.T) {
 	}
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatal("post-recovery metrics diverged")
+	}
+}
+
+// TestSpecForServability pins which cells the fleet serves and how:
+// stock architectures with and without NUCA, at one core (NumCores 0
+// and 1 both spell it) and at 4 cores, become jobs carrying the right
+// NUCA bit and core count; a prefetcher-off (Ablation A1) architecture
+// and a variant scheme are declined.
+func TestSpecForServability(t *testing.T) {
+	co := newCoordinator(t, Config{Addrs: []string{"http://127.0.0.1:1"}})
+	stock := sim.DefaultArch()
+	nuca := stock
+	nuca.Mem.NUCA = mem.DefaultNUCA()
+	key := func(arch sim.Arch, cores int) exp.CellKey {
+		return exp.CellKey{Figure: "suite", App: "DegreeCount", Input: "URND", Scale: 8, Seed: 42,
+			Scheme: "COBRA", Cores: cores, Arch: exp.ArchFingerprint(arch)}
+	}
+	served := []struct {
+		name  string
+		k     exp.CellKey
+		nuca  bool
+		cores int
+	}{
+		{"plain, NumCores 0", key(stock, 0), false, 1},
+		{"plain, NumCores 1", key(stock.WithCores(1), 1), false, 1},
+		{"plain, 4 cores", key(stock.WithCores(4), 4), false, 4},
+		{"NUCA, NumCores 0", key(nuca, 0), true, 1},
+		{"NUCA, NumCores 1", key(nuca.WithCores(1), 1), true, 1},
+		{"NUCA, 4 cores", key(nuca.WithCores(4), 4), true, 4},
+	}
+	for _, c := range served {
+		spec, ok := co.specFor(c.k)
+		if !ok {
+			t.Errorf("%s: declined, want served", c.name)
+			continue
+		}
+		if spec.NUCA != c.nuca || spec.Cores != c.cores {
+			t.Errorf("%s: job NUCA=%v cores=%d, want NUCA=%v cores=%d", c.name, spec.NUCA, spec.Cores, c.nuca, c.cores)
+		}
+		if len(spec.Schemes) != 1 || spec.Schemes[0] != sim.SchemeIDCOBRA || spec.App != c.k.App || spec.Scale != c.k.Scale {
+			t.Errorf("%s: job %+v does not carry the cell", c.name, spec.RunSpec)
+		}
+	}
+
+	noPrefetch := stock
+	noPrefetch.Mem.PrefetchDegree = 0
+	variant := key(stock, 1)
+	variant.Scheme = "COBRA[evict=8]"
+	for name, k := range map[string]exp.CellKey{
+		"A1 prefetcher off": key(noPrefetch, 1),
+		"variant scheme":    variant,
+	} {
+		if _, ok := co.specFor(k); ok {
+			t.Errorf("%s: served, want declined", name)
+		}
 	}
 }

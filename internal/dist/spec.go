@@ -6,55 +6,16 @@ package dist
 // schemes like "COBRA[evict=8]" have no JobSpec spelling), the scale
 // must be inside the registry bounds, and the architecture fingerprint
 // must be one a worker would itself compute from the job — workers run
-// the stock sim.DefaultArch, toggling NUCA before applying the core
-// count exactly as srv.runJob does. Anything else (ablation cells with
+// the stock sim.DefaultArch with the job's NUCA and core knobs, applied
+// by exp.RunSpec.Arch. Anything else (ablation cells with
 // hand-modified caches) is declined and simulated locally, which
 // preserves byte-identity by construction.
 
 import (
 	"cobra/internal/exp"
-	"cobra/internal/mem"
 	"cobra/internal/sim"
 	"cobra/internal/srv"
 )
-
-// servableArchs are the architecture fingerprints a stock worker can
-// reproduce for one core count, split by which NUCA flag to send.
-type servableArchs struct {
-	plain map[string]bool
-	nuca  map[string]bool
-}
-
-// servable returns (memoized) the fingerprints a worker reaches for
-// the given core count.
-func (co *Coordinator) servable(cores int) servableArchs {
-	if cores < 1 {
-		cores = 1
-	}
-	co.fpmu.Lock()
-	defer co.fpmu.Unlock()
-	if s, ok := co.archFPs[cores]; ok {
-		return s
-	}
-	s := servableArchs{plain: map[string]bool{}, nuca: map[string]bool{}}
-	base := sim.DefaultArch()
-	nucaArch := base
-	nucaArch.Mem.NUCA = mem.DefaultNUCA() // NUCA first, cores second: srv.runJob's order
-	if cores <= 1 {
-		// The simulator treats NumCores 0 and 1 identically (both select
-		// the single-core model) but their %+v fingerprints differ, so
-		// accept either spelling of "single-core".
-		s.plain[exp.ArchFingerprint(base)] = true
-		s.plain[exp.ArchFingerprint(base.WithCores(1))] = true
-		s.nuca[exp.ArchFingerprint(nucaArch)] = true
-		s.nuca[exp.ArchFingerprint(nucaArch.WithCores(1))] = true
-	} else {
-		s.plain[exp.ArchFingerprint(base.WithCores(cores))] = true
-		s.nuca[exp.ArchFingerprint(nucaArch.WithCores(cores))] = true
-	}
-	co.archFPs[cores] = s
-	return s
-}
 
 // specFor translates a cell into the job a worker would run, or
 // reports it unservable. The candidate spec is validated through the
@@ -72,34 +33,38 @@ func (co *Coordinator) specFor(k exp.CellKey) (srv.JobSpec, bool) {
 		// Variant schemes ("COBRA[evict=8]") have no JobSpec spelling.
 		return srv.JobSpec{}, false
 	}
-	cores := k.Cores
-	if cores < 1 {
-		cores = 1
+	// The candidate jobs a stock worker could run for the cell, NUCA
+	// off and then on; the first whose fingerprint is the cell's is the
+	// job. RunSpec.Arch applies the knobs in the worker's own order. The
+	// simulator treats NumCores 0 and 1 alike, but their fingerprints
+	// differ, so a one-core cell may carry either spelling.
+	cores := max(k.Cores, 1)
+	bases := []sim.Arch{sim.DefaultArch()}
+	if cores == 1 {
+		bases = append(bases, sim.DefaultArch().WithCores(1))
 	}
-	archs := co.servable(cores)
-	var nuca bool
-	switch {
-	case archs.plain[k.Arch]:
-		nuca = false
-	case archs.nuca[k.Arch]:
-		nuca = true
-	default:
-		return srv.JobSpec{}, false
+	for _, nuca := range []bool{false, true} {
+		spec := exp.RunSpec{
+			App:     k.App,
+			Input:   k.Input,
+			Scale:   k.Scale,
+			Seed:    k.Seed,
+			Schemes: []sim.SchemeID{id},
+			Bins:    k.Bins,
+			NUCA:    nuca,
+			Cores:   cores,
+		}
+		for _, base := range bases {
+			if spec.CellKey(k.Figure, id, base).Arch != k.Arch {
+				continue
+			}
+			if spec.Validate() != nil {
+				return srv.JobSpec{}, false
+			}
+			return srv.JobSpec{RunSpec: spec}, true
+		}
 	}
-	spec := srv.JobSpec{RunSpec: exp.RunSpec{
-		App:     k.App,
-		Input:   k.Input,
-		Scale:   k.Scale,
-		Seed:    k.Seed,
-		Schemes: []sim.SchemeID{id},
-		Bins:    k.Bins,
-		NUCA:    nuca,
-		Cores:   cores,
-	}}
-	if spec.RunSpec.Validate() != nil {
-		return srv.JobSpec{}, false
-	}
-	return spec, true
+	return srv.JobSpec{}, false
 }
 
 // FleetCellKey builds the canonical identity of an ad-hoc fleet cell

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"cobra/internal/obsv"
 	"cobra/internal/sim"
@@ -77,10 +76,9 @@ func (o Opts) ctx() context.Context {
 }
 
 // mapCells runs a figure's independent cells under o's campaign
-// controls: bounded pool, cancellation-with-drain, per-cell panic
-// isolation, and any per-cell timeout o.Ctx carries (WithCellTimeout).
-// Every figure driver schedules through this (never raw goroutines),
-// so one Ctrl-C drains every figure the same way.
+// controls: bounded pool, cancellation-with-drain and per-cell panic
+// isolation. Every figure driver schedules through this (never raw
+// goroutines), so one Ctrl-C drains every figure the same way.
 func mapCells[T any](o Opts, n int, cell func(i int) (T, error)) ([]T, error) {
 	o.Progress.AddTotal(n)
 	return MapCells(o.ctx(), o.Parallel, n, func(_ context.Context, i int) (T, error) {
@@ -245,15 +243,6 @@ type suiteResult struct {
 	cobra sim.Metrics
 }
 
-// suiteCache memoizes runSuite across figures within one process: a
-// figures -all invocation would otherwise re-simulate the whole suite
-// for each of Figures 5, 10, 11, and 12. Guarded by suiteMu because
-// parallel cells of distinct figures may race on first fill.
-var (
-	suiteMu    sync.Mutex
-	suiteCache = map[string][]suiteResult{}
-)
-
 // runSuite executes the headline comparison for every default pair,
 // reusing the bin sweep across PB-SW / IDEAL (and returning it for
 // callers that need PHI's bin count).
@@ -265,16 +254,6 @@ var (
 // bounded pool, (3) aggregate in enumeration order, so the result (and
 // every figure derived from it) is byte-identical at any -parallel.
 func runSuite(o Opts) ([]suiteResult, error) {
-	key := fmt.Sprintf("%d/%d", o.Scale, o.Seed)
-	suiteMu.Lock()
-	if rs, ok := suiteCache[key]; ok {
-		suiteMu.Unlock()
-		obsv.Default().Counter("exp.suitecache.hits").Add(1)
-		return rs, nil
-	}
-	suiteMu.Unlock()
-	obsv.Default().Counter("exp.suitecache.misses").Add(1)
-
 	pairs := DefaultSuite()
 
 	// Stage 1: build apps.
@@ -302,8 +281,10 @@ func runSuite(o Opts) ([]suiteResult, error) {
 		cells = append(cells, cellID{p, sim.SchemeIDCOBRA, 0})
 	}
 	// Each cell is journaled under the shared "suite" campaign unit, so
-	// Figures 5/10/11/12 (which all derive from runSuite) resume from
-	// the same completed-cell set.
+	// Figures 5/10/11/12 (which all derive from runSuite) share one
+	// completed-cell set: within a campaign the journal replays the
+	// cells an earlier suite figure ran, and a resume replays them all.
+	// A caller without a journal simulates the suite afresh.
 	res, err := mapCells(o, len(cells), func(i int) (sim.Metrics, error) {
 		c := cells[i]
 		return o.cell("suite", apps[c.pair], c.scheme, c.bins, o.Arch)
@@ -327,9 +308,6 @@ func runSuite(o Opts) ([]suiteResult, error) {
 		ci++
 		out[p] = r
 	}
-	suiteMu.Lock()
-	suiteCache[key] = out
-	suiteMu.Unlock()
 	return out, nil
 }
 

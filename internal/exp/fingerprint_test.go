@@ -48,7 +48,7 @@ func TestCellFingerprints(t *testing.T) {
 		{"2", Fig2}, {"4", Fig4}, {"t1", Table1}, {"10", Fig10}, {"14", Fig14},
 		{"a1", AblationPrefetcher}, {"a2", AblationLLCPolicy}, {"a4", AblationMLP}, {"a6", AblationNUCA},
 	}
-	ResetMemos() // runSuite memoizes per scale; a cached suite offers no cells
+	ResetMemos() // start from an empty input memo, as a new process does
 	t.Cleanup(ResetMemos)
 	rec := &recordingRunner{}
 	o := Opts{Scale: 8, Seed: 42, Arch: sim.DefaultArch(), Parallel: 1, Remote: rec}

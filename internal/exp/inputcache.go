@@ -49,17 +49,14 @@ var (
 // the last ResetMemos (diagnostics and tests).
 func InputBuilds() uint64 { return inputBuilds.Load() }
 
-// ResetMemos drops every memoized input and suite result. Tests use it
-// to force regeneration; long-lived callers can use it to release
-// memory between unrelated campaigns.
+// ResetMemos drops every memoized input. Tests use it to force
+// regeneration; long-lived callers can use it to release memory
+// between unrelated campaigns.
 func ResetMemos() {
 	inputMu.Lock()
 	inputs = map[inputKey]*inputEntry{}
 	inputBuilds.Store(0)
 	inputMu.Unlock()
-	suiteMu.Lock()
-	suiteCache = map[string][]suiteResult{}
-	suiteMu.Unlock()
 }
 
 func entryFor(k inputKey) *inputEntry {

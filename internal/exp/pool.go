@@ -31,7 +31,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cobra/internal/obsv"
 )
@@ -55,24 +54,6 @@ func (e *CellError) Error() string {
 	return fmt.Sprintf("exp: cell %d panicked: %s", e.Index, e.Recovered)
 }
 
-// cellTimeoutKey carries the optional per-cell timeout through the
-// campaign context (see WithCellTimeout).
-type cellTimeoutKey struct{}
-
-// WithCellTimeout returns a context under which every cell dispatched
-// by MapCells gets its own child context expiring after d. Cells that
-// respect their context (long external steps, future remote backends)
-// fail individually with a deadline error instead of wedging the whole
-// campaign; d <= 0 disables the limit.
-func WithCellTimeout(ctx context.Context, d time.Duration) context.Context {
-	return context.WithValue(ctx, cellTimeoutKey{}, d)
-}
-
-func cellTimeout(ctx context.Context) time.Duration {
-	d, _ := ctx.Value(cellTimeoutKey{}).(time.Duration)
-	return d
-}
-
 // Workers resolves a parallelism request: n > 0 means exactly n
 // workers; n <= 0 means one worker per available CPU (GOMAXPROCS).
 func Workers(n int) int {
@@ -82,15 +63,10 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runCell executes one cell behind a panic barrier with its (optional)
-// per-cell deadline. This is the single place a worker touches user
-// code, so it is the single place a panic can be converted into data.
+// runCell executes one cell behind a panic barrier. This is the single
+// place a worker touches user code, so it is the single place a panic
+// can be converted into data.
 func runCell(ctx context.Context, i int, cell func(ctx context.Context, i int) error) (err error) {
-	if d := cellTimeout(ctx); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = &CellError{Index: i, Recovered: fmt.Sprint(r), Stack: debug.Stack()}

@@ -170,29 +170,6 @@ func TestRunCellsCtxCompletedRunNotInterrupted(t *testing.T) {
 	}
 }
 
-// TestWithCellTimeout: cells receive a per-cell deadline context; a
-// cell that respects it fails individually without wedging the pool.
-func TestWithCellTimeout(t *testing.T) {
-	ctx := WithCellTimeout(context.Background(), time.Millisecond)
-	err := runAll(ctx, 2, 4, func(cctx context.Context, i int) error {
-		if i == 1 {
-			select {
-			case <-cctx.Done():
-				return fmt.Errorf("cell %d: %w", i, cctx.Err())
-			case <-time.After(5 * time.Second):
-				return errors.New("per-cell deadline never fired")
-			}
-		}
-		if _, ok := cctx.Deadline(); !ok {
-			return fmt.Errorf("cell %d: no deadline set", i)
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
-		t.Fatalf("err = %v, want the timed-out cell's deadline error", err)
-	}
-}
-
 // TestMapCellsCtxDropsResultsOnError: under cancellation no partial
 // slice escapes.
 func TestMapCellsCtxDropsResultsOnError(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cobra/internal/obsv"
 	"cobra/internal/sim"
 )
 
@@ -252,6 +253,44 @@ func TestRunStreamResume(t *testing.T) {
 	for i := range fresh.PerWindow {
 		if fresh.PerWindow[i] != r.PerWindow[i] {
 			t.Fatalf("window %d metrics differ after resume", i)
+		}
+	}
+}
+
+// TestRunStreamNilJournal: exp.checkpoint.recorded counts only windows
+// a store recorded. A streamed run with no journal records none; the
+// same run through an in-memory journal records every window.
+func TestRunStreamNilJournal(t *testing.T) {
+	spec := RunSpec{
+		App: "StreamIngest", Input: "URND", Scale: 8, Seed: 42,
+		Schemes: []sim.SchemeID{sim.SchemeIDBaseline},
+		Kind:    KindStream, Windows: 3, WindowUpdates: 256,
+	}
+	if err := spec.Normalize(Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenJournal("", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		journal *Journal
+		want    uint64
+	}{{"nil journal", nil, 0}, {"in-memory journal", store, 3}} {
+		reg := obsv.New()
+		restore := swapDefault(reg)
+		o := Opts{Scale: spec.Scale, Seed: spec.Seed, Arch: sim.DefaultArch(), Journal: c.journal}
+		_, err := RunStream(o, "stream", spec, sim.SchemeIDBaseline)
+		restore()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := reg.Counter("exp.checkpoint.recorded").Value(); got != c.want {
+			t.Errorf("%s: exp.checkpoint.recorded = %d, want %d", c.name, got, c.want)
+		}
+		if got := reg.Counter("exp.stream.windows_done").Value(); got != 3 {
+			t.Errorf("%s: exp.stream.windows_done = %d, want 3", c.name, got)
 		}
 	}
 }

@@ -72,49 +72,46 @@ func init() {
 }
 
 // RunStream executes one streamed scheme cell of a normalized stream
-// spec under o's campaign controls: windows checkpoint individually
-// through o.Journal (keyed by CellKey.Window, 1-based), replays count
-// toward the progress line, and each window emits a window_done /
-// window_replay event. The returned result carries per-window metrics,
-// the MergeMetrics fold, and the final functional state.
+// spec under o's campaign controls: every window goes through
+// o.Journal's Do (keyed by CellKey.Window, 1-based), so windows
+// checkpoint individually and an identical window under way is joined,
+// not simulated twice. Replays count toward the progress line, and each
+// window emits a window_done / window_replay event. The returned result
+// carries per-window metrics, the MergeMetrics fold, and the final
+// functional state.
 func RunStream(o Opts, figure string, spec RunSpec, scheme sim.SchemeID) (*stream.Result, error) {
 	w, err := spec.StreamWorkload()
 	if err != nil {
 		return nil, err
 	}
 	base := spec.CellKey(figure, scheme, o.Arch)
-	window := func(i int) CellKey {
-		k := base
-		k.Window = i + 1
-		return k
-	}
-	cfg := stream.Config{
+	return stream.Run(w, stream.Config{
 		Scheme: scheme.Scheme(),
 		Bins:   spec.Bins,
 		Arch:   spec.Arch(o.Arch),
 		Ctx:    o.Ctx,
-		Lookup: func(i int) (sim.Metrics, bool) { return o.Journal.Lookup(window(i)) },
-		Record: func(i int, m sim.Metrics) error {
-			if err := o.Journal.Record(window(i), m); err != nil {
-				return err
+		Store: func(i int, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
+			k := base
+			k.Window = i + 1
+			m, replayed, err := o.Journal.Do(k, run)
+			if err != nil {
+				return m, false, err
 			}
-			obsv.Default().Counter("exp.checkpoint.recorded").Add(1)
-			return nil
+			if replayed {
+				obsv.Default().Counter("exp.checkpoint.replayed").Add(1)
+				obsv.Default().Counter("exp.stream.windows_replayed").Add(1)
+				o.Progress.Replayed()
+				o.Events.Emit("window_replay", windowFields(k, i, w.Windows))
+				return m, true, nil
+			}
+			if o.Journal != nil {
+				obsv.Default().Counter("exp.checkpoint.recorded").Add(1)
+			}
+			obsv.Default().Counter("exp.stream.windows_done").Add(1)
+			o.Events.Emit("window_done", windowFields(k, i, w.Windows))
+			return m, false, nil
 		},
-	}
-	cfg.OnWindow = func(i int, m sim.Metrics, replayed bool) {
-		k := window(i)
-		if replayed {
-			obsv.Default().Counter("exp.checkpoint.replayed").Add(1)
-			obsv.Default().Counter("exp.stream.windows_replayed").Add(1)
-			o.Progress.Replayed()
-			o.Events.Emit("window_replay", windowFields(k, i, w.Windows))
-			return
-		}
-		obsv.Default().Counter("exp.stream.windows_done").Add(1)
-		o.Events.Emit("window_done", windowFields(k, i, w.Windows))
-	}
-	return stream.Run(w, cfg)
+	})
 }
 
 // windowFields renders one window identity as JSONL event fields.

@@ -4,8 +4,9 @@ package srv
 //
 // Request path:  handler -> validate -> enqueue (non-blocking; a full
 // queue is backpressure, HTTP 429) -> worker dequeues -> each scheme
-// runs as one exp cell (panic isolation, per-cell timeout) through the
-// result cache -> job reaches a terminal state and wakes sync waiters.
+// runs as one exp cell (panic isolation, the job's deadline) through
+// the result cache -> job reaches a terminal state and wakes sync
+// waiters.
 //
 // The result cache is an exp.Journal, the cell store cmd/figures
 // checkpoints through: every scheme execution is one simulation cell,
@@ -332,10 +333,10 @@ func (s *Server) timeoutFor(spec JobSpec) time.Duration {
 }
 
 // runJob executes one job on the calling worker goroutine: every
-// scheme is one exp cell with panic isolation and a per-cell deadline,
-// and every cell goes through the result cache. Streamed jobs run
-// their windows sequentially inside one cell, each window individually
-// cached and checkpointed.
+// scheme is one exp cell with panic isolation under the job's
+// deadline, and every cell goes through the result cache. Streamed
+// jobs run their windows sequentially inside one cell, each window
+// individually cached and checkpointed.
 func (s *Server) runJob(job *Job) {
 	job.setRunning(time.Now())
 	s.reg.Gauge("srv.jobs.inflight").Set(float64(s.inflight.Add(1)))
@@ -344,10 +345,8 @@ func (s *Server) runJob(job *Job) {
 		s.active.Add(-1)
 	}()
 
-	timeout := s.timeoutFor(job.spec)
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.timeoutFor(job.spec))
 	defer cancel()
-	ctx = exp.WithCellTimeout(ctx, timeout)
 
 	// Every worker runs the stock architecture; the canonical knob
 	// order (NUCA, then cores) lives in RunSpec.Arch.
@@ -406,16 +405,16 @@ func (s *Server) runJob(job *Job) {
 // /metrics registry as windows complete. Results carries the one
 // MergeMetrics fold; JobView.Windows the per-window metrics.
 //
-// Stream windows bypass the cache's single flight: windows of one run
-// are strictly sequential, and concurrent identical stream jobs dedupe
-// through the store after each window instead.
+// Every window goes through the cache's Do, so concurrent identical
+// stream jobs simulate each window once: the later job joins the
+// earlier one's run of the window and applies it functionally.
 func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch) {
 	scheme := job.schemes[0]
 	base := job.spec.CellKey("srv", scheme, sim.DefaultArch())
 	var hits, misses atomic.Int64
 	t := s.reg.Timer("srv.scheme." + scheme.String() + ".wall")
-	// The whole streamed run is one exp cell: one panic barrier, one
-	// deadline, windows sequential inside.
+	// The whole streamed run is one exp cell: one panic barrier under
+	// the job's deadline, windows sequential inside.
 	results, err := exp.MapCells(ctx, 1, 1, func(ctx context.Context, _ int) (sim.Metrics, error) {
 		w, err := job.spec.StreamWorkload()
 		if err != nil {
@@ -426,18 +425,19 @@ func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch) {
 			Bins:   job.spec.Bins,
 			Arch:   arch,
 			Ctx:    ctx,
-			Lookup: func(i int) (sim.Metrics, bool) {
+			Store: func(i int, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
 				k := base
 				k.Window = i + 1
-				return s.cache.Lookup(k)
-			},
-			Record: func(i int, m sim.Metrics) error {
-				k := base
-				k.Window = i + 1
-				if ferr := fault.Hit(fault.PointSrvComplete); ferr != nil {
-					return ferr
-				}
-				return s.cache.Record(k, m)
+				return s.cache.Do(k, func() (sim.Metrics, error) {
+					m, err := run()
+					if err == nil {
+						// The completion fault fires inside the compute
+						// closure, as in runJob: a fired fault discards the
+						// window, and Do never stores an error.
+						err = fault.Hit(fault.PointSrvComplete)
+					}
+					return m, err
+				})
 			},
 			OnWindow: func(i int, m sim.Metrics, replayed bool) {
 				s.countCache(replayed, &hits, &misses)

@@ -10,9 +10,11 @@ package srv
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -180,6 +182,65 @@ func TestStreamJobWindowResume(t *testing.T) {
 	b, _ := json.Marshal(replay.Results)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("replayed merged result diverged:\n%s\n%s", a, b)
+	}
+}
+
+// TestStreamJobSingleFlight: two concurrent identical streamed jobs
+// simulate each window once. Every window goes through the result
+// cache's single flight, so whichever job reaches a window second joins
+// (or replays) the first's run of it, and both return the same result.
+// A 200 ms completion delay holds each window's run open so the jobs
+// overlap.
+func TestStreamJobSingleFlight(t *testing.T) {
+	_, ts, reg := newTestServer(t, nil)
+	plan, err := fault.Parse("srv.worker.complete:every=1:delay=200ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Activate(plan)
+	defer fault.Deactivate()
+
+	body, err := json.Marshal(streamSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := make([]JobView, 2)
+	errs := make([]error, len(views))
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("job %d: status %d", i, resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&views[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, misses := reg.Counter("srv.cache.hits").Value(), reg.Counter("srv.cache.misses").Value()
+	if hits != 3 || misses != 3 {
+		t.Fatalf("cache hits/misses = %d/%d, want 3/3 (each of 3 windows simulated once)", hits, misses)
+	}
+	if got := views[0].CacheHits + views[1].CacheHits; got != 3 {
+		t.Fatalf("job views report %d hits, want 3", got)
+	}
+	a, _ := json.Marshal([][]sim.Metrics{views[0].Results, views[0].Windows})
+	b, _ := json.Marshal([][]sim.Metrics{views[1].Results, views[1].Windows})
+	if !bytes.Equal(a, b) {
+		t.Fatalf("concurrent identical stream jobs diverge:\n%s\n%s", a, b)
 	}
 }
 

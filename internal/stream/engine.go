@@ -23,8 +23,8 @@ const DefaultBins = 4096
 
 // ErrInterrupted reports a streamed run stopped between windows
 // because its context was cancelled. Windows recorded before the
-// interrupt remain valid; a resumed run replays them via its Lookup
-// hook.
+// interrupt remain valid; a resumed run replays them through its
+// Store.
 var ErrInterrupted = errors.New("stream: run interrupted")
 
 // Config drives one streamed (or offline-oracle) run.
@@ -43,15 +43,16 @@ type Config struct {
 	// the run with ErrInterrupted (the in-flight window completes).
 	Ctx context.Context
 
-	// Lookup, when non-nil, consults a checkpoint for window w. A hit
-	// replays the recorded metrics and applies the window functionally
-	// instead of simulating it.
-	Lookup func(w int) (sim.Metrics, bool)
-	// Record, when non-nil, durably records window w's fresh metrics
-	// before the run advances — the window-granularity checkpoint.
-	Record func(w int, m sim.Metrics) error
+	// Store, when non-nil, is the window-granularity checkpoint, with
+	// exp.Journal.Do's shape: it returns window w's stored metrics, joins
+	// an identical window under way, or calls run, which simulates the
+	// window, and records what it returns before the run advances.
+	// replayed reports a stored or joined window, which the engine then
+	// applies functionally instead of simulating it. An error stops the
+	// run.
+	Store func(w int, run func() (sim.Metrics, error)) (m sim.Metrics, replayed bool, err error)
 	// OnWindow, when non-nil, observes every window as it completes
-	// (replayed reports a Lookup hit) — progress lines, /metrics
+	// (replayed as Store reported it) — progress lines, /metrics
 	// gauges, event streams.
 	OnWindow func(w int, m sim.Metrics, replayed bool)
 }
@@ -68,7 +69,7 @@ type Result struct {
 	// Final is the functional state after every window — the byte-
 	// identity witness against the offline oracle.
 	Final []uint64
-	// Replayed counts windows served from the checkpoint Lookup.
+	// Replayed counts windows the Store replayed.
 	Replayed int
 }
 
@@ -92,29 +93,25 @@ func Run(w Workload, cfg Config) (*Result, error) {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			return nil, fmt.Errorf("%w after %d/%d windows (%v)", ErrInterrupted, i, w.Windows, cfg.Ctx.Err())
 		}
-		if cfg.Lookup != nil {
-			if m, ok := cfg.Lookup(i); ok {
-				w.ApplyWindow(i, st)
-				res.PerWindow = append(res.PerWindow, m)
-				res.Replayed++
-				if cfg.OnWindow != nil {
-					cfg.OnWindow(i, m, true)
-				}
-				continue
-			}
+		run := func() (sim.Metrics, error) { return sim.Run(w.WindowApp(i, st), id, bins, cfg.Arch) }
+		var m sim.Metrics
+		var replayed bool
+		var err error
+		if cfg.Store != nil {
+			m, replayed, err = cfg.Store(i, run)
+		} else {
+			m, err = run()
 		}
-		m, err := sim.Run(w.WindowApp(i, st), id, bins, cfg.Arch)
 		if err != nil {
 			return nil, fmt.Errorf("stream: window %d/%d: %w", i, w.Windows, err)
 		}
-		if cfg.Record != nil {
-			if err := cfg.Record(i, m); err != nil {
-				return nil, fmt.Errorf("stream: recording window %d: %w", i, err)
-			}
+		if replayed {
+			w.ApplyWindow(i, st)
+			res.Replayed++
 		}
 		res.PerWindow = append(res.PerWindow, m)
 		if cfg.OnWindow != nil {
-			cfg.OnWindow(i, m, false)
+			cfg.OnWindow(i, m, replayed)
 		}
 	}
 	res.Merged = sim.MergeMetrics(res.PerWindow)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -190,12 +191,16 @@ func TestStreamResume(t *testing.T) {
 				Scheme: sim.SchemeCOBRA,
 				Arch:   sim.DefaultArch().WithCores(cores),
 				Ctx:    ctx,
-				Record: func(i int, m sim.Metrics) error {
+				Store: func(i int, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
+					m, err := run()
+					if err != nil {
+						return m, false, err
+					}
 					journal[i] = m
 					if i == 2 {
 						cancel() // kill after the third window commits
 					}
-					return nil
+					return m, false, nil
 				},
 			}
 			if _, err := Run(w, cfg); err == nil {
@@ -210,13 +215,15 @@ func TestStreamResume(t *testing.T) {
 			resumed := Config{
 				Scheme: cfg.Scheme,
 				Arch:   cfg.Arch,
-				Lookup: func(i int) (sim.Metrics, bool) {
-					m, ok := journal[i]
-					return m, ok
-				},
-				Record: func(i int, m sim.Metrics) error {
-					journal[i] = m
-					return nil
+				Store: func(i int, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
+					if m, ok := journal[i]; ok {
+						return m, true, nil
+					}
+					m, err := run()
+					if err == nil {
+						journal[i] = m
+					}
+					return m, false, err
 				},
 			}
 			got, err := Run(w, resumed)
@@ -259,23 +266,25 @@ func isInterrupted(err error) bool {
 	return false
 }
 
-// TestRecordFailure pins that a failing Record aborts the run — a
-// window must never advance past an unrecorded checkpoint.
+// TestRecordFailure pins that a Store failing to record a window
+// aborts the run — a window must never advance past an unrecorded
+// checkpoint — and that the store's error stays inspectable.
 func TestRecordFailure(t *testing.T) {
 	w := testWorkload(KindIngest, DistUniform, 3)
 	boom := fmt.Errorf("disk full")
 	cfg := Config{
 		Scheme: sim.SchemeBaseline,
 		Arch:   sim.DefaultArch(),
-		Record: func(i int, m sim.Metrics) error {
-			if i == 1 {
-				return boom
+		Store: func(i int, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
+			m, err := run()
+			if err == nil && i == 1 {
+				return sim.Metrics{}, false, boom
 			}
-			return nil
+			return m, false, err
 		},
 	}
-	if _, err := Run(w, cfg); err == nil {
-		t.Fatal("run survived a failed checkpoint record")
+	if _, err := Run(w, cfg); !errors.Is(err, boom) {
+		t.Fatalf("run after a failed checkpoint record: err = %v, want %v", err, boom)
 	}
 }
 
