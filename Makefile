@@ -68,8 +68,9 @@ coverage:
 
 # Process-level service smoke: re-executes the cobrad test binary as a
 # real daemon on an ephemeral port, probes /healthz and /readyz, runs a
-# sync job over HTTP, diffs the metrics against a direct exp.RunScheme
-# call, then SIGTERMs it under load and asserts a clean drain (exit 0).
+# sync job over HTTP (which the daemon runs through exp.Opts.Run), diffs
+# the metrics against a direct in-process exp.RunScheme call, then
+# SIGTERMs it under load and asserts a clean drain (exit 0).
 serve-smoke:
 	$(SMOKE) -run '^TestServeSmoke$$' ./cmd/cobrad
 
@@ -97,11 +98,14 @@ fleet-smoke:
 # resume, and what exp.checkpoint.recorded counts), and end-to-end over
 # HTTP (POST /v1/stream vs a direct engine run, mid-stream kill and
 # window-granularity resume through the result-cache journal, and
-# concurrent identical stream jobs simulating each window once).
+# concurrent identical stream jobs simulating each window once), plus
+# a result-cache journal recorded by an earlier cobrad, whose offline
+# cells and stream windows must all replay.
 stream-smoke:
 	$(SMOKE) -run '^TestStreamOfflineConformance$$' ./internal/stream
 	$(SMOKE) -run '^TestRunStream' ./internal/exp
 	$(SMOKE) -run '^TestStreamJob' ./internal/srv
+	$(SMOKE) -run '^TestParentCacheReplays$$' ./internal/srv
 
 # Benchmark smoke: perfbench is a separate module (it imports this
 # one's internal packages through a replace directive), so `go test

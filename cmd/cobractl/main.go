@@ -264,11 +264,8 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 	defer co.Close()
 	fmt.Fprintf(stderr, "cobractl: fleet: %d/%d workers healthy\n", co.Probe(ctx), len(co.Nodes()))
 
-	// Local-fallback architecture, built in the worker's own knob order
-	// (NUCA first, then cores) so a declined cell still lands on
-	// identical metrics.
-	arch := spec.Arch(sim.DefaultArch())
-
+	fleet := &fleetCells{Coordinator: co, stderr: stderr}
+	o := exp.Opts{Arch: sim.DefaultArch(), Ctx: ctx, Journal: store, Remote: fleet}
 	type cellResult struct {
 		Scheme  string      `json:"scheme"`
 		Remote  bool        `json:"remote"`
@@ -276,27 +273,15 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 	}
 	var results []cellResult
 	for _, id := range spec.Schemes {
-		k := dist.FleetCellKey(spec, id)
-		remote := false
-		m, hit, err := store.Do(k, func() (sim.Metrics, error) {
-			m, ok, err := co.RunCell(ctx, k)
-			if remote = ok; ok {
-				return m, err
-			}
-			fmt.Fprintf(stderr, "cobractl: fleet: cell %s declined — simulating locally\n", id)
-			appl, err := exp.BuildApp(spec.App, spec.Input, spec.Scale, spec.Seed)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			return exp.RunScheme(appl, id.Scheme(), spec.Bins, arch)
-		})
+		fleet.declined = false
+		m, _, err := o.Run("fleet", spec, id, nil)
 		if err != nil {
 			fmt.Fprintln(stderr, "cobractl:", err)
 			return 1
 		}
 		// A replay reports as a fleet cell: its key is one a stock
 		// worker serves.
-		results = append(results, cellResult{Scheme: id.String(), Remote: remote || hit, Metrics: m})
+		results = append(results, cellResult{Scheme: id.String(), Remote: !fleet.declined, Metrics: m})
 	}
 
 	fi := co.Snapshot()
@@ -316,6 +301,25 @@ func fleetRun(ctx context.Context, args []string, stdout, stderr io.Writer, json
 		fmt.Fprintf(stdout, "%s\tcycles=%.0f\t(%s)\n", r.Scheme, r.Metrics.Cycles, src)
 	}
 	return 0
+}
+
+// fleetCells is the fleet as the runner's exp.RemoteRunner, noting
+// whether it declined the cell under way (which then simulates
+// locally, on the same metrics by the coordinator's byte-identity
+// contract).
+type fleetCells struct {
+	*dist.Coordinator
+	stderr   io.Writer
+	declined bool
+}
+
+func (f *fleetCells) RunCell(ctx context.Context, k exp.CellKey) (sim.Metrics, bool, error) {
+	m, ok, err := f.Coordinator.RunCell(ctx, k)
+	if !ok {
+		f.declined = true
+		fmt.Fprintf(f.stderr, "cobractl: fleet: cell %s declined — simulating locally\n", k.Scheme)
+	}
+	return m, ok, err
 }
 
 // printJob renders one job view: full JSON with -json, otherwise a

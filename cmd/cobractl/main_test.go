@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -124,7 +125,7 @@ func TestJobFailureExitCode(t *testing.T) {
 	// Every worker completion fails via the injection point: the job
 	// lands failed, Run's resubmissions fail the same way, and the CLI
 	// reports exit 1.
-	plan, err := fault.Parse("srv.worker.complete:every=1:err=eio")
+	plan, err := fault.Parse("exp.cell.complete:every=1:err=eio")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +181,34 @@ func TestFleetRun(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "2 dispatched, 2 completed") {
 		t.Fatalf("fleet summary missing: %q", errOut)
+	}
+}
+
+// TestFleetRunLocalFallback: with no worker reachable every cell is
+// declined, simulated locally and reported in the local column; rerun
+// on the same -journal, the cells replay and report as fleet cells,
+// with the same metrics.
+func TestFleetRunLocalFallback(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	args := []string{"fleet", "run", "-addrs", dead.URL, "-journal", filepath.Join(t.TempDir(), "fleet.jsonl"),
+		"-app", "DegreeCount", "-input", "URND", "-scale", "8", "-schemes", "Baseline,COBRA"}
+	code, local, errOut := runCtl(t, args...)
+	if code != 0 {
+		t.Fatalf("fleet run: code=%d out=%q err=%q", code, local, errOut)
+	}
+	if strings.Count(local, "(local)") != 2 || strings.Count(errOut, "declined — simulating locally") != 2 {
+		t.Fatalf("cells not run locally: out=%q err=%q", local, errOut)
+	}
+	code, replay, errOut := runCtl(t, args...)
+	if code != 0 {
+		t.Fatalf("rerun: code=%d out=%q err=%q", code, replay, errOut)
+	}
+	if strings.Count(replay, "(fleet)") != 2 || strings.Contains(errOut, "declined") {
+		t.Fatalf("journaled cells not replayed as fleet cells: out=%q err=%q", replay, errOut)
+	}
+	if strings.ReplaceAll(local, "(local)", "(fleet)") != replay {
+		t.Fatalf("replayed metrics differ:\n%s\n%s", local, replay)
 	}
 }
 

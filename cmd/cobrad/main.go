@@ -89,9 +89,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// layers surface in the same exposition as the srv.* metrics: exp's
 	// cell pool (exp.cell.wall, exp.cells.completed/failed), its input
 	// memo (exp.inputcache.hits/misses) and sim's per-scheme run metrics
-	// (sim.<scheme>.runs, .updates, .wall, ...). The result cache reports
-	// through srv.cache.hits/misses; exp's checkpoint counters belong to
-	// figures campaigns and never appear here.
+	// (sim.<scheme>.runs, .updates, .wall, ...). Jobs run through the
+	// same runner as figures campaigns, so its cell store counters
+	// (exp.checkpoint.replayed/recorded, exp.stream.windows_*) appear
+	// too; srv.cache.hits/misses count the same outcomes per job cell
+	// and window.
 	reg := obsv.New()
 	obsv.SetDefault(reg)
 	defer obsv.SetDefault(nil)

@@ -86,11 +86,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cobrasim:", err)
 		return 2
 	}
-	cells := offlineCells
-	if spec.Kind == exp.KindStream {
-		cells = streamCells
-	}
-	header, cell, err := cells(spec)
+	header, err := describe(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "cobrasim:", err)
 		return 1
@@ -99,11 +95,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, header)
 	}
 
+	o := exp.Opts{Arch: sim.DefaultArch()}
 	var results []sim.Metrics
 	var base *sim.Metrics
 	failed := false
 	for _, id := range spec.Schemes {
-		m, err := cell(id)
+		// A streamed scheme reports its merged (MergeMetrics-folded)
+		// metrics.
+		m, _, err := o.Run("cli", spec, id, nil)
 		if err != nil {
 			// Scheme names were validated up front; failures here are
 			// applicability errors (e.g. COBRA-COMM on a non-commutative
@@ -120,38 +119,22 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return render(stdout, stderr, results, base, *asJSON, failed)
 }
 
-// offlineCells is the historical path: one static cell per scheme.
-func offlineCells(spec exp.RunSpec) (string, func(sim.SchemeID) (sim.Metrics, error), error) {
+// describe renders the header line naming the workload the spec runs.
+func describe(spec exp.RunSpec) (string, error) {
+	if spec.Kind == exp.KindStream {
+		w, err := spec.StreamWorkload()
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%s on %s: %d keys, %d windows x %d updates (streamed)\n\n",
+			w.Name, w.InputName, w.NumKeys, w.Windows, w.WindowUpdates), nil
+	}
 	app, err := exp.BuildApp(spec.App, spec.Input, spec.Scale, spec.Seed)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
-	arch := spec.Arch(sim.DefaultArch())
-	header := fmt.Sprintf("%s on %s: %d keys, %d updates, %d B tuples, commutative=%v\n\n",
-		app.Name, app.InputName, app.NumKeys, app.NumUpdates, app.TupleBytes, app.Commutative)
-	return header, func(id sim.SchemeID) (sim.Metrics, error) {
-		return exp.RunScheme(app, id.Scheme(), spec.Bins, arch)
-	}, nil
-}
-
-// streamCells drives each scheme through the windowed streaming engine
-// and reports its merged (MergeMetrics-folded) metrics.
-func streamCells(spec exp.RunSpec) (string, func(sim.SchemeID) (sim.Metrics, error), error) {
-	w, err := spec.StreamWorkload()
-	if err != nil {
-		return "", nil, err
-	}
-	o := exp.DefaultOpts()
-	o.Scale, o.Seed = spec.Scale, spec.Seed
-	header := fmt.Sprintf("%s on %s: %d keys, %d windows x %d updates (streamed)\n\n",
-		w.Name, w.InputName, w.NumKeys, w.Windows, w.WindowUpdates)
-	return header, func(id sim.SchemeID) (sim.Metrics, error) {
-		r, err := exp.RunStream(o, "cli", spec, id)
-		if err != nil {
-			return sim.Metrics{}, err
-		}
-		return r.Merged, nil
-	}, nil
+	return fmt.Sprintf("%s on %s: %d keys, %d updates, %d B tuples, commutative=%v\n\n",
+		app.Name, app.InputName, app.NumKeys, app.NumUpdates, app.TupleBytes, app.Commutative), nil
 }
 
 // render emits the metrics slice as JSON or the two human tables.

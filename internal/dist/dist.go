@@ -19,8 +19,8 @@
 // the caller simulates locally — degraded throughput, identical bytes.
 //
 // Byte-identity argument: a cell is a deterministic function of its
-// exp.CellKey, the workers run the exact same simulator via
-// srv.runJob, and sim.Metrics round-trips JSON exactly (uint64 and
+// exp.CellKey, the workers run the exact same simulator through the
+// same runner as a local cell (exp.Opts.Run), and sim.Metrics round-trips JSON exactly (uint64 and
 // float64 fields decode bit-exact into the typed struct — the same
 // property the checkpoint journal's replay path relies on).
 package dist

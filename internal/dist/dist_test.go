@@ -106,9 +106,9 @@ func mustJSON(t *testing.T, m sim.Metrics) string {
 }
 
 func testKey() exp.CellKey {
-	return FleetCellKey(exp.RunSpec{
+	return exp.RunSpec{
 		App: "DegreeCount", Input: "URND", Scale: 8, Seed: 42, Cores: 1,
-	}, sim.SchemeIDCOBRA)
+	}.CellKey("fleet", sim.SchemeIDCOBRA, sim.DefaultArch())
 }
 
 func TestRunCellMatchesLocal(t *testing.T) {

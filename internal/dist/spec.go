@@ -66,11 +66,3 @@ func (co *Coordinator) specFor(k exp.CellKey) (srv.JobSpec, bool) {
 	}
 	return srv.JobSpec{}, false
 }
-
-// FleetCellKey builds the canonical identity of an ad-hoc fleet cell
-// (cobractl fleet run) from the one RunSpec: the stock architecture
-// with the spec's NUCA and core knobs applied in the worker's own
-// order, fingerprinted the same way the campaign code does.
-func FleetCellKey(spec exp.RunSpec, scheme sim.SchemeID) exp.CellKey {
-	return spec.CellKey("fleet", scheme, sim.DefaultArch())
-}

@@ -431,6 +431,12 @@ func (j *Journal) Close() error {
 // and Arch (when empty) come from o.Arch, so a caller that runs a
 // modified architecture (the ablations) passes its own fingerprint.
 func (o Opts) journaled(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics, error) {
+	m, _, err := o.doCell(k, run)
+	return m, err
+}
+
+// doCell is journaled that also reports whether the cell replayed.
+func (o Opts) doCell(k CellKey, run func() (sim.Metrics, error)) (m sim.Metrics, hit bool, err error) {
 	k.Scale, k.Seed = o.Scale, o.Seed
 	if k.Cores == 0 {
 		k.Cores = o.Arch.Cores()
@@ -438,7 +444,7 @@ func (o Opts) journaled(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics
 	if k.Arch == "" {
 		k.Arch = ArchFingerprint(o.Arch)
 	}
-	m, hit, err := o.Journal.Do(k, func() (sim.Metrics, error) {
+	m, hit, err = o.do(k, func() (sim.Metrics, error) {
 		m, ran, err := o.remote(k)
 		if !ran {
 			m, err = o.observed(k, run)
@@ -453,7 +459,21 @@ func (o Opts) journaled(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics
 	case err == nil && o.Journal != nil:
 		obsv.Default().Counter("exp.checkpoint.recorded").Add(1)
 	}
-	return m, err
+	return m, hit, err
+}
+
+// do is the one compute path of every cell and streamed window:
+// o.Journal's Do around run, with the completion fault point
+// (fault.PointCellComplete) between a successful run and the record. A
+// fired fault discards the result, and Do never stores an error.
+func (o Opts) do(k CellKey, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
+	return o.Journal.Do(k, func() (sim.Metrics, error) {
+		m, err := run()
+		if err == nil {
+			err = fault.Hit(fault.PointCellComplete)
+		}
+		return m, err
+	})
 }
 
 // cell runs one plain-scheme cell (sim.Run's default CobraOpt) through

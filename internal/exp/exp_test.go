@@ -2,9 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"cobra/internal/obsv"
 	"cobra/internal/sim"
 )
 
@@ -135,7 +138,7 @@ func TestBestPBSWPicksMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, sweep, err := BestPBSW(app, sim.DefaultArch())
+	best, sweep, err := BestPBSWN(app, sim.DefaultArch(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +156,31 @@ func TestBestPBSWPicksMinimum(t *testing.T) {
 	}
 	if BestIdealPB(nil).Cycles != 0 {
 		t.Fatal("empty sweep ideal should be zero")
+	}
+}
+
+// TestRunSweepStopsOnCancel: a bins-0 cell's PB-SW bin sweep runs
+// under the runner's context, so a cancelled job (a cobrad deadline)
+// starts no sweep cell and fails with ErrInterrupted instead of running
+// the whole sweep.
+func TestRunSweepStopsOnCancel(t *testing.T) {
+	reg := obsv.New()
+	defer swapDefault(reg)()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := Opts{Arch: sim.DefaultArch(), Ctx: ctx}
+	spec := RunSpec{App: "DegreeCount", Input: "URND", Scale: 8, Seed: 1,
+		Schemes: []sim.SchemeID{sim.SchemeIDPBSW, sim.SchemeIDPHI, sim.SchemeIDPBIdeal}}
+	if err := spec.Normalize(Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range spec.Schemes {
+		if _, _, err := o.Run("test", spec, id, nil); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%s under a cancelled context: err = %v, want ErrInterrupted", id, err)
+		}
+	}
+	if n := reg.Counter("exp.cells.completed").Value() + reg.Counter("exp.cells.failed").Value(); n != 0 {
+		t.Fatalf("cancelled sweeps started %d cells, want 0", n)
 	}
 }
 

@@ -230,20 +230,21 @@ func validBins(app *sim.App) []int {
 	return out
 }
 
-// BestPBSW sweeps bin counts and returns the fastest PB-SW run plus the
-// whole sweep (Figure 4's raw data). The sweep cells run on the default
-// worker pool (one worker per CPU); use BestPBSWN to bound it.
-func BestPBSW(app *sim.App, arch sim.Arch) (best sim.Metrics, sweep []sim.Metrics, err error) {
-	return BestPBSWN(app, arch, 0)
-}
-
-// BestPBSWN is BestPBSW on a bounded pool: the sweep's independent
+// BestPBSWN sweeps bin counts and returns the fastest PB-SW run plus
+// the whole sweep (Figure 4's raw data). The sweep's independent
 // (bin-count) cells run on at most `workers` goroutines (0 =
 // GOMAXPROCS, 1 = serial). The sweep slice is ordered by bin count and
 // `best` is the first strict minimum, regardless of schedule.
 func BestPBSWN(app *sim.App, arch sim.Arch, workers int) (best sim.Metrics, sweep []sim.Metrics, err error) {
+	return Opts{Parallel: workers}.bestPBSW(app, arch)
+}
+
+// bestPBSW is BestPBSWN on o's pool under o's context: cancelling o.Ctx
+// stops the dispatch of sweep cells, and the sweep then fails with an
+// ErrInterrupted-wrapping error.
+func (o Opts) bestPBSW(app *sim.App, arch sim.Arch) (best sim.Metrics, sweep []sim.Metrics, err error) {
 	bins := validBins(app)
-	sweep, err = MapCells(context.TODO(), workers, len(bins), func(_ context.Context, i int) (sim.Metrics, error) {
+	sweep, err = MapCells(o.ctx(), o.Parallel, len(bins), func(_ context.Context, i int) (sim.Metrics, error) {
 		return sim.Run(app, sim.SchemeIDPBSW, bins[i], arch)
 	})
 	if err != nil {
@@ -291,19 +292,59 @@ func RunScheme(app *sim.App, scheme sim.Scheme, bins int, arch sim.Arch) (sim.Me
 	if err != nil {
 		return sim.Metrics{}, err
 	}
+	return Opts{}.runScheme(app, id, bins, arch)
+}
+
+// runScheme is RunScheme's dispatch with the bin sweep on o's pool
+// under o's context (see bestPBSW).
+func (o Opts) runScheme(app *sim.App, id sim.SchemeID, bins int, arch sim.Arch) (sim.Metrics, error) {
 	switch {
 	case id == sim.SchemeIDPBIdeal:
-		_, sweep, err := BestPBSW(app, arch)
+		_, sweep, err := o.bestPBSW(app, arch)
 		if err != nil {
 			return sim.Metrics{}, err
 		}
 		return BestIdealPB(sweep), nil
 	case bins <= 0 && (id == sim.SchemeIDPBSW || id == sim.SchemeIDPHI):
-		best, _, err := BestPBSW(app, arch)
+		best, _, err := o.bestPBSW(app, arch)
 		if err != nil || id == sim.SchemeIDPBSW {
 			return best, err
 		}
 		bins = best.NumBins
 	}
 	return sim.Run(app, id, bins, arch)
+}
+
+// Run runs one scheme of a normalized spec under o's controls: the one
+// runner behind cobrad jobs, cobrasim and cobractl fleet run.
+//
+// An offline spec is one cell keyed spec.CellKey(fig, id, o.Arch)
+// through o's cell store (see journaled): a stored or joined result
+// replays, and a miss is offered to o.Remote before it simulates here.
+// Only a local simulation builds the app. It keeps RunScheme's meaning
+// (bins 0 sweeps, PB-SW-IDEAL is composed from the sweep, PHI reuses
+// the best bin count), with the sweep on o.Parallel workers under o.Ctx.
+//
+// A streamed spec runs RunStream's window path, passing each window to
+// onWindow (nil ignores them), and returns the merged metrics.
+//
+// replayed reports a stored or joined cell; for a streamed spec, that
+// every window was.
+func (o Opts) Run(fig string, spec RunSpec, id sim.SchemeID, onWindow func(i int, m sim.Metrics, replayed bool)) (m sim.Metrics, replayed bool, err error) {
+	if spec.Kind == KindStream {
+		r, err := o.runStream(fig, spec, id, onWindow)
+		if err != nil {
+			return sim.Metrics{}, false, err
+		}
+		return r.Merged, r.Replayed == len(r.PerWindow), nil
+	}
+	o.Scale, o.Seed = spec.Scale, spec.Seed
+	arch := spec.Arch(o.Arch)
+	return o.doCell(spec.CellKey(fig, id, o.Arch), func() (sim.Metrics, error) {
+		app, err := BuildApp(spec.App, spec.Input, spec.Scale, spec.Seed)
+		if err != nil {
+			return sim.Metrics{}, err
+		}
+		return o.runScheme(app, id, spec.Bins, arch)
+	})
 }

@@ -72,14 +72,20 @@ func init() {
 }
 
 // RunStream executes one streamed scheme cell of a normalized stream
-// spec under o's campaign controls: every window goes through
-// o.Journal's Do (keyed by CellKey.Window, 1-based), so windows
-// checkpoint individually and an identical window under way is joined,
-// not simulated twice. Replays count toward the progress line, and each
+// spec under o's campaign controls: every window goes through o's cell
+// store (keyed by CellKey.Window, 1-based), so windows checkpoint
+// individually and an identical window under way is joined, not
+// simulated twice. Replays count toward the progress line, and each
 // window emits a window_done / window_replay event. The returned result
 // carries per-window metrics, the MergeMetrics fold, and the final
 // functional state.
 func RunStream(o Opts, figure string, spec RunSpec, scheme sim.SchemeID) (*stream.Result, error) {
+	return o.runStream(figure, spec, scheme, nil)
+}
+
+// runStream is RunStream passing each completed window to onWindow
+// (nil ignores them).
+func (o Opts) runStream(figure string, spec RunSpec, scheme sim.SchemeID, onWindow func(i int, m sim.Metrics, replayed bool)) (*stream.Result, error) {
 	w, err := spec.StreamWorkload()
 	if err != nil {
 		return nil, err
@@ -93,7 +99,7 @@ func RunStream(o Opts, figure string, spec RunSpec, scheme sim.SchemeID) (*strea
 		Store: func(i int, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
 			k := base
 			k.Window = i + 1
-			m, replayed, err := o.Journal.Do(k, run)
+			m, replayed, err := o.do(k, run)
 			if err != nil {
 				return m, false, err
 			}
@@ -111,6 +117,7 @@ func RunStream(o Opts, figure string, spec RunSpec, scheme sim.SchemeID) (*strea
 			o.Events.Emit("window_done", windowFields(k, i, w.Windows))
 			return m, false, nil
 		},
+		OnWindow: onWindow,
 	})
 }
 

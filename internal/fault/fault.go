@@ -5,7 +5,7 @@
 // EIO, short writes, failed fsyncs, torn renames, injected latency,
 // even SIGKILL-ing the process mid-write — at named points threaded
 // through the filesystem (fsx), graph I/O (gio), checkpoint journal
-// (exp), and service (srv) layers.
+// and cell store (exp), and service (srv) layers.
 //
 // Contract:
 //
@@ -30,7 +30,7 @@
 //
 //	exp.journal.sync:at=3:err=enospc            fail the 3rd journal fsync
 //	fsx.write:every=2:err=short                 tear every 2nd artifact write
-//	srv.worker.complete:p=0.1:err=eio           fail ~10% of completions
+//	exp.cell.complete:p=0.1:err=eio             fail ~10% of cell completions
 //	exp.journal.append:at=2:err=short:kill      tear the 2nd append, then SIGKILL
 //	gio.read:at=1:delay=50ms                    one slow read, no error
 //
@@ -76,12 +76,14 @@ const (
 	// at most the entry being appended (a torn tail) — never the prefix.
 	PointJournalAppend = "exp.journal.append"
 	PointJournalSync   = "exp.journal.sync"
-	// Service queue admission and worker completion. Admission faults
-	// reject the job before it queues (HTTP 500); completion faults
-	// discard a computed result before it reaches the cache (the job
-	// fails, and the error must never be cached).
-	PointSrvAdmit    = "srv.queue.admit"
-	PointSrvComplete = "srv.worker.complete"
+	// Cell completion: every exp cell and streamed window hits it after
+	// its run succeeds and before the cell store records the result. A
+	// fault here discards the computed result (a cobrad job fails), and
+	// the error is never cached.
+	PointCellComplete = "exp.cell.complete"
+	// Service queue admission: a fault rejects the job before it queues
+	// (HTTP 500).
+	PointSrvAdmit = "srv.queue.admit"
 )
 
 // Sentinels. Every injected error wraps ErrInjected; short writes also

@@ -101,14 +101,14 @@ func TestEverySchedule(t *testing.T) {
 // replayable set of hit numbers for a given seed — and a different
 // seed yields a different (still replayable) set.
 func TestProbabilisticDeterminism(t *testing.T) {
-	const spec = "srv.worker.complete:p=0.3:err=eio"
+	const spec = "exp.cell.complete:p=0.3:err=eio"
 	firedSet := func(seed uint64) []int {
 		p := mustParse(t, fmt.Sprintf("seed=%d;%s", seed, spec))
 		Activate(p)
 		defer Deactivate()
 		var fired []int
 		for n := 1; n <= 200; n++ {
-			if Hit(PointSrvComplete) != nil {
+			if Hit(PointCellComplete) != nil {
 				fired = append(fired, n)
 			}
 		}
@@ -134,15 +134,15 @@ func TestProbabilisticDeterminism(t *testing.T) {
 // number N is seed-pure, so the total fire count is schedule-
 // independent even when hits arrive from many goroutines.
 func TestProbabilisticDeterminismUnderConcurrency(t *testing.T) {
-	serial := mustParse(t, "seed=11;srv.worker.complete:p=0.25:err=eio")
+	serial := mustParse(t, "seed=11;exp.cell.complete:p=0.25:err=eio")
 	Activate(serial)
 	for n := 0; n < 400; n++ {
-		Hit(PointSrvComplete)
+		Hit(PointCellComplete)
 	}
-	want := Fires(PointSrvComplete)
+	want := Fires(PointCellComplete)
 	Deactivate()
 
-	parallel := mustParse(t, "seed=11;srv.worker.complete:p=0.25:err=eio")
+	parallel := mustParse(t, "seed=11;exp.cell.complete:p=0.25:err=eio")
 	Activate(parallel)
 	defer Deactivate()
 	var wg sync.WaitGroup
@@ -151,12 +151,12 @@ func TestProbabilisticDeterminismUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < 50; n++ {
-				Hit(PointSrvComplete)
+				Hit(PointCellComplete)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := Fires(PointSrvComplete); got != want {
+	if got := Fires(PointCellComplete); got != want {
 		t.Fatalf("concurrent fire count %d != serial %d", got, want)
 	}
 }

@@ -384,12 +384,7 @@ func IntSort(n, maxKey int, seed uint64, inputName string) *sim.App {
 		keys[i] = uint32(r.Intn(maxKey))
 		counts[keys[i]]++
 	}
-	offsets := make([]uint32, maxKey)
-	var sum uint32
-	for i, c := range counts {
-		offsets[i] = sum
-		sum += c
-	}
+	offsets := graph.PrefixSum(counts)
 	return &sim.App{
 		Name:        "IntSort",
 		InputName:   inputName,
@@ -412,7 +407,7 @@ func IntSort(n, maxKey int, seed uint64, inputName string) *sim.App {
 				cursor:  make([]uint32, maxKey),
 				out:     make([]uint32, n),
 			}
-			copy(a.cursor, offsets)
+			copy(a.cursor, offsets[:maxKey])
 			return a
 		},
 	}
@@ -528,12 +523,7 @@ func Transpose(a *sparse.Matrix, inputName string) *sim.App {
 	for _, c := range a.ColIdx {
 		cnt[c]++
 	}
-	offsets := make([]uint32, a.Cols)
-	var sum uint32
-	for i, c := range cnt {
-		offsets[i] = sum
-		sum += c
-	}
+	offsets := graph.PrefixSum(cnt)
 	return &sim.App{
 		Name:        "Transpose",
 		InputName:   inputName,
@@ -562,7 +552,7 @@ func Transpose(a *sparse.Matrix, inputName string) *sim.App {
 				cursor:  make([]uint32, a.Cols),
 				colIdx:  make([]uint32, a.NNZ()),
 			}
-			copy(ap.cursor, offsets)
+			copy(ap.cursor, offsets[:a.Cols])
 			return ap
 		},
 	}
@@ -660,12 +650,7 @@ func SymPerm(a *sparse.Matrix, perm []uint32, inputName string) *sim.App {
 			numUpdates++
 		}
 	}
-	offsets := make([]uint32, n)
-	var sum uint32
-	for i, c := range cnt {
-		offsets[i] = sum
-		sum += c
-	}
+	offsets := graph.PrefixSum(cnt)
 	// Stream cost: the kernel walks every stored entry (both triangles)
 	// but emits updates only for the upper half. Charge the full stream
 	// bytes to the updates that do get emitted.
@@ -708,7 +693,7 @@ func SymPerm(a *sparse.Matrix, perm []uint32, inputName string) *sim.App {
 				cursor:  make([]uint32, n),
 				colIdx:  make([]uint32, numUpdates),
 			}
-			copy(ap.cursor, offsets)
+			copy(ap.cursor, offsets[:n])
 			return ap
 		},
 	}

@@ -20,7 +20,7 @@ func TestSpecCoresValidation(t *testing.T) {
 	}}
 
 	sp := base
-	if _, err := sp.normalize(cfg); err != nil {
+	if err := sp.normalize(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Cores != 1 {
@@ -29,19 +29,19 @@ func TestSpecCoresValidation(t *testing.T) {
 
 	sp = base
 	sp.Cores = maxCores
-	if _, err := sp.normalize(cfg); err != nil {
+	if err := sp.normalize(cfg); err != nil {
 		t.Fatalf("cores at the limit rejected: %v", err)
 	}
 
 	sp = base
 	sp.Cores = -1
-	if _, err := sp.normalize(cfg); err == nil || !strings.Contains(err.Error(), "negative core count") {
+	if err := sp.normalize(cfg); err == nil || !strings.Contains(err.Error(), "negative core count") {
 		t.Fatalf("negative cores: err = %v", err)
 	}
 
 	sp = base
 	sp.Cores = maxCores + 1
-	if _, err := sp.normalize(cfg); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if err := sp.normalize(cfg); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("cores over limit: err = %v", err)
 	}
 }

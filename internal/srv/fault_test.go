@@ -31,7 +31,7 @@ func TestLoadWithCompletionFaults(t *testing.T) {
 	// fire/skip decision is a pure function of (seed, point, hit), so
 	// the schedule is identical however goroutines interleave.
 	plan, err := fault.Build(1234, &fault.Rule{
-		Point: fault.PointSrvComplete, Prob: 0.10, Err: syscall.EIO,
+		Point: fault.PointCellComplete, Prob: 0.10, Err: syscall.EIO,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestLoadWithCompletionFaults(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if fault.Fires(fault.PointSrvComplete) == 0 {
+	if fault.Fires(fault.PointCellComplete) == 0 {
 		t.Fatal("the 10% schedule never fired — the test exercised nothing")
 	}
 

@@ -33,27 +33,27 @@ type JobSpec struct {
 // (exp.RunSpec.Normalize under the server's limits) plus the
 // service-level constraints, filling defaults in place. Every
 // violation is a client error (HTTP 400).
-func (sp *JobSpec) normalize(cfg Config) ([]sim.SchemeID, error) {
+func (sp *JobSpec) normalize(cfg Config) error {
 	if err := sp.RunSpec.Normalize(exp.Limits{
 		DefaultScale: cfg.DefaultScale,
 		MaxScale:     cfg.MaxScale,
 		MaxCores:     maxCores,
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	// A streamed job reports one merged result plus per-window metrics;
 	// one scheme per job keeps that wire shape unambiguous (submit one
 	// job per scheme to compare).
 	if sp.Kind == exp.KindStream && len(sp.Schemes) != 1 {
-		return nil, fmt.Errorf("srv: stream jobs run exactly one scheme, got %d", len(sp.Schemes))
+		return fmt.Errorf("srv: stream jobs run exactly one scheme, got %d", len(sp.Schemes))
 	}
 	if sp.TimeoutMS < 0 {
-		return nil, fmt.Errorf("srv: negative timeout_ms %d", sp.TimeoutMS)
+		return fmt.Errorf("srv: negative timeout_ms %d", sp.TimeoutMS)
 	}
 	if maxMS := cfg.MaxJobTimeout.Milliseconds(); maxMS > 0 && sp.TimeoutMS > maxMS {
 		sp.TimeoutMS = maxMS
 	}
-	return sp.Schemes, nil
+	return nil
 }
 
 // JobState is the lifecycle state of a job.
@@ -72,9 +72,8 @@ const (
 // Job is one accepted simulation request. All mutation goes through
 // the state methods; readers take View snapshots.
 type Job struct {
-	id      string
-	spec    JobSpec
-	schemes []sim.SchemeID
+	id   string
+	spec JobSpec
 
 	mu        sync.Mutex
 	state     JobState
@@ -92,11 +91,10 @@ type Job struct {
 	done chan struct{}
 }
 
-func newJob(id string, spec JobSpec, schemes []sim.SchemeID, now time.Time) *Job {
+func newJob(id string, spec JobSpec, now time.Time) *Job {
 	return &Job{
 		id:        id,
 		spec:      spec,
-		schemes:   schemes,
 		state:     JobQueued,
 		submitted: now,
 		done:      make(chan struct{}),

@@ -34,7 +34,6 @@ import (
 	"cobra/internal/fault"
 	"cobra/internal/obsv"
 	"cobra/internal/sim"
-	"cobra/internal/stream"
 )
 
 // Config parameterizes a Server.
@@ -211,8 +210,7 @@ var (
 // nil (job accepted), errQueueFull (backpressure), errDraining, or a
 // validation error.
 func (s *Server) submit(spec JobSpec) (*Job, error) {
-	schemes, err := spec.normalize(s.cfg)
-	if err != nil {
+	if err := spec.normalize(s.cfg); err != nil {
 		s.reg.Counter("srv.jobs.rejected_invalid").Add(1)
 		return nil, err
 	}
@@ -221,7 +219,7 @@ func (s *Server) submit(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	id := fmt.Sprintf("j-%06d", s.seq.Add(1))
-	job := newJob(id, spec, schemes, time.Now())
+	job := newJob(id, spec, time.Now())
 
 	s.qmu.Lock()
 	if s.draining.Load() {
@@ -332,11 +330,15 @@ func (s *Server) timeoutFor(spec JobSpec) time.Duration {
 	return s.cfg.DefaultJobTimeout
 }
 
-// runJob executes one job on the calling worker goroutine: every
-// scheme is one exp cell with panic isolation under the job's
-// deadline, and every cell goes through the result cache. Streamed
-// jobs run their windows sequentially inside one cell, each window
-// individually cached and checkpointed.
+// runJob executes one job on the calling worker goroutine, offline and
+// streamed alike: every scheme is one exp cell (panic isolation under
+// the job's deadline) run by exp.Opts.Run through the result cache. A
+// streamed scheme's windows run sequentially inside its cell, each
+// window individually cached and checkpointed under CellKey.Window, so
+// a killed server resumes a re-submitted stream at window granularity
+// from its cache journal, and concurrent identical stream jobs simulate
+// each window once. Per-window progress lands in the job view and the
+// /metrics registry as windows complete.
 func (s *Server) runJob(job *Job) {
 	job.setRunning(time.Now())
 	s.reg.Gauge("srv.jobs.inflight").Set(float64(s.inflight.Add(1)))
@@ -348,114 +350,35 @@ func (s *Server) runJob(job *Job) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.timeoutFor(job.spec))
 	defer cancel()
 
-	// Every worker runs the stock architecture; the canonical knob
-	// order (NUCA, then cores) lives in RunSpec.Arch.
-	arch := job.spec.Arch(sim.DefaultArch())
-	if job.spec.Kind == exp.KindStream {
-		s.runStreamJob(ctx, job, arch)
-		return
-	}
-
+	// Every worker runs the stock architecture with the job's knobs.
+	o := exp.Opts{Arch: sim.DefaultArch(), Ctx: ctx, Journal: s.cache}
+	spec := job.spec.RunSpec
 	var hits, misses atomic.Int64
+	onWindow := func(i int, m sim.Metrics, replayed bool) {
+		s.countCache(replayed, &hits, &misses)
+		if replayed {
+			s.reg.Counter("srv.stream.windows_replayed").Add(1)
+		} else {
+			s.reg.Counter("srv.stream.windows_done").Add(1)
+		}
+		s.reg.Gauge("srv.stream.window").Set(float64(i + 1))
+		job.windowDone(m)
+	}
 	// Schemes run serially within the job (workers=1): the service's
 	// parallelism unit is the job worker pool, and serial cells keep
 	// per-scheme latency attribution exact.
-	results, err := exp.MapCells(ctx, 1, len(job.schemes), func(ctx context.Context, i int) (sim.Metrics, error) {
-		scheme := job.schemes[i]
-		key := job.spec.CellKey("srv", scheme, sim.DefaultArch())
-		t := s.reg.Timer("srv.scheme." + scheme.String() + ".wall")
-		m, hit, err := s.cache.Do(key, func() (sim.Metrics, error) {
-			app, err := exp.BuildApp(job.spec.App, job.spec.Input, job.spec.Scale, job.spec.Seed)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			m, err := exp.RunScheme(app, scheme.Scheme(), job.spec.Bins, arch)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			// Completion fault: the simulation finished, but the worker
-			// "dies" before the result lands. Firing inside the compute
-			// closure guarantees a fired fault discards the metrics and is
-			// never cached — the store's error-never-cached contract under
-			// test in the backpressure suite.
-			if ferr := fault.Hit(fault.PointSrvComplete); ferr != nil {
-				return sim.Metrics{}, ferr
-			}
-			return m, nil
-		})
+	results, err := exp.MapCells(ctx, 1, len(spec.Schemes), func(_ context.Context, i int) (sim.Metrics, error) {
+		id := spec.Schemes[i]
+		t := s.reg.Timer("srv.scheme." + id.String() + ".wall")
+		m, hit, err := o.Run("srv", spec, id, onWindow)
 		t.Stop()
-		if err == nil {
+		// A streamed scheme's cache outcome is its windows', counted
+		// by onWindow.
+		if err == nil && spec.Kind != exp.KindStream {
 			s.countCache(hit, &hits, &misses)
 		}
 		return m, err
 	})
-	if err != nil {
-		s.reg.Counter("srv.jobs.failed").Add(1)
-	} else {
-		s.reg.Counter("srv.jobs.completed").Add(1)
-	}
-	job.finish(results, int(hits.Load()), int(misses.Load()), err, time.Now())
-}
-
-// runStreamJob executes one streamed job: the windowed engine drives
-// the job's single scheme over every window, each window cached and
-// checkpointed individually under CellKey.Window (so a killed server
-// resumes a re-submitted stream at window granularity from its cache
-// journal), and per-window progress lands in the job view and the
-// /metrics registry as windows complete. Results carries the one
-// MergeMetrics fold; JobView.Windows the per-window metrics.
-//
-// Every window goes through the cache's Do, so concurrent identical
-// stream jobs simulate each window once: the later job joins the
-// earlier one's run of the window and applies it functionally.
-func (s *Server) runStreamJob(ctx context.Context, job *Job, arch sim.Arch) {
-	scheme := job.schemes[0]
-	base := job.spec.CellKey("srv", scheme, sim.DefaultArch())
-	var hits, misses atomic.Int64
-	t := s.reg.Timer("srv.scheme." + scheme.String() + ".wall")
-	// The whole streamed run is one exp cell: one panic barrier under
-	// the job's deadline, windows sequential inside.
-	results, err := exp.MapCells(ctx, 1, 1, func(ctx context.Context, _ int) (sim.Metrics, error) {
-		w, err := job.spec.StreamWorkload()
-		if err != nil {
-			return sim.Metrics{}, err
-		}
-		r, err := stream.Run(w, stream.Config{
-			Scheme: scheme.Scheme(),
-			Bins:   job.spec.Bins,
-			Arch:   arch,
-			Ctx:    ctx,
-			Store: func(i int, run func() (sim.Metrics, error)) (sim.Metrics, bool, error) {
-				k := base
-				k.Window = i + 1
-				return s.cache.Do(k, func() (sim.Metrics, error) {
-					m, err := run()
-					if err == nil {
-						// The completion fault fires inside the compute
-						// closure, as in runJob: a fired fault discards the
-						// window, and Do never stores an error.
-						err = fault.Hit(fault.PointSrvComplete)
-					}
-					return m, err
-				})
-			},
-			OnWindow: func(i int, m sim.Metrics, replayed bool) {
-				s.countCache(replayed, &hits, &misses)
-				if replayed {
-					s.reg.Counter("srv.stream.windows_replayed").Add(1)
-				} else {
-					s.reg.Counter("srv.stream.windows_done").Add(1)
-				}
-				s.reg.Gauge("srv.stream.window").Set(float64(i + 1))
-				job.windowDone(m)
-			},
-		})
-		if err != nil {
-			return sim.Metrics{}, err
-		}
-		return r.Merged, nil
-	})
-	t.Stop()
 	if err != nil {
 		s.reg.Counter("srv.jobs.failed").Add(1)
 	} else {

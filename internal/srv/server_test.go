@@ -454,20 +454,19 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 	cfg := Config{DefaultScale: 12}.withDefaults()
 	sp := JobSpec{RunSpec: exp.RunSpec{App: "DegreeCount", Input: "URND",
 		Schemes: []sim.SchemeID{sim.SchemeIDBaseline}}}
-	schemes, err := sp.normalize(cfg)
-	if err != nil {
+	if err := sp.normalize(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Scale != 12 {
 		t.Fatalf("default scale = %d, want 12", sp.Scale)
 	}
-	if len(schemes) != 1 || schemes[0] != sim.SchemeIDBaseline {
-		t.Fatalf("schemes = %v", schemes)
+	if len(sp.Schemes) != 1 || sp.Schemes[0] != sim.SchemeIDBaseline {
+		t.Fatalf("schemes = %v", sp.Schemes)
 	}
 	// The cache key must tell a NUCA job from a plain one.
 	nuca := sp
 	nuca.NUCA = true
-	if sp.CellKey("srv", schemes[0], sim.DefaultArch()) == nuca.CellKey("srv", schemes[0], sim.DefaultArch()) {
+	if sp.CellKey("srv", sim.SchemeIDBaseline, sim.DefaultArch()) == nuca.CellKey("srv", sim.SchemeIDBaseline, sim.DefaultArch()) {
 		t.Fatal("NUCA toggle does not change the cell key")
 	}
 }

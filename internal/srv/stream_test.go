@@ -91,7 +91,7 @@ func TestStreamJobEndToEnd(t *testing.T) {
 
 	// Direct engine run with the normalized spec: same windows, same fold.
 	norm := streamSpec()
-	if _, err := norm.normalize(Config{}.withDefaults()); err != nil {
+	if err := norm.normalize(Config{}.withDefaults()); err != nil {
 		t.Fatal(err)
 	}
 	w, err := norm.StreamWorkload()
@@ -127,7 +127,7 @@ func TestStreamJobWindowResume(t *testing.T) {
 	_, ts, reg := newTestServer(t, func(c *Config) { c.CachePath = cachePath })
 
 	// Window 1 records cleanly, window 2's completion fails.
-	plan, err := fault.Parse("srv.worker.complete:at=2:err=eio")
+	plan, err := fault.Parse("exp.cell.complete:at=2:err=eio")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestStreamJobWindowResume(t *testing.T) {
 // overlap.
 func TestStreamJobSingleFlight(t *testing.T) {
 	_, ts, reg := newTestServer(t, nil)
-	plan, err := fault.Parse("srv.worker.complete:every=1:delay=200ms")
+	plan, err := fault.Parse("exp.cell.complete:every=1:delay=200ms")
 	if err != nil {
 		t.Fatal(err)
 	}
