@@ -119,11 +119,13 @@ bench-smoke:
 ci: fmt-check vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-smoke
 
 # Hot-path microbenchmarks (packed cache metadata; the hierarchy's
-# scalar walk vs its fast walk; PB binning). -run='^$$' keeps each
-# package's tests out of the run.
+# scalar walk vs its fast walk, L1- and L2-resident; the simulated PB-SW
+# bin sweep; PB binning). -run='^$$' keeps each package's tests out of
+# the run.
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkCacheAccessHot -benchmem ./internal/cache
 	$(GO) test -run='^$$' -bench=BenchmarkHierarchyAccess -benchmem ./internal/mem
+	$(GO) test -run='^$$' -bench=BenchmarkRunPBSWSweep -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/pb
 
 # Hot-path benchmark comparison against the parent commit: builds
@@ -131,8 +133,8 @@ bench:
 # trees, and reports via benchstat when installed (raw listings
 # otherwise). Informational only: every step tolerates failure, so it
 # is not part of `ci`; run it by hand when comparing hot-path changes.
-BENCH_CMP_ARGS = -run='^$$' -bench='BenchmarkCacheAccessHot|BenchmarkHierarchyAccess' -benchmem -count=3 -benchtime=0.3s
-BENCH_CMP_PKGS = ./internal/cache ./internal/mem
+BENCH_CMP_ARGS = -run='^$$' -bench='BenchmarkCacheAccessHot|BenchmarkHierarchyAccess|BenchmarkRunPBSWSweep' -benchmem -count=3 -benchtime=0.3s
+BENCH_CMP_PKGS = ./internal/cache ./internal/mem ./internal/sim
 
 bench-compare:
 	-@rm -rf .bench-compare; mkdir -p .bench-compare
@@ -149,10 +151,11 @@ bench-compare:
 	  fi
 	-@git worktree remove --force .bench-compare/head1 2>/dev/null || true; rm -rf .bench-compare
 
-# CPU-profile the Fig10 campaign (the issue hot path): writes
-# cpu.pprof at the repo root and prints the top consumers. Raise
-# PROFILE_SCALE for longer, steadier profiles.
-PROFILE_SCALE ?= 13
+# CPU-profile the Fig10 campaign (the hot path): writes cpu.pprof at
+# the repo root and prints the top consumers. The default scale is the
+# campaign-s14 benchmark workload's; raise PROFILE_SCALE for longer,
+# steadier profiles.
+PROFILE_SCALE ?= 14
 profile:
 	$(GO) run ./cmd/figures -fig 10 -scale $(PROFILE_SCALE) -parallel 1 -manifest none \
 	  -o /dev/null -cpuprofile cpu.pprof

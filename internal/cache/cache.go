@@ -462,10 +462,3 @@ func (c *Cache) BatchView() BatchView {
 	}
 	return v
 }
-
-// LastTouched returns the one-entry MRU filter: the (set, way) of the
-// last line located by a demand access or fill (set < 0 if none).
-// Immediately after a Probe hit or a fill of addr it identifies addr's
-// resident line, which is how package mem's L2 prefetcher records
-// where a line it probed or prefetched sits.
-func (c *Cache) LastTouched() (set, way int) { return int(c.lastSet), int(c.lastWay) }

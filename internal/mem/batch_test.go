@@ -362,6 +362,47 @@ func FuzzAccess(f *testing.F) {
 	})
 }
 
+// TestPrefetchFillDisplacesDirtyLine drives a stream whose L2 prefetch
+// fill provably displaces a dirty L2 line under the tiny prefetching
+// config (8-set 2-way L1, 16-set 2-way L2), through the fast walk and
+// the scalar walk side by side. Line 16 is stored, then evicted from
+// L1 by 24 and 40 (L1 set 0), so it sits dirty in L2 set 0; line 32
+// fills L2 set 0's other way, leaving 16 the Bit-PLRU victim. Loads of
+// 61, 62 and 63 (L1 sets 5-7, L2 sets 13-15, all cold) confirm an
+// ascending stream, so the miss on 63 prefetches 64 (L2 set 0) and 65.
+// The demand fill of 63 displaces nothing, so the one writeback L2
+// counts during that reference is the prefetch fill's.
+func TestPrefetchFillDisplacesDirtyLine(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.PrefetchStreams = 4
+	cfg.PrefetchDegree = 2
+	scalar, fast := New(cfg), New(cfg)
+	ref := func(line uint64, kind RefKind) {
+		t.Helper()
+		r := Ref{Addr: line << cache.LineBits, Kind: kind}
+		if got, want := fast.Access(r.Addr, r.Kind), scalarRef(scalar, r); got != want {
+			t.Fatalf("line %d: fast walk at %v, scalar walk at %v", line, got, want)
+		}
+	}
+	ref(16, RefStore)
+	for _, line := range []uint64{24, 40, 32, 61, 62} {
+		ref(line, RefLoad)
+	}
+	checkSameState(t, "before the prefetch", scalar, fast)
+	wb, fills := fast.L2c.Stats.Writebacks, fast.L2c.Stats.Fills
+	ref(63, RefLoad)
+	checkSameState(t, "after the prefetch", scalar, fast)
+	if got := fast.L2c.Stats.Writebacks - wb; got != 1 {
+		t.Fatalf("L2 writebacks rose by %d during the prefetch, want 1", got)
+	}
+	if got := fast.L2c.Stats.Fills - fills; got != 3 {
+		t.Fatalf("L2 fills rose by %d (demand 63, prefetch 64 and 65), want 3", got)
+	}
+	if fast.L2c.Probe(16<<cache.LineBits) || !fast.L2c.Probe(64<<cache.LineBits) {
+		t.Fatal("prefetched line 64 did not replace dirty line 16 in L2")
+	}
+}
+
 // TestScalarWalkMatchesScalarAPI checks the oracle seam itself: after
 // ScalarWalk, Access is the scalar Load/Store/StoreNT sequence, state
 // and location hints included (it records none).
@@ -425,6 +466,29 @@ func BenchmarkHierarchyAccessFast(b *testing.B) {
 	h := New(DefaultConfig())
 	refs := benchRefs()
 	replayScalar(h, refs) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range refs {
+			h.Access(r.Addr, r.Kind)
+		}
+	}
+	b.SetBytes(int64(len(refs)))
+}
+
+// BenchmarkHierarchyAccessL2Resident measures Access on uniformly
+// random loads and stores over a 128 KB working set: larger than L1,
+// smaller than L2, so most references miss L1 and hit L2 (the way scan
+// the L2 location hints stand in front of).
+func BenchmarkHierarchyAccessL2Resident(b *testing.B) {
+	h := New(DefaultConfig())
+	rng := rand.New(rand.NewSource(3))
+	refs := make([]Ref, 4096)
+	for i := range refs {
+		refs[i] = Ref{Addr: uint64(rng.Intn(128 << 10)), Kind: RefKind(rng.Intn(2))}
+	}
+	for _, r := range refs { // warm
+		h.Access(r.Addr, r.Kind)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range refs {

@@ -127,6 +127,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// Location-hint table sizes: one slot per line of Table II's 32 KB L1
+// and 256 KB L2. Powers of two, so a line's slot is line & (n-1). Any
+// Config stays exact with them; a smaller or larger cache only changes
+// how often a hint hits.
+const (
+	l1Hints = 512
+	l2Hints = 4096
+)
+
 // Traffic counts DRAM transfers in cache lines.
 type Traffic struct {
 	ReadLines     uint64 // demand + prefetch fills from DRAM
@@ -163,30 +172,32 @@ type Hierarchy struct {
 	l1TagShift uint
 	l1Ways     int
 
-	// Verified location hints over the L1 metadata: a small
-	// direct-mapped cache of recently confirmed L1-resident lines (line
-	// → metadata index). The hot loops interleave several line streams
-	// (input / counter / C-Buffer; bin / accumulator), and a hint hit
-	// replaces the way scan with one metadata compare. A hint is trusted
-	// only after the live metadata word re-verifies (valid + tag), so
-	// evictions, reservations, resets and scalar calls made since it was
-	// recorded can never fake a hit; they just fall back to the scan.
-	// Hints are recorded only from scan and fill results, so a verified
-	// index always lies in a non-reserved way.
-	l1SlotLine [16]uint64
-	l1SlotIdx  [16]int32
+	// Verified location hints over the L1 metadata: a direct-mapped
+	// table of recently confirmed L1-resident lines (line → metadata
+	// index), one slot per line of Table II's L1 (line & (l1Hints-1)).
+	// The hot loops interleave several line streams (input / counter /
+	// C-Buffer; bin / accumulator), and a hint hit replaces the way scan
+	// with one metadata compare. A hint is trusted only after the live
+	// metadata word re-verifies (valid + tag), so evictions,
+	// reservations, resets and scalar calls made since it was recorded
+	// can never fake a hit; they just fall back to the scan. Hints are
+	// recorded only from scan and fill results, so a verified index
+	// always lies in a non-reserved way.
+	l1SlotLine [l1Hints]uint64
+	l1SlotIdx  [l1Hints]int32
 
-	// Verified-slot cache over the L2 metadata, shared by the fast
-	// walk's misses (demand lookups and L1-victim writeback installs)
-	// and the prefetcher's residency probes. Each slot remembers where a
-	// line was last located in L2 (its packed-metadata index); a slot
+	// Verified-slot cache over the L2 metadata, one slot per line of
+	// Table II's L2 (line & (l2Hints-1)), shared by the fast walk's
+	// misses (demand lookups and L1-victim writeback installs) and the
+	// prefetcher's residency probes and fills. Each slot remembers where
+	// a line was last located in L2 (its packed-metadata index); a slot
 	// is trusted only after the live metadata word re-verifies (valid +
 	// tag), so intervening evictions, resets, or reservations can never
 	// fake a hit — they just fall back to the full way scan. Entries
 	// are recorded exclusively from scan/fill results, so a verified
 	// index always lies in a non-reserved way (the ways a scan covers).
-	l2SlotLine [64]uint64
-	l2SlotIdx  [64]int32
+	l2SlotLine [l2Hints]uint64
+	l2SlotIdx  [l2Hints]int32
 
 	// L2 state the fast walk's misses read and update in place, taken
 	// once from L2's BatchView (both slices are L2's own arrays for its
@@ -290,11 +301,11 @@ func (h *Hierarchy) clearHints() {
 	for i := range h.l1SlotLine {
 		h.l1SlotLine[i] = ^uint64(0)
 	}
-	h.l1SlotIdx = [16]int32{}
+	h.l1SlotIdx = [l1Hints]int32{}
 	for i := range h.l2SlotLine {
 		h.l2SlotLine[i] = ^uint64(0)
 	}
-	h.l2SlotIdx = [64]int32{}
+	h.l2SlotIdx = [l2Hints]int32{}
 }
 
 // ScalarWalk puts h on the scalar walk for good: from now on Access
@@ -374,7 +385,7 @@ func (h *Hierarchy) access(addr uint64, write bool) Level {
 		h.installWriteback(h.L2c, r.VictimAddr)
 	}
 	// L1 miss: probe L2 (prefetcher observes the L1-miss stream).
-	h.observeStream(addr)
+	h.observeStream(addr, false)
 	if r := h.L2c.Access(addr, false); r.Hit {
 		return L2
 	} else if r.WroteBack {
@@ -430,8 +441,8 @@ func (h *Hierarchy) writeCombine(addr uint64) {
 // observeStream feeds the L2 stream prefetcher with the L1-miss stream.
 // On a detected ascending or descending stream it prefetches the next
 // `degree` lines into L2 (and LLC if absent), counting DRAM traffic for
-// lines not already on chip.
-func (h *Hierarchy) observeStream(addr uint64) {
+// lines not already on chip. fast says which walk observed the miss.
+func (h *Hierarchy) observeStream(addr uint64, fast bool) {
 	if h.pf.degree == 0 || len(h.pf.lastLine) == 0 {
 		return
 	}
@@ -453,7 +464,7 @@ func (h *Hierarchy) observeStream(addr uint64) {
 				}
 				h.pf.touch(i)
 				if h.pf.conf[i] >= 2 {
-					h.issuePrefetches(line, dir)
+					h.issuePrefetches(line, dir, fast)
 				}
 				return
 			}
@@ -502,7 +513,10 @@ func (p *wcAndPf) touch(i int) {
 	p.head = i
 }
 
-func (h *Hierarchy) issuePrefetches(line uint64, dir int64) {
+// issuePrefetches prefetches the `degree` lines past line in direction
+// dir into L2 (and the LLC if absent). The fast walk (fast) fills L2
+// inline; the scalar walk fills it through PrefetchMiss, the oracle.
+func (h *Hierarchy) issuePrefetches(line uint64, dir int64, fast bool) {
 	for k := 1; k <= h.pf.degree; k++ {
 		next := line + uint64(int64(k)*dir)
 		addr := next << cache.LineBits
@@ -511,8 +525,10 @@ func (h *Hierarchy) issuePrefetches(line uint64, dir int64) {
 		// usually confirms them without the way scan. (It is L2c.Probe
 		// minus Probe's only side effect, the cache's MRU filter, which
 		// is itself a hint.)
+		set := int(next & h.l2SetMask)
+		base := set * h.l2Ways
 		want := addr>>h.l2TagShift<<cache.MetaTagShift | cache.MetaValid
-		if h.l2Find(next, want, int(next&h.l2SetMask)*h.l2Ways) >= 0 {
+		if h.l2Find(next, want, base) >= 0 {
 			continue
 		}
 		// Prefetch's return value subsumes an LLC Probe (present → no
@@ -523,11 +539,14 @@ func (h *Hierarchy) issuePrefetches(line uint64, dir int64) {
 			h.DRAMTraffic.ReadLines++
 			h.DRAMTraffic.PrefetchLines++
 		}
-		h.L2c.PrefetchMiss(addr)
-		s, w := h.L2c.LastTouched()
-		slot := next & 63
-		h.l2SlotLine[slot] = next
-		h.l2SlotIdx[slot] = int32(s*h.l2Ways + w)
+		if !fast {
+			h.L2c.PrefetchMiss(addr)
+			continue
+		}
+		// The fast walk fills L2 inline, counting what cache.fill counts
+		// for a prefetch; it drops a dirty victim as PrefetchMiss does.
+		h.l2Fill(next, want, set, base)
+		h.L2c.Stats.Fills++
 	}
 }
 
@@ -576,17 +595,17 @@ func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 //     touch, and the miss's fill run against L1's packed metadata and
 //     masks, with no call into package cache and no cache.Result.
 //  3. Inlined L2 below an L1 miss: the L1 victim's writeback install,
-//     the L2 lookup or fill, and an NT store's L2 update run against
-//     L2's packed metadata and masks, with verified hints of their
-//     own (see l2SlotLine). The LLC stays behind cache.Cache, whose
-//     policy the ablations swap.
+//     the L2 lookup or fill, the prefetcher's L2 probes and fills, and
+//     an NT store's L2 update run against L2's packed metadata and
+//     masks, with verified hints of their own (see l2SlotLine). The LLC
+//     stays behind cache.Cache, whose policy the ablations swap.
 //
 // When L1 or L2 is not mask Bit-PLRU, or after ScalarWalk, every
 // reference takes the scalar methods, which remain the oracle.
 func (h *Hierarchy) Access(addr uint64, kind RefKind) Level {
 	line := addr >> cache.LineBits
 	want := addr>>h.l1TagShift<<cache.MetaTagShift | cache.MetaValid
-	if slot := line & 15; h.l1SlotLine[slot] == line {
+	if slot := line & (l1Hints - 1); h.l1SlotLine[slot] == line {
 		if idx := int(h.l1SlotIdx[slot]); h.l1Meta[idx]&^cache.MetaDirty == want {
 			h.l1Hit(idx, int(line&h.l1SetMask), kind)
 			return L1
@@ -615,7 +634,7 @@ func (h *Hierarchy) l1Hit(idx, set int, kind RefKind) {
 // and on a miss the fill and the walk below L1.
 func (h *Hierarchy) accessL1(addr, line, want uint64, kind RefKind) Level {
 	meta := h.l1Meta
-	slot := line & 15
+	slot := line & (l1Hints - 1)
 	set := int(line & h.l1SetMask)
 	base := set * h.l1Ways
 	row := meta[base : base+h.l1Ways]
@@ -661,7 +680,7 @@ func (h *Hierarchy) accessL1(addr, line, want uint64, kind RefKind) Level {
 	if wroteBack {
 		h.l2Writeback(victim)
 	}
-	h.observeStream(addr)
+	h.observeStream(addr, true)
 	return h.l2Demand(addr)
 }
 
@@ -724,7 +743,7 @@ func (h *Hierarchy) l2Writeback(victim uint64) {
 // reservation is read live), which records a hint. It has no simulated
 // side effects.
 func (h *Hierarchy) l2Find(line, want uint64, base int) int {
-	slot := line & 63
+	slot := line & (l2Hints - 1)
 	if h.l2SlotLine[slot] == line && h.l2Meta[h.l2SlotIdx[slot]]&^cache.MetaDirty == want {
 		return int(h.l2SlotIdx[slot])
 	}
@@ -755,7 +774,7 @@ func (h *Hierarchy) l2Fill(line, m uint64, set, base int) (victim uint64, dirty 
 	}
 	row[way] = m
 	h.l2Touch(set, way)
-	slot := line & 63
+	slot := line & (l2Hints - 1)
 	h.l2SlotLine[slot] = line
 	h.l2SlotIdx[slot] = int32(base + way)
 	return victim, dirty

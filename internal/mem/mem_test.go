@@ -185,7 +185,7 @@ func TestStreamTableMatchesStampLRU(t *testing.T) {
 			default:
 				line = rng.Uint64n(1 << 22)
 			}
-			h.observeStream(line << cache.LineBits)
+			h.observeStream(line<<cache.LineBits, false)
 			m.observe(line)
 			for i := 0; i < streams; i++ {
 				if i >= h.pf.nvalid {

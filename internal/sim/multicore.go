@@ -241,16 +241,26 @@ func RunBaseline(app *App, arch Arch) (Metrics, error) {
 
 // initCount is the Init phase PB-SW and COBRA both pay (Table I): each
 // core streams its chunk counting tuples per bin into its private count
-// array cnt, then prefix-sums the counts.
-func (g *gang) initCount(cnt Region, shift uint, numBins int) error {
+// array cnt, then prefix-sums the counts. When host is non-nil, core c
+// also counts its chunk's tuples per bin into host[c] on the host side,
+// for a runner that lays out its bins from them.
+func (g *gang) initCount(cnt Region, shift uint, numBins int, host [][]int) error {
 	return g.phase("init.wall", func(c int, mach *Mach) {
+		var hc []int
+		if host != nil {
+			hc = host[c]
+		}
 		g.forEachChunk(c, func(i int, key uint32, _ uint64, newGroup bool) {
 			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(g.app.StreamBytes)))
 			mach.CPU.Branch(pcInnerLoop, !newGroup)
 			mach.CPU.ALU(2) // shift + address math
-			addr := cnt.Addr(uint64(key>>shift) * 4)
+			b := key >> shift
+			addr := cnt.Addr(uint64(b) * 4)
 			mach.CPU.Load(addr)
 			mach.CPU.Store(addr)
+			if hc != nil {
+				hc[b]++
+			}
 		})
 		for b := 0; b < numBins; b++ {
 			mach.CPU.Load(cnt.Addr(uint64(b) * 4))
@@ -378,33 +388,44 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 	defer g.close()
 	lay := g.planPB(numBins)
 
-	if err := g.initCount(lay.cnt, lay.shift, lay.numBins); err != nil {
+	// Each source core's host bins are one tuple array of its chunk's
+	// length; Init's pass counts the tuples per bin into off[1:].
+	scratches := make([]*binScratch, g.n)
+	counts := make([][]int, g.n)
+	for c := range scratches {
+		lo, hi := shardRange(c, g.n, app.NumUpdates)
+		scratches[c] = getBinScratch(lay.numBins, hi-lo)
+		counts[c] = scratches[c].off[1:]
+	}
+	defer func() {
+		for _, s := range scratches {
+			putBinScratch(s)
+		}
+	}()
+	if err := g.initCount(lay.cnt, lay.shift, lay.numBins, counts); err != nil {
 		return Metrics{}, err
 	}
 
 	// ---- Binning: per-core chunks into private bins ----
 	perSrc := make([][][]core.Tuple, g.n)
-	scratches := make([]*binScratch, g.n)
-	defer func() {
-		for _, s := range scratches {
-			if s != nil {
-				putBinScratch(s)
-			}
-		}
-	}()
 	tb := uint64(app.TupleBytes)
 	err = g.phase("binning.wall", func(c int, mach *Mach) {
 		start := markPhase(mach)
-		scratch := getBinScratch(lay.numBins)
-		scratches[c] = scratch
-		bins := scratch.bins     // materialized software bins
+		scratch := scratches[c]
+		tuples := scratch.tuples // materialized software bins, bin after bin
+		off := scratch.off       // bin b's first tuple in tuples
 		fill := scratch.fill     // tuples in each software C-Buffer
 		binPos := scratch.binPos // write cursor into each memory bin
 		binRegion := lay.bins[c]
+		for b := 0; b < lay.numBins; b++ {
+			off[b+1] += off[b]
+		}
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {
 			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
 			mach.CPU.Branch(pcInnerLoop, !newGroup)
 			b := int(key >> lay.shift)
+			// Bin b holds binPos[b] flushed plus fill[b] buffered tuples.
+			tuples[off[b]+binPos[b]+fill[b]] = core.Tuple{Key: key, Val: val}
 			mach.CPU.ALU(2) // shift + C-Buffer address math
 			// Read-modify-write the C-Buffer fill counter, store the tuple.
 			cntAddr := lay.cnt.Addr(uint64(b) * 4)
@@ -429,7 +450,6 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 				mach.CPU.Store(posAddr)
 				fill[b] = 0
 			}
-			bins[b] = append(bins[b], core.Tuple{Key: key, Val: val})
 		})
 		// Flush partial C-Buffers (software epilogue).
 		for b := 0; b < lay.numBins; b++ {
@@ -445,7 +465,10 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 		mach.CPU.DrainMem()
 		met := &g.mets[c]
 		met.BinCycles, met.BinCtr, met.BinMem = start.since(mach)
-		perSrc[c] = bins
+		for b := range scratch.bins {
+			scratch.bins[b] = tuples[off[b]:off[b+1]]
+		}
+		perSrc[c] = scratch.bins
 	})
 	if err != nil {
 		return Metrics{}, err
@@ -522,7 +545,7 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	// fixed: one per LLC C-Buffer. Offsets must exist before Binning
 	// (§V-E).
 	numBins := machines[0].NumBins()
-	if err := g.initCount(g.alloc(uint64(numBins)*4), machines[0].BinShiftLLC(), numBins); err != nil {
+	if err := g.initCount(g.alloc(uint64(numBins)*4), machines[0].BinShiftLLC(), numBins, nil); err != nil {
 		return Metrics{}, err
 	}
 
