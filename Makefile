@@ -47,16 +47,18 @@ race:
 SMOKE = GO=$(GO) $(GO) run ./scripts/smoke
 
 # Short fuzz budget per target: enough to shake out gio decoder panics
-# and allocation bombs, and fast-vs-scalar divergence in the memory
+# and allocation bombs, fast-vs-scalar divergence in the memory
 # hierarchy's fast walk (FuzzAccess, with reservations, resets and
 # scalar calls between references; FuzzAccessBatch, through the batch
-# API), on every CI run without stalling it.
+# API), and divergence of the core's MSHR queue from the slot-scan
+# model it replaced (FuzzMSHR), on every CI run without stalling it.
 # (Plain `go test` already replays each target's seed corpus.)
 fuzz-smoke:
 	$(SMOKE) -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/gio
 	$(SMOKE) -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=10s ./internal/gio
 	$(SMOKE) -run='^$$' -fuzz='^FuzzAccessBatch$$' -fuzztime=10s ./internal/mem
 	$(SMOKE) -run='^$$' -fuzz='^FuzzAccess$$' -fuzztime=10s ./internal/mem
+	$(SMOKE) -run='^$$' -fuzz='^FuzzMSHR$$' -fuzztime=10s ./internal/cpu
 
 # Per-package statement coverage with a total summary line. CI runs
 # this in place of the bare `test` target so coverage regressions are
@@ -119,12 +121,14 @@ bench-smoke:
 ci: fmt-check vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-smoke
 
 # Hot-path microbenchmarks (packed cache metadata; the hierarchy's
-# scalar walk vs its fast walk, L1- and L2-resident; the simulated PB-SW
-# bin sweep; PB binning). -run='^$$' keeps each package's tests out of
-# the run.
+# scalar walk vs its fast walk, L1- and L2-resident and missing every
+# level; the core's issue path on a miss-bound stream; the simulated
+# PB-SW bin sweep; PB binning). -run='^$$' keeps each package's tests
+# out of the run.
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkCacheAccessHot -benchmem ./internal/cache
 	$(GO) test -run='^$$' -bench=BenchmarkHierarchyAccess -benchmem ./internal/mem
+	$(GO) test -run='^$$' -bench=BenchmarkCoreMissBound -benchmem ./internal/cpu
 	$(GO) test -run='^$$' -bench=BenchmarkRunPBSWSweep -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/pb
 
@@ -133,8 +137,8 @@ bench:
 # trees, and reports via benchstat when installed (raw listings
 # otherwise). Informational only: every step tolerates failure, so it
 # is not part of `ci`; run it by hand when comparing hot-path changes.
-BENCH_CMP_ARGS = -run='^$$' -bench='BenchmarkCacheAccessHot|BenchmarkHierarchyAccess|BenchmarkRunPBSWSweep' -benchmem -count=3 -benchtime=0.3s
-BENCH_CMP_PKGS = ./internal/cache ./internal/mem ./internal/sim
+BENCH_CMP_ARGS = -run='^$$' -bench='BenchmarkCacheAccessHot|BenchmarkHierarchyAccess|BenchmarkCoreMissBound|BenchmarkRunPBSWSweep' -benchmem -count=3 -benchtime=0.3s
+BENCH_CMP_PKGS = ./internal/cache ./internal/mem ./internal/cpu ./internal/sim
 
 bench-compare:
 	-@rm -rf .bench-compare; mkdir -p .bench-compare

@@ -114,7 +114,7 @@ type Cache struct {
 	// behind the replacer interface in other. Exactly one of the three
 	// is set.
 	plru  *bitPLRU
-	rrip  *drrip
+	rrip  *RRIP
 	other replacer
 
 	Stats Stats
@@ -148,7 +148,7 @@ func New(cfg Config) *Cache {
 	case BitPLRU:
 		c.plru = newBitPLRU(sets, cfg.Ways)
 	case DRRIP:
-		c.rrip = newDRRIP(sets, cfg.Ways)
+		c.rrip = newRRIP(sets, cfg.Ways)
 	default:
 		c.other = newReplacer(cfg.Policy, sets, cfg.Ways)
 	}
@@ -163,15 +163,6 @@ func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// UsableWays returns the ways available for normal allocation.
-func (c *Cache) UsableWays() int { return c.ways - c.reserved }
-
-// lineValid reports whether line i (set*ways+way) holds a valid line.
-func (c *Cache) lineValid(i int) bool { return c.meta[i]&metaValid != 0 }
-
-// lineDirty reports whether line i holds a dirty line.
-func (c *Cache) lineDirty(i int) bool { return c.meta[i]&metaDirty != 0 }
 
 // ReserveWays withholds the first k ways of every set from normal
 // allocation and invalidates any resident lines in them (their contents
@@ -193,9 +184,6 @@ func (c *Cache) ReserveWays(k int) error {
 
 // ReservedWays returns the current reservation.
 func (c *Cache) ReservedWays() int { return c.reserved }
-
-// ReservedBytes returns the capacity withheld by the reservation.
-func (c *Cache) ReservedBytes() int { return c.reserved * c.sets * LineSize }
 
 // Reset restores the level to its post-New state: all lines invalid,
 // stats zeroed, replacement state cleared, reservation lifted. It lets
@@ -269,45 +257,6 @@ func (c *Cache) WriteNT(addr uint64) Result {
 		return Result{Hit: true}
 	}
 	return Result{BypassedAlloc: true}
-}
-
-// Invalidate drops addr's line if resident, returning whether it was
-// dirty (callers writeback as needed). Used by flush modeling.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set := c.setIndex(addr)
-	tag := c.tagOf(addr)
-	w := c.find(set, tag)
-	if w < 0 {
-		return false, false
-	}
-	i := set*c.ways + w
-	d := c.meta[i]&metaDirty != 0
-	c.meta[i] = 0
-	return true, d
-}
-
-// FlushAll invalidates every line, returning how many dirty lines were
-// dropped (the caller accounts the writeback traffic).
-func (c *Cache) FlushAll() (dirtyLines int) {
-	for i, m := range c.meta {
-		if m&(metaValid|metaDirty) == metaValid|metaDirty {
-			dirtyLines++
-		}
-		c.meta[i] = 0
-	}
-	c.lastSet = -1
-	return dirtyLines
-}
-
-// OccupiedLines counts valid lines (diagnostics and tests).
-func (c *Cache) OccupiedLines() int {
-	n := 0
-	for _, m := range c.meta {
-		if m&metaValid != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 func (c *Cache) access(addr uint64, write bool) Result {
@@ -394,7 +343,7 @@ func (c *Cache) onHit(set, way int) {
 	case c.plru != nil:
 		c.plru.touch(set, way)
 	case c.rrip != nil:
-		c.rrip.onHit(set, way)
+		c.rrip.Hit(set, way)
 	default:
 		c.other.onHit(set, way)
 	}
@@ -405,7 +354,7 @@ func (c *Cache) onFill(set, way int) {
 	case c.plru != nil:
 		c.plru.touch(set, way)
 	case c.rrip != nil:
-		c.rrip.onFill(set, way)
+		c.rrip.Fill(set, way)
 	default:
 		c.other.onFill(set, way)
 	}
@@ -416,7 +365,7 @@ func (c *Cache) victim(set int) int {
 	case c.plru != nil:
 		return PLRUVictim(c.plru.mru[set], c.plru.full, c.reserved)
 	case c.rrip != nil:
-		return c.rrip.victim(set, c.reserved)
+		return c.rrip.Victim(set, c.reserved)
 	default:
 		return c.other.victim(set, c.reserved)
 	}
@@ -426,32 +375,35 @@ func (c *Cache) victimAddr(set int, tag uint64) uint64 {
 	return (tag << (LineBits + c.setBits)) | (uint64(set) << LineBits)
 }
 
-// BatchView exposes the packed per-line metadata and (when the policy
-// is mask-based Bit-PLRU) the replacement masks, so package mem can
-// inline this level's hit and fill paths in its fast walk without a
-// call per reference. Meta and PLRU stay the level's own arrays for
-// its whole life (Reset clears them in place); the way reservation is
-// not part of the view, as it changes mid-run (read ReservedWays
-// live). Mutations through the view must
-// follow the scalar access semantics exactly (fill way choice, dirty
-// bit, Bit-PLRU touch and victim via PLRUTouch and PLRUVictim), and
+// BatchView exposes the packed per-line metadata and the replacement
+// state of the simulated machine's policies — the Bit-PLRU masks, or
+// DRRIP's RRIP state — so package mem can inline this level's hit and
+// fill paths in its fast walk without a call per reference. Meta, PLRU
+// and RRIP stay the level's own state for its whole life (Reset clears
+// them in place), so both walks update one copy; the way reservation
+// is not part of the view, as it changes mid-run (read ReservedWays
+// live). Mutations through the view must follow the scalar access
+// semantics exactly (fill way choice, dirty bit, replacement updates
+// via PLRUTouch and PLRUVictim, or RRIP's Hit, Fill and Victim), and
 // the caller counts those accesses in Stats itself.
 type BatchView struct {
 	Meta     []uint64 // packed tag<<2|dirty<<1|valid, indexed set*Ways+way
 	PLRU     []uint16 // per-set Bit-PLRU masks; nil if the policy is not mask Bit-PLRU
 	PLRUFull uint16   // mask with all Ways bits set
+	RRIP     *RRIP    // DRRIP state; nil if the policy is not DRRIP
 	SetMask  uint64
 	SetBits  uint
 	Ways     int
 }
 
 // BatchView returns the inline-probe view of this level. PLRU is
-// non-nil only for Bit-PLRU; with any other policy an inlining caller
-// must keep using the scalar methods, whose replacement updates cannot
-// be replayed externally.
+// non-nil only for Bit-PLRU and RRIP only for DRRIP; with TrueLRU or
+// Random an inlining caller must keep using the scalar methods, whose
+// replacement updates are not replayed outside this package.
 func (c *Cache) BatchView() BatchView {
 	v := BatchView{
 		Meta:    c.meta,
+		RRIP:    c.rrip,
 		SetMask: c.setMask,
 		SetBits: c.setBits,
 		Ways:    c.ways,

@@ -425,3 +425,57 @@ func TestSmallCacheThrashes(t *testing.T) {
 		t.Fatalf("cyclic over-capacity miss rate = %.2f, want >= 0.5", mr)
 	}
 }
+
+// agingVictim is the DRRIP victim search RRIP.Victim replaced, kept as
+// its oracle: age every usable way by one until some way reaches RRPV
+// 3, then take the first such way.
+func agingVictim(rrpv []uint8, base, ways, minWay int) int {
+	for {
+		for w := minWay; w < ways; w++ {
+			if rrpv[base+w] == rrpvMax {
+				return w
+			}
+		}
+		for w := minWay; w < ways; w++ {
+			if rrpv[base+w] < rrpvMax {
+				rrpv[base+w]++
+			}
+		}
+	}
+}
+
+// TestDRRIPVictimMatchesAgingLoop holds the one-pass Victim to the
+// aging loop over random RRPV rows (with and without a way at RRPV 3)
+// at every way-reservation floor: the same victim and the same aged
+// RRPVs, reserved ways untouched.
+func TestDRRIPVictimMatchesAgingLoop(t *testing.T) {
+	const sets, ways = 4, 16
+	r := stats.NewRand(5)
+	d := newRRIP(sets, ways)
+	for trial := 0; trial < 2000; trial++ {
+		set := r.Intn(sets)
+		top := uint64(rrpvMax + 1)
+		if trial%2 == 0 {
+			top = rrpvMax // no way at RRPV 3: the set must age
+		}
+		for i := range d.RRPV {
+			d.RRPV[i] = uint8(r.Uint64n(top))
+		}
+		for minWay := 0; minWay < ways; minWay++ {
+			want := append([]uint8(nil), d.RRPV...)
+			wantWay := agingVictim(want, set*ways, ways, minWay)
+			got := append([]uint8(nil), d.RRPV...)
+			dd := &RRIP{RRPV: got, ways: ways}
+			if w := dd.Victim(set, minWay); w != wantWay {
+				t.Fatalf("trial %d, minWay %d: victim %d, aging loop %d (row %v)",
+					trial, minWay, w, wantWay, d.RRPV[set*ways:(set+1)*ways])
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d, minWay %d: RRPVs %v after Victim, %v after the aging loop",
+						trial, minWay, got[set*ways:(set+1)*ways], want[set*ways:(set+1)*ways])
+				}
+			}
+		}
+	}
+}

@@ -155,17 +155,18 @@ func (p *trueLRU) victim(set, minWay int) int {
 	return best
 }
 
-// drrip implements Dynamic Re-Reference Interval Prediction [29]:
-// 2-bit RRPVs, SRRIP vs BRRIP chosen by set dueling with a saturating
-// PSEL counter. The BRRIP "long insertion most of the time" coin flip is
-// replaced by a deterministic 1-in-32 counter so simulations reproduce
-// exactly.
-type drrip struct {
+// RRIP is the replacement state of Dynamic Re-Reference Interval
+// Prediction [29]: 2-bit RRPVs, SRRIP vs BRRIP chosen by set dueling
+// with a saturating PSEL counter. The BRRIP "long insertion most of the
+// time" coin flip is replaced by a deterministic 1-in-32 counter so
+// simulations reproduce exactly. A DRRIP Cache calls Hit, Fill and
+// Victim itself, and its BatchView hands the same state to inlining
+// callers, which must call them where the scalar access would.
+type RRIP struct {
+	RRPV  []uint8 // per line, indexed set*ways+way
+	PSEL  int     // saturating [-pselMax, pselMax]; >= 0 means SRRIP wins
+	BRRIP uint32  // BRRIP inserts so far; every brripFreq-th is not distant
 	ways  int
-	sets  int
-	rrpv  []uint8
-	psel  int // saturating [-psMax, psMax]; >=0 means SRRIP wins
-	bimod uint32
 }
 
 const (
@@ -174,18 +175,16 @@ const (
 	brripFreq = 32  // 1-in-32 BRRIP inserts use RRPV=rrpvMax-1
 )
 
-func newDRRIP(sets, ways int) *drrip {
-	d := &drrip{ways: ways, sets: sets, rrpv: make([]uint8, sets*ways)}
-	for i := range d.rrpv {
-		d.rrpv[i] = rrpvMax
-	}
+func newRRIP(sets, ways int) *RRIP {
+	d := &RRIP{ways: ways, RRPV: make([]uint8, sets*ways)}
+	d.reset()
 	return d
 }
 
-// Set dueling: a strided subset of sets is dedicated to each policy.
-// leader returns +1 for SRRIP leader sets, -1 for BRRIP leaders, 0 for
+// leader is set dueling's dedication of a strided subset of sets to
+// each policy: +1 for SRRIP leader sets, -1 for BRRIP leaders, 0 for
 // follower sets.
-func (d *drrip) leader(set int) int {
+func leader(set int) int {
 	switch set & 63 {
 	case 0:
 		return 1
@@ -195,58 +194,83 @@ func (d *drrip) leader(set int) int {
 	return 0
 }
 
-func (d *drrip) onHit(set, way int) { d.rrpv[set*d.ways+way] = 0 }
+// Hit records a hit on (set, way): a near re-reference.
+func (d *RRIP) Hit(set, way int) { d.RRPV[set*d.ways+way] = 0 }
 
-func (d *drrip) reset() {
-	for i := range d.rrpv {
-		d.rrpv[i] = rrpvMax
+func (d *RRIP) reset() {
+	for i := range d.RRPV {
+		d.RRPV[i] = rrpvMax
 	}
-	d.psel = 0
-	d.bimod = 0
+	d.PSEL = 0
+	d.BRRIP = 0
 }
 
-func (d *drrip) onFill(set, way int) {
-	useSRRIP := d.psel >= 0
-	switch d.leader(set) {
+// Fill records a fill of (set, way): a leader set's fill charges its
+// policy a miss in PSEL, and the line is inserted with SRRIP's long or
+// BRRIP's mostly distant re-reference prediction.
+func (d *RRIP) Fill(set, way int) {
+	useSRRIP := d.PSEL >= 0
+	switch leader(set) {
 	case 1:
 		useSRRIP = true
 		// A fill in a leader set means its policy missed; punish it.
-		if d.psel > -pselMax {
-			d.psel--
+		if d.PSEL > -pselMax {
+			d.PSEL--
 		}
 	case -1:
 		useSRRIP = false
-		if d.psel < pselMax {
-			d.psel++
+		if d.PSEL < pselMax {
+			d.PSEL++
 		}
 	}
 	i := set*d.ways + way
 	if useSRRIP {
-		d.rrpv[i] = rrpvMax - 1
+		d.RRPV[i] = rrpvMax - 1
 	} else {
-		d.bimod++
-		if d.bimod%brripFreq == 0 {
-			d.rrpv[i] = rrpvMax - 1
+		d.BRRIP++
+		if d.BRRIP%brripFreq == 0 {
+			d.RRPV[i] = rrpvMax - 1
 		} else {
-			d.rrpv[i] = rrpvMax
+			d.RRPV[i] = rrpvMax
 		}
 	}
 }
 
-func (d *drrip) victim(set, minWay int) int {
+// Victim returns the way of set to evict among ways [minWay, ways):
+// the first one predicted distant (RRPV 3). If none is, every usable
+// way ages by 3 minus the largest RRPV, and the first way that held the
+// largest is the victim: in one pass, what aging every usable way by
+// one until some way reaches 3 computes (no RRPV saturates before the
+// largest does).
+func (d *RRIP) Victim(set, minWay int) int {
 	base := set * d.ways
-	for {
-		for w := minWay; w < d.ways; w++ {
-			if d.rrpv[base+w] == rrpvMax {
-				return w
-			}
+	row := d.RRPV[base+minWay : base+d.ways]
+	best := 0
+	for w, r := range row {
+		if r == rrpvMax {
+			return minWay + w
 		}
-		for w := minWay; w < d.ways; w++ {
-			if d.rrpv[base+w] < rrpvMax {
-				d.rrpv[base+w]++
-			}
+		if r > row[best] {
+			best = w
 		}
 	}
+	age := rrpvMax - row[best]
+	for w := range row {
+		row[w] += age
+	}
+	return minWay + best
+}
+
+// FillWay returns the way a fill into a DRRIP set installs in, as
+// Cache's fill chooses it: the first invalid way at or above minWay in
+// row (the set's packed metadata), else Victim, which ages the set.
+func (d *RRIP) FillWay(row []uint64, set, minWay int) int {
+	for w := minWay; w < len(row); w++ {
+		if row[w]&metaValid == 0 {
+			return w
+		}
+	}
+	return d.Victim(set, minWay)
 }
 
 // randomRepl picks victims with a deterministic xorshift stream.

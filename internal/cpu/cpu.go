@@ -19,9 +19,9 @@ package cpu
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cobra/internal/mem"
+	"cobra/internal/stats"
 )
 
 // Config holds the core parameters (Table II: 4-wide issue, 128-entry
@@ -112,13 +112,19 @@ type Core struct {
 	Ctr   Counters
 	cycle float64
 
-	// Outstanding-miss slots: issue and completion cycle per busy MSHR;
-	// doneAt == 0 marks a free slot. busy mirrors doneAt (bit i set ⇔
-	// doneAt[i] != 0) so the occupy scans touch only live slots; New
-	// caps the MSHR count at its width.
-	issueAt []float64
-	doneAt  []float64
-	busy    uint64
+	// Outstanding misses. A miss is outstanding while its completion
+	// cycle is past the clock, and timing reads only the multiset of
+	// outstanding (issue, done) pairs, never which MSHR holds one. ring
+	// holds the allocations in order — issue order, as the clock never
+	// decreases — from ring[head&mask] to ring[(tail-1)&mask]; entries
+	// that completed are skipped when the head reaches them. pend holds
+	// the completion cycles of the unretired misses, at most MSHRs of
+	// them, ascending from pend[lo&mask] to pend[(hi-1)&mask]: another
+	// ring, so retiring the earliest is an index step.
+	ring       []mshrEntry
+	head, tail int
+	pend       []float64
+	lo, hi     int
 
 	// runway caches robRunwayCycles() — a pure function of the config.
 	runway float64
@@ -136,18 +142,28 @@ type Core struct {
 	bp gshare
 }
 
+// mshrEntry is one allocated miss: its issue and completion cycle.
+type mshrEntry struct{ issue, done float64 }
+
+// ringSize is the initial allocation-ring length: a power of two of at
+// least ROB+2 entries. Each miss follows a one-op issue group, so after
+// occupy the ring's live head is at most ROB+1 allocations old, plus
+// the new one; occupy grows the ring if it ever fills, so the bound
+// sets only the speed, never the timing.
+func ringSize(cfg Config) int { return int(stats.NextPow2(uint64(cfg.ROB + 2))) }
+
 // New binds a core model to a hierarchy. It panics on an MSHR count
-// outside [1, 64] (the busy mask's width) since configs are
-// compile-time constants of the simulated machine.
+// below 1 since configs are compile-time constants of the simulated
+// machine.
 func New(cfg Config, h *mem.Hierarchy) *Core {
-	if cfg.MSHRs < 1 || cfg.MSHRs > 64 {
-		panic(fmt.Sprintf("cpu: MSHR count %d out of range [1, 64]", cfg.MSHRs))
+	if cfg.MSHRs < 1 {
+		panic(fmt.Sprintf("cpu: MSHR count %d, want at least 1", cfg.MSHRs))
 	}
 	c := &Core{
-		cfg:     cfg,
-		Mem:     h,
-		issueAt: make([]float64, cfg.MSHRs),
-		doneAt:  make([]float64, cfg.MSHRs),
+		cfg:  cfg,
+		Mem:  h,
+		ring: make([]mshrEntry, ringSize(cfg)),
+		pend: make([]float64, stats.NextPow2(uint64(cfg.MSHRs))),
 	}
 	c.runway = c.robRunwayCycles()
 	c.width = float64(cfg.IssueWidth)
@@ -163,15 +179,19 @@ func New(cfg Config, h *mem.Hierarchy) *Core {
 }
 
 // Reset restores the core to its post-New state (counters, clock, MSHR
-// slots, branch predictor) for a recycled machine. It leaves the bound
+// queue, branch predictor) for a recycled machine. It leaves the bound
 // hierarchy alone; callers reset that separately.
 func (c *Core) Reset() {
 	c.Ctr = Counters{}
 	c.cycle = 0
-	for i := range c.doneAt {
-		c.issueAt[i], c.doneAt[i] = 0, 0
+	if n := ringSize(c.cfg); len(c.ring) != n {
+		c.ring = make([]mshrEntry, n)
+	} else {
+		clear(c.ring)
 	}
-	c.busy = 0
+	c.head, c.tail = 0, 0
+	clear(c.pend)
+	c.lo, c.hi = 0, 0
 	c.bp.reset()
 }
 
@@ -255,68 +275,64 @@ func (c *Core) load(addr uint64) float64 {
 // runway past the oldest outstanding miss is exhausted, and returns the
 // completion time.
 func (c *Core) occupy(lat float64) float64 {
-	doneAt := c.doneAt
-	issueAt := c.issueAt
-	busy := c.busy
-	// One fused scan over the busy slots only: retire completed entries
-	// lazily, and — against the post-retire state, with c.cycle
-	// unchanged — find the oldest still-outstanding miss. (Equivalent
-	// to the scalar model's full-array passes: retirement depends only
-	// on pre-scan values, bits iterate in ascending index order, and a
-	// clear bit is exactly a free slot.)
-	oldest := -1
-	var oldestIssue float64
-	for m := busy; m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		if doneAt[i] <= c.cycle {
-			doneAt[i] = 0
-			busy &^= 1 << uint(i)
+	// ROB bound: the core cannot issue more than `runway` cycles of work
+	// past the issue point of the oldest outstanding miss. When it
+	// tries, it waits for that miss to complete (the ROB drains, real
+	// time jumps to the completion). The walk is in allocation order,
+	// so the first outstanding entry is the oldest; completed ones are
+	// dropped on the way. Past an entry within the runway, every later
+	// one is too (issue order), so the walk stops there.
+	ring, mask := c.ring, len(c.ring)-1
+	head, tail := c.head, c.tail
+	for ; head != tail; head++ {
+		e := &ring[head&mask]
+		if e.done <= c.cycle {
 			continue
 		}
-		if oldest < 0 || issueAt[i] < oldestIssue {
-			oldest = i
-			oldestIssue = issueAt[i]
+		if c.cycle <= e.issue+c.runway {
+			break
 		}
+		c.cycle = e.done
 	}
-	// ROB bound: the core cannot issue more than `runway` cycles of work
-	// past the issue point of the oldest un-completed miss. When it
-	// tries, it waits for that miss to complete (the ROB drains, real
-	// time jumps to the completion).
-	runway := c.runway
-	for oldest >= 0 && c.cycle > oldestIssue+runway {
-		if doneAt[oldest] > c.cycle {
-			c.cycle = doneAt[oldest]
-		}
-		doneAt[oldest] = 0
-		busy &^= 1 << uint(oldest)
-		oldest = -1
-		for m := busy; m != 0; {
-			i := bits.TrailingZeros64(m)
-			m &= m - 1
-			if oldest < 0 || issueAt[i] < oldestIssue {
-				oldest = i
-				oldestIssue = issueAt[i]
-			}
-		}
+	c.head = head
+	// Retire every miss complete by now. If the ROB bound moved the
+	// clock, it retired at least the miss it waited for, so an MSHR is
+	// free; otherwise all may be busy, and the core stalls until the
+	// earliest completion, whose MSHR the new miss takes.
+	pend, pmask := c.pend, len(c.pend)-1
+	lo, hi := c.lo, c.hi
+	for lo != hi && pend[lo&pmask] <= c.cycle {
+		lo++
 	}
-	// First free slot; if none, stall until the earliest completion.
-	slot := bits.TrailingZeros64(^busy)
-	if slot >= len(doneAt) {
-		earliest := 0
-		for i := range doneAt {
-			if doneAt[i] < doneAt[earliest] {
-				earliest = i
-			}
-		}
-		c.cycle = doneAt[earliest]
-		slot = earliest
+	if hi-lo == c.cfg.MSHRs {
+		c.cycle = pend[lo&pmask]
+		lo++
 	}
-	issueAt[slot] = c.cycle
 	done := c.cycle + lat
-	doneAt[slot] = done
-	c.busy = busy | 1<<uint(slot)
+	// Insert done, keeping pend ascending.
+	i := hi
+	for ; i != lo && pend[(i-1)&pmask] > done; i-- {
+		pend[i&pmask] = pend[(i-1)&pmask]
+	}
+	pend[i&pmask] = done
+	c.lo, c.hi = lo, hi+1
+	if tail-head == len(ring) {
+		c.growRing()
+	}
+	c.ring[c.tail&(len(c.ring)-1)] = mshrEntry{issue: c.cycle, done: done}
+	c.tail++
 	return done
+}
+
+// growRing doubles the allocation ring, keeping its entries in order.
+func (c *Core) growRing() {
+	ring := make([]mshrEntry, 2*len(c.ring))
+	n := 0
+	for i := c.head; i != c.tail; i++ {
+		ring[n] = c.ring[i&(len(c.ring)-1)]
+		n++
+	}
+	c.ring, c.head, c.tail = ring, 0, n
 }
 
 // Load performs an independent load: the core continues past it
@@ -376,13 +392,13 @@ func (c *Core) BinUpdate() {
 
 // DrainMem waits for all outstanding misses (end-of-phase barrier).
 func (c *Core) DrainMem() {
-	for i := range c.doneAt {
-		if c.doneAt[i] > c.cycle {
-			c.cycle = c.doneAt[i]
+	if c.hi != c.lo {
+		if last := c.pend[(c.hi-1)&(len(c.pend)-1)]; last > c.cycle {
+			c.cycle = last
 		}
-		c.doneAt[i] = 0
 	}
-	c.busy = 0
+	c.lo = c.hi
+	c.head = c.tail
 }
 
 // gshare is a standard global-history XOR-indexed 2-bit predictor.

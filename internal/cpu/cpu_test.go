@@ -95,8 +95,9 @@ func TestMSHRLimitBoundsOverlap(t *testing.T) {
 	}
 }
 
-// TestMSHRBounds pins New's MSHR range: the busy mask tracks at most
-// 64 outstanding misses, and a core needs at least one MSHR.
+// TestMSHRBounds pins New's MSHR range: a core needs at least one
+// MSHR, and any count above that works (the outstanding-miss queue has
+// no width limit).
 func TestMSHRBounds(t *testing.T) {
 	for _, n := range []int{0, 1, 64, 65} {
 		cfg := DefaultConfig()
@@ -111,7 +112,7 @@ func TestMSHRBounds(t *testing.T) {
 			c.DrainMem()
 			return false
 		}()
-		if want := n < 1 || n > 64; panicked != want {
+		if want := n < 1; panicked != want {
 			t.Errorf("MSHRs=%d: panicked = %v, want %v", n, panicked, want)
 		}
 	}

@@ -25,6 +25,7 @@ const (
 	opBinUpdate
 	opAdvance // Core.AdvanceCycles(float64(addr))
 	opDrain   // Core.DrainMem()
+	opMiss    // an MSHR allocation, occupy(missLat[addr%len]), with no issue slot
 )
 
 // op is one test stream event. addr is the memory address, the branch
@@ -98,30 +99,52 @@ func withBarriers(rng *rand.Rand, ops []op) []op {
 	return out
 }
 
+// issuer is what an op stream drives: a Core, an OpBuf, or the
+// slot-model reference core of mshr_test.go.
+type issuer interface {
+	ALU(n int)
+	Load(addr uint64)
+	LoadDep(addr uint64)
+	Store(addr uint64)
+	StoreNT(addr uint64)
+	Branch(pc uint64, taken bool)
+	BinUpdate()
+	AdvanceCycles(n float64)
+	DrainMem()
+	occupy(lat float64) float64
+}
+
+// apply issues one op on x.
+func apply(x issuer, o op) {
+	switch o.kind {
+	case opALU:
+		x.ALU(int(o.addr))
+	case opLoad:
+		x.Load(o.addr)
+	case opLoadDep:
+		x.LoadDep(o.addr)
+	case opStore:
+		x.Store(o.addr)
+	case opStoreNT:
+		x.StoreNT(o.addr)
+	case opBranch:
+		x.Branch(o.addr, o.taken)
+	case opBinUpdate:
+		x.BinUpdate()
+	case opAdvance:
+		x.AdvanceCycles(float64(o.addr))
+	case opDrain:
+		x.DrainMem()
+	case opMiss:
+		x.occupy(missLat[o.addr%uint64(len(missLat))])
+	}
+}
+
 // scalarFeed executes ops on c directly: with c's hierarchy on the
 // scalar walk, the reference the OpBuf side must match bit for bit.
 func scalarFeed(c *Core, ops []op) {
 	for _, o := range ops {
-		switch o.kind {
-		case opALU:
-			c.ALU(int(o.addr))
-		case opLoad:
-			c.Load(o.addr)
-		case opLoadDep:
-			c.LoadDep(o.addr)
-		case opStore:
-			c.Store(o.addr)
-		case opStoreNT:
-			c.StoreNT(o.addr)
-		case opBranch:
-			c.Branch(o.addr, o.taken)
-		case opBinUpdate:
-			c.BinUpdate()
-		case opAdvance:
-			c.AdvanceCycles(float64(o.addr))
-		case opDrain:
-			c.DrainMem()
-		}
+		apply(c, o)
 	}
 }
 
@@ -129,26 +152,7 @@ func scalarFeed(c *Core, ops []op) {
 // at the end.
 func feed(b *OpBuf, ops []op, flushAt func() bool) {
 	for _, o := range ops {
-		switch o.kind {
-		case opALU:
-			b.ALU(int(o.addr))
-		case opLoad:
-			b.Load(o.addr)
-		case opLoadDep:
-			b.LoadDep(o.addr)
-		case opStore:
-			b.Store(o.addr)
-		case opStoreNT:
-			b.StoreNT(o.addr)
-		case opBranch:
-			b.Branch(o.addr, o.taken)
-		case opBinUpdate:
-			b.BinUpdate()
-		case opAdvance:
-			b.AdvanceCycles(float64(o.addr))
-		case opDrain:
-			b.DrainMem()
-		}
+		apply(b, o)
 		if flushAt() {
 			b.Flush()
 		}

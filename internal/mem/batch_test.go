@@ -22,9 +22,9 @@ func tinyConfig() Config {
 }
 
 // batchConfigs returns hierarchy configurations spanning the fast walk
-// (mask Bit-PLRU L1 and L2), the scalar fallback (TrueLRU L1 or L2),
-// tiny caches (high conflict pressure), NUCA on/off, and prefetcher
-// on/off.
+// (mask Bit-PLRU L1 and L2, DRRIP LLC), the scalar fallback (TrueLRU
+// L1 or L2; TrueLRU or Random LLC, ablation A2), tiny caches (high
+// conflict pressure), NUCA on/off, and prefetcher on/off.
 func batchConfigs() map[string]Config {
 	tiny := tinyConfig()
 	nuca := DefaultConfig()
@@ -36,18 +36,24 @@ func batchConfigs() map[string]Config {
 	lruL1.L1.Policy = cache.TrueLRU
 	lruL2 := DefaultConfig()
 	lruL2.L2.Policy = cache.TrueLRU
+	lruLLC := DefaultConfig()
+	lruLLC.LLC.Policy = cache.TrueLRU
+	randomLLC := DefaultConfig()
+	randomLLC.LLC.Policy = cache.Random
 	tinyPf := tiny
 	tinyPf.PrefetchStreams = 4
 	tinyPf.PrefetchDegree = 2
 	return map[string]Config{
-		"default":  DefaultConfig(),
-		"tiny":     tiny,
-		"tiny_pf":  tinyPf,
-		"nuca":     nuca,
-		"no_pf":    noPf,
-		"lru_l1":   lruL1,
-		"lru_l2":   lruL2,
-		"reserved": DefaultConfig(), // ways reserved by the test body
+		"default":    DefaultConfig(),
+		"tiny":       tiny,
+		"tiny_pf":    tinyPf,
+		"nuca":       nuca,
+		"no_pf":      noPf,
+		"lru_l1":     lruL1,
+		"lru_l2":     lruL2,
+		"lru_llc":    lruLLC,
+		"random_llc": randomLLC,
+		"reserved":   DefaultConfig(), // ways reserved by the test body
 	}
 }
 
@@ -74,14 +80,16 @@ func replayScalar(h *Hierarchy, refs []Ref) []Level {
 
 // snapshot captures a hierarchy's simulated state: every counter, the
 // DRAM traffic, each level's packed line metadata (tags, valid and dirty
-// bits, way by way), and the L1 and L2 Bit-PLRU masks. A wrong victim
-// or a missed replacement touch shows up here at once, not only when
-// it happens to change a count.
+// bits, way by way), the L1 and L2 Bit-PLRU masks, and the LLC's DRRIP
+// state (RRPVs, PSEL, BRRIP insert count). A wrong victim or a missed
+// replacement update shows up here at once, not only when it happens
+// to change a count or a later victim.
 type snapshot struct {
 	L1, L2, LLC cache.Stats
 	Traffic     Traffic
 	Meta        [3][]uint64 // L1, L2, LLC
 	PLRU        [2][]uint16 // L1, L2 (nil when not mask Bit-PLRU)
+	RRIP        cache.RRIP  // the LLC's (zero when not DRRIP)
 }
 
 func snap(h *Hierarchy) snapshot {
@@ -92,6 +100,9 @@ func snap(h *Hierarchy) snapshot {
 		if i < len(s.PLRU) && v.PLRU != nil {
 			s.PLRU[i] = append([]uint16(nil), v.PLRU...)
 		}
+	}
+	if r := h.LLCc.BatchView().RRIP; r != nil {
+		s.RRIP = cache.RRIP{RRPV: append([]uint8(nil), r.RRPV...), PSEL: r.PSEL, BRRIP: r.BRRIP}
 	}
 	return s
 }
@@ -112,6 +123,10 @@ func checkSameState(t *testing.T, what string, scalar, fast *Hierarchy) {
 		if i < len(s.PLRU) && !reflect.DeepEqual(s.PLRU[i], b.PLRU[i]) {
 			t.Fatalf("%s: %s Bit-PLRU masks diverged", what, name)
 		}
+	}
+	if !reflect.DeepEqual(s.RRIP, b.RRIP) {
+		t.Fatalf("%s: LLC DRRIP state diverged (PSEL %d vs %d, BRRIP %d vs %d)",
+			what, s.RRIP.PSEL, b.RRIP.PSEL, s.RRIP.BRRIP, b.RRIP.BRRIP)
 	}
 }
 
@@ -405,7 +420,7 @@ func TestPrefetchFillDisplacesDirtyLine(t *testing.T) {
 
 // TestScalarWalkMatchesScalarAPI checks the oracle seam itself: after
 // ScalarWalk, Access is the scalar Load/Store/StoreNT sequence, state
-// and location hints included (it records none).
+// and location hints included (it never reads or records an L1 hint).
 func TestScalarWalkMatchesScalarAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	refs := genRefs(rng, 4000, 1<<16)
@@ -466,6 +481,30 @@ func BenchmarkHierarchyAccessFast(b *testing.B) {
 	h := New(DefaultConfig())
 	refs := benchRefs()
 	replayScalar(h, refs) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range refs {
+			h.Access(r.Addr, r.Kind)
+		}
+	}
+	b.SetBytes(int64(len(refs)))
+}
+
+// BenchmarkHierarchyAccessLLCMiss measures Access on uniformly random
+// loads and stores over a 64 MB working set, 32 times the LLC: nearly
+// every reference misses all three levels, so the time is the miss
+// path — the L1 fill and victim writeback, the L2 and LLC lookups,
+// fills and dirty-victim installs, and the DRAM accounting.
+func BenchmarkHierarchyAccessLLCMiss(b *testing.B) {
+	h := New(DefaultConfig())
+	rng := rand.New(rand.NewSource(3))
+	refs := make([]Ref, 4096)
+	for i := range refs {
+		refs[i] = Ref{Addr: uint64(rng.Intn(64 << 20)), Kind: RefKind(rng.Intn(2))}
+	}
+	for _, r := range refs { // warm
+		h.Access(r.Addr, r.Kind)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range refs {

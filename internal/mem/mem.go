@@ -127,10 +127,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Location-hint table sizes: one slot per line of Table II's 32 KB L1
-// and 256 KB L2. Powers of two, so a line's slot is line & (n-1). Any
-// Config stays exact with them; a smaller or larger cache only changes
-// how often a hint hits.
+// Location-hint table sizes: one way byte per line of Table II's 32 KB
+// L1 and 256 KB L2. Powers of two, so a line's slot is line & (n-1).
+// Any Config stays exact with them; a smaller or larger cache only
+// changes how often a hint hits.
 const (
 	l1Hints = 512
 	l2Hints = 4096
@@ -157,9 +157,9 @@ type Hierarchy struct {
 	pf wcAndPf
 
 	// scalar puts Access on the scalar walk (Load, Store, StoreNT):
-	// always when L1 or L2 is not mask Bit-PLRU, whose replacement
-	// updates are the only ones the fast walk replays outside package
-	// cache, and otherwise only after ScalarWalk.
+	// always when L1 or L2 is not mask Bit-PLRU or the LLC is not DRRIP
+	// (Table II's policies are the only ones the fast walk replays
+	// outside package cache), and otherwise only after ScalarWalk.
 	scalar bool
 
 	// L1 state the fast walk reads and updates in place, taken once from
@@ -173,31 +173,24 @@ type Hierarchy struct {
 	l1Ways     int
 
 	// Verified location hints over the L1 metadata: a direct-mapped
-	// table of recently confirmed L1-resident lines (line → metadata
-	// index), one slot per line of Table II's L1 (line & (l1Hints-1)).
-	// The hot loops interleave several line streams (input / counter /
-	// C-Buffer; bin / accumulator), and a hint hit replaces the way scan
-	// with one metadata compare. A hint is trusted only after the live
-	// metadata word re-verifies (valid + tag), so evictions,
-	// reservations, resets and scalar calls made since it was recorded
-	// can never fake a hit; they just fall back to the scan. Hints are
-	// recorded only from scan and fill results, so a verified index
-	// always lies in a non-reserved way.
-	l1SlotLine [l1Hints]uint64
-	l1SlotIdx  [l1Hints]int32
+	// table of the ways recently confirmed L1-resident lines sit in, one
+	// slot per line of Table II's L1 (line & (l1Hints-1)). The hot loops
+	// interleave several line streams (input / counter / C-Buffer; bin /
+	// accumulator), and a hint hit replaces the way scan with one
+	// metadata compare. A set plus a tag names a line, so the hint is
+	// trusted only after the live metadata word at (set(line), way)
+	// re-verifies (valid + tag): evictions, reservations, resets and
+	// scalar calls made since it was recorded, and a slot another line
+	// last wrote, can never fake a hit; they just fall back to the scan.
+	// A reserved way's metadata is zero, so a verified way is always a
+	// usable one.
+	l1HintWay [l1Hints]uint8
 
-	// Verified-slot cache over the L2 metadata, one slot per line of
-	// Table II's L2 (line & (l2Hints-1)), shared by the fast walk's
-	// misses (demand lookups and L1-victim writeback installs) and the
-	// prefetcher's residency probes and fills. Each slot remembers where
-	// a line was last located in L2 (its packed-metadata index); a slot
-	// is trusted only after the live metadata word re-verifies (valid +
-	// tag), so intervening evictions, resets, or reservations can never
-	// fake a hit — they just fall back to the full way scan. Entries
-	// are recorded exclusively from scan/fill results, so a verified
-	// index always lies in a non-reserved way (the ways a scan covers).
-	l2SlotLine [l2Hints]uint64
-	l2SlotIdx  [l2Hints]int32
+	// The same over the L2 metadata, one slot per line of Table II's L2
+	// (line & (l2Hints-1)), shared by the fast walk's misses (demand
+	// lookups and L1-victim writeback installs) and the prefetcher's
+	// residency probes and fills.
+	l2HintWay [l2Hints]uint8
 
 	// L2 state the fast walk's misses read and update in place, taken
 	// once from L2's BatchView (both slices are L2's own arrays for its
@@ -211,9 +204,13 @@ type Hierarchy struct {
 	l2TagShift uint
 	l2Ways     int
 
-	// The LLC's packed metadata and geometry, for the NT store's inline
-	// absence scan.
+	// LLC state the fast walk's L2 misses, L2 victims, prefetches and
+	// NT stores read and update in place, taken once from the LLC's
+	// BatchView: the packed metadata and the DRRIP state, both the
+	// LLC's own for its whole life. The walk reads the LLC's way
+	// reservation live.
 	llcMeta     []uint64
+	llcRRIP     *cache.RRIP // nil unless the LLC is DRRIP
 	llcSetMask  uint64
 	llcTagShift uint
 	llcWays     int
@@ -286,26 +283,13 @@ func New(cfg Config) *Hierarchy {
 	h.l2Ways = l2v.Ways
 	llcv := h.LLCc.BatchView()
 	h.llcMeta = llcv.Meta
+	h.llcRRIP = llcv.RRIP
 	h.llcSetMask = llcv.SetMask
 	h.llcTagShift = cache.LineBits + llcv.SetBits
 	h.llcWays = llcv.Ways
-	h.scalar = h.l1PLRU == nil || h.l2PLRU == nil
-	h.clearHints()
+	h.scalar = h.l1PLRU == nil || h.l2PLRU == nil || h.llcRRIP == nil
 	h.pf.degree = cfg.PrefetchDegree
 	return h
-}
-
-// clearHints empties the L1 and L2 location hints. An unreachable line
-// address (no line reaches 2^58) marks a cold slot.
-func (h *Hierarchy) clearHints() {
-	for i := range h.l1SlotLine {
-		h.l1SlotLine[i] = ^uint64(0)
-	}
-	h.l1SlotIdx = [l1Hints]int32{}
-	for i := range h.l2SlotLine {
-		h.l2SlotLine[i] = ^uint64(0)
-	}
-	h.l2SlotIdx = [l2Hints]int32{}
 }
 
 // ScalarWalk puts h on the scalar walk for good: from now on Access
@@ -313,10 +297,7 @@ func (h *Hierarchy) clearHints() {
 // through cache.Cache. It is the oracle the differential tests hold
 // the fast walk to; a run on it produces the same simulated state,
 // only slower.
-func (h *Hierarchy) ScalarWalk() {
-	h.scalar = true
-	h.clearHints()
-}
+func (h *Hierarchy) ScalarWalk() { h.scalar = true }
 
 // Reset restores the hierarchy to its post-New state so a recycled
 // machine is indistinguishable from a fresh one: every cache level
@@ -336,7 +317,8 @@ func (h *Hierarchy) Reset() {
 		pf.dir[i], pf.conf[i], pf.prev[i], pf.next[i] = 0, 0, 0, 0
 	}
 	h.pf = wcAndPf{lastLine: pf.lastLine, dir: pf.dir, conf: pf.conf, prev: pf.prev, next: pf.next, degree: pf.degree}
-	h.clearHints()
+	h.l1HintWay = [l1Hints]uint8{}
+	h.l2HintWay = [l2Hints]uint8{}
 	h.DRAMTraffic = Traffic{}
 }
 
@@ -394,9 +376,9 @@ func (h *Hierarchy) access(addr uint64, write bool) Level {
 	return h.accessLLC(addr)
 }
 
-// accessLLC is the demand walk's last step, shared by both walks: the
-// LLC lookup (filling on a miss; a dirty LLC victim is a DRAM write)
-// and, past it, the DRAM read.
+// accessLLC is the scalar demand walk's last step: the LLC lookup
+// (filling on a miss; a dirty LLC victim is a DRAM write) and, past it,
+// the DRAM read.
 func (h *Hierarchy) accessLLC(addr uint64) Level {
 	if r := h.LLCc.Access(addr, false); r.Hit {
 		return LLC
@@ -514,13 +496,14 @@ func (p *wcAndPf) touch(i int) {
 }
 
 // issuePrefetches prefetches the `degree` lines past line in direction
-// dir into L2 (and the LLC if absent). The fast walk (fast) fills L2
-// inline; the scalar walk fills it through PrefetchMiss, the oracle.
+// dir into L2 (and the LLC if absent). The fast walk (fast) fills the
+// LLC and L2 inline; the scalar walk fills them through Prefetch and
+// PrefetchMiss, the oracle.
 func (h *Hierarchy) issuePrefetches(line uint64, dir int64, fast bool) {
 	for k := 1; k <= h.pf.degree; k++ {
 		next := line + uint64(int64(k)*dir)
 		addr := next << cache.LineBits
-		// L2 residency through the slot-hinted lookup: an advancing
+		// L2 residency through the hinted lookup: an advancing
 		// stream re-probes lines it prefetched one step ago, so a hint
 		// usually confirms them without the way scan. (It is L2c.Probe
 		// minus Probe's only side effect, the cache's MRU filter, which
@@ -534,8 +517,17 @@ func (h *Hierarchy) issuePrefetches(line uint64, dir int64, fast bool) {
 		// Prefetch's return value subsumes an LLC Probe (present → no
 		// fill, absent → fill + DRAM read), and the L2 install skips
 		// its probe outright: the lookup above established absence, and
-		// nothing touches L2 in between.
-		if !h.LLCc.Prefetch(addr) {
+		// nothing touches L2 in between. The fast walk does both inline;
+		// the scalar walk calls LLCc.Prefetch and L2c.PrefetchMiss, the
+		// oracle. Both drop a dirty victim of either fill: it counts in
+		// the level's Writebacks but goes nowhere.
+		var present bool
+		if fast {
+			present = h.llcPrefetch(addr)
+		} else {
+			present = h.LLCc.Prefetch(addr)
+		}
+		if !present {
 			h.DRAMTraffic.ReadLines++
 			h.DRAMTraffic.PrefetchLines++
 		}
@@ -543,8 +535,6 @@ func (h *Hierarchy) issuePrefetches(line uint64, dir int64, fast bool) {
 			h.L2c.PrefetchMiss(addr)
 			continue
 		}
-		// The fast walk fills L2 inline, counting what cache.fill counts
-		// for a prefetch; it drops a dirty victim as PrefetchMiss does.
 		h.l2Fill(next, want, set, base)
 		h.L2c.Stats.Fills++
 	}
@@ -586,33 +576,36 @@ func (h *Hierarchy) AccessBatch(refs []Ref, out []Level) []Level {
 // it. It is counter-exact with the scalar Load, Store and StoreNT:
 // every hit, miss, eviction and writeback count, the DRAM traffic, the
 // line metadata, the replacement state and the prefetcher streams end
-// up bit-identical to the scalar call's. Three things make it faster,
+// up bit-identical to the scalar call's. Four things make it faster,
 // none of them observable:
 //
 //  1. Verified L1 hints: a reference to a recently confirmed line
-//     skips the way scan (see l1SlotLine).
+//     skips the way scan (see l1HintWay).
 //  2. Inlined L1: the tag probe, the hit's dirty bit and Bit-PLRU
 //     touch, and the miss's fill run against L1's packed metadata and
 //     masks, with no call into package cache and no cache.Result.
 //  3. Inlined L2 below an L1 miss: the L1 victim's writeback install,
 //     the L2 lookup or fill, the prefetcher's L2 probes and fills, and
 //     an NT store's L2 update run against L2's packed metadata and
-//     masks, with verified hints of their own (see l2SlotLine). The LLC
-//     stays behind cache.Cache, whose policy the ablations swap.
+//     masks, with verified hints of their own (see l2HintWay).
+//  4. Inlined LLC below an L2 miss: the demand lookup or fill, the L2
+//     victim's writeback install, the prefetcher's LLC fill and an NT
+//     store's LLC update run against the LLC's packed metadata and the
+//     DRRIP state its BatchView shares.
 //
-// When L1 or L2 is not mask Bit-PLRU, or after ScalarWalk, every
-// reference takes the scalar methods, which remain the oracle.
+// When L1 or L2 is not mask Bit-PLRU, the LLC is not DRRIP (ablation
+// A2), or after ScalarWalk, every reference takes the scalar methods,
+// which remain the oracle.
 func (h *Hierarchy) Access(addr uint64, kind RefKind) Level {
-	line := addr >> cache.LineBits
-	want := addr>>h.l1TagShift<<cache.MetaTagShift | cache.MetaValid
-	if slot := line & (l1Hints - 1); h.l1SlotLine[slot] == line {
-		if idx := int(h.l1SlotIdx[slot]); h.l1Meta[idx]&^cache.MetaDirty == want {
-			h.l1Hit(idx, int(line&h.l1SetMask), kind)
-			return L1
-		}
-	}
 	if h.scalar {
 		return h.accessScalar(addr, kind)
+	}
+	line := addr >> cache.LineBits
+	want := addr>>h.l1TagShift<<cache.MetaTagShift | cache.MetaValid
+	set := int(line & h.l1SetMask)
+	if idx := set*h.l1Ways + int(h.l1HintWay[line&(l1Hints-1)]); h.l1Meta[idx]&^cache.MetaDirty == want {
+		h.l1Hit(idx, set, kind)
+		return L1
 	}
 	return h.accessL1(addr, line, want, kind)
 }
@@ -640,8 +633,7 @@ func (h *Hierarchy) accessL1(addr, line, want uint64, kind RefKind) Level {
 	row := meta[base : base+h.l1Ways]
 	for w := h.L1c.ReservedWays(); w < len(row); w++ {
 		if row[w]&^cache.MetaDirty == want {
-			h.l1SlotLine[slot] = line
-			h.l1SlotIdx[slot] = int32(base + w)
+			h.l1HintWay[slot] = uint8(w)
 			h.l1Hit(base+w, set, kind)
 			return L1
 		}
@@ -670,8 +662,7 @@ func (h *Hierarchy) accessL1(addr, line, want uint64, kind RefKind) Level {
 	}
 	meta[base+way] = want
 	h.l1PLRU[set] = cache.PLRUTouch(h.l1PLRU[set], uint16(1)<<uint(way), h.l1Full)
-	h.l1SlotLine[slot] = line
-	h.l1SlotIdx[slot] = int32(base + way)
+	h.l1HintWay[slot] = uint8(way)
 	l1.Misses++
 	l1.Fills++
 	// The rest of the scalar walk, in its order: the L1 victim's
@@ -696,10 +687,10 @@ func (h *Hierarchy) accessScalar(addr uint64, kind RefKind) Level {
 	}
 }
 
-// l2Demand is the demand walk below an L1 miss, with L2 inline: a hit
-// is a Bit-PLRU touch; a miss fills L2, installs a dirty L2 victim in
-// the LLC, and goes on through accessLLC — what L2c.Access and the
-// scalar walk's tail do.
+// l2Demand is the demand walk below an L1 miss, with L2 and the LLC
+// inline: a hit is a Bit-PLRU touch; a miss fills L2, installs a dirty
+// L2 victim in the LLC, and goes on to the LLC — what L2c.Access and
+// the scalar walk's tail do.
 func (h *Hierarchy) l2Demand(addr uint64) Level {
 	line := addr >> cache.LineBits
 	set := int(line & h.l2SetMask)
@@ -713,9 +704,9 @@ func (h *Hierarchy) l2Demand(addr uint64) Level {
 	h.L2c.Stats.Misses++
 	h.L2c.Stats.Fills++
 	if victim, dirty := h.l2Fill(line, want, set, base); dirty {
-		h.installWriteback(h.LLCc, victim)
+		h.llcWriteback(victim)
 	}
-	return h.accessLLC(addr)
+	return h.llcDemand(addr)
 }
 
 // l2Writeback is installWriteback(L2c, victim) with L2 inline: a
@@ -739,19 +730,18 @@ func (h *Hierarchy) l2Writeback(victim uint64) {
 
 // l2Find returns the L2 metadata index holding line (want is its valid
 // metadata word, base its set's first index), or -1 when absent: a
-// slot-verified hint, else the scan over L2's usable ways (the
-// reservation is read live), which records a hint. It has no simulated
-// side effects.
+// verified hint, else the scan over L2's usable ways (the reservation
+// is read live), which records a hint. It has no simulated side
+// effects.
 func (h *Hierarchy) l2Find(line, want uint64, base int) int {
 	slot := line & (l2Hints - 1)
-	if h.l2SlotLine[slot] == line && h.l2Meta[h.l2SlotIdx[slot]]&^cache.MetaDirty == want {
-		return int(h.l2SlotIdx[slot])
+	if idx := base + int(h.l2HintWay[slot]); h.l2Meta[idx]&^cache.MetaDirty == want {
+		return idx
 	}
 	row := h.l2Meta[base : base+h.l2Ways]
 	for w := h.L2c.ReservedWays(); w < len(row); w++ {
 		if row[w]&^cache.MetaDirty == want {
-			h.l2SlotLine[slot] = line
-			h.l2SlotIdx[slot] = int32(base + w)
+			h.l2HintWay[slot] = uint8(w)
 			return base + w
 		}
 	}
@@ -774,9 +764,7 @@ func (h *Hierarchy) l2Fill(line, m uint64, set, base int) (victim uint64, dirty 
 	}
 	row[way] = m
 	h.l2Touch(set, way)
-	slot := line & (l2Hints - 1)
-	h.l2SlotLine[slot] = line
-	h.l2SlotIdx[slot] = int32(base + way)
+	h.l2HintWay[line&(l2Hints-1)] = uint8(way)
 	return victim, dirty
 }
 
@@ -786,8 +774,9 @@ func (h *Hierarchy) l2Touch(set, way int) {
 }
 
 // storeNTL2 is StoreNT below a missed L1 probe (which, on a miss, has
-// no side effects at all), with L2 inline: a resident copy turns dirty
-// and is touched, and counts a hit, as L2c.WriteNT does.
+// no side effects at all), with L2 and the LLC inline: a resident L2
+// copy turns dirty and is touched, and counts a hit, as L2c.WriteNT
+// does.
 func (h *Hierarchy) storeNTL2(addr uint64) Level {
 	line := addr >> cache.LineBits
 	set := int(line & h.l2SetMask)
@@ -798,20 +787,105 @@ func (h *Hierarchy) storeNTL2(addr uint64) Level {
 		h.L2c.Stats.Hits++
 		return L2
 	}
-	// A resident LLC copy is updated through cache.Cache (the policy
-	// varies); absence, the common case, is an inline scan of the
-	// set's usable ways, as WriteNT's miss has no side effects.
-	want := addr>>h.llcTagShift<<cache.MetaTagShift | cache.MetaValid
-	base = int(line&h.llcSetMask) * h.llcWays
-	row := h.llcMeta[base : base+h.llcWays]
-	for w := h.LLCc.ReservedWays(); w < len(row); w++ {
-		if row[w]&^cache.MetaDirty == want {
-			h.LLCc.WriteNT(addr)
-			return LLC
-		}
+	// A resident LLC copy turns dirty and counts a hit, as LLCc.WriteNT
+	// does; absence has no side effects.
+	set, base, want := h.llcLine(addr)
+	if idx := h.llcFind(want, base); idx >= 0 {
+		h.llcMeta[idx] |= cache.MetaDirty
+		h.llcRRIP.Hit(set, idx-base)
+		h.LLCc.Stats.Hits++
+		return LLC
 	}
 	h.writeCombine(addr)
 	return DRAM
+}
+
+// llcLine returns addr's LLC set, the set's first metadata index, and
+// the line's valid metadata word.
+func (h *Hierarchy) llcLine(addr uint64) (set, base int, want uint64) {
+	set = int(addr >> cache.LineBits & h.llcSetMask)
+	return set, set * h.llcWays, addr>>h.llcTagShift<<cache.MetaTagShift | cache.MetaValid
+}
+
+// llcFind returns the LLC metadata index holding the line whose valid
+// metadata word is want (base is its set's first index), or -1 when
+// absent: a scan of the LLC's usable ways (the reservation is read
+// live), with no simulated side effects.
+func (h *Hierarchy) llcFind(want uint64, base int) int {
+	row := h.llcMeta[base : base+h.llcWays]
+	for w := h.LLCc.ReservedWays(); w < len(row); w++ {
+		if row[w]&^cache.MetaDirty == want {
+			return base + w
+		}
+	}
+	return -1
+}
+
+// llcFill installs metadata word m in LLC set set (base its first
+// index) as cache.Cache's fill does — the first invalid usable way,
+// else the DRRIP victim, then the DRRIP insertion — counting the
+// eviction and writeback but not the fill. It reports whether the line
+// it displaced was dirty.
+func (h *Hierarchy) llcFill(m uint64, set, base int) (dirty bool) {
+	row := h.llcMeta[base : base+h.llcWays]
+	way := h.llcRRIP.FillWay(row, set, h.LLCc.ReservedWays())
+	if old := row[way]; old&cache.MetaValid != 0 {
+		h.LLCc.Stats.Evictions++
+		if old&cache.MetaDirty != 0 {
+			h.LLCc.Stats.Writebacks++
+			dirty = true
+		}
+	}
+	row[way] = m
+	h.llcRRIP.Fill(set, way)
+	return dirty
+}
+
+// llcDemand is accessLLC with the LLC inline: a hit is a DRRIP hit; a
+// miss fills (a dirty LLC victim is a DRAM write) and reads DRAM.
+func (h *Hierarchy) llcDemand(addr uint64) Level {
+	set, base, want := h.llcLine(addr)
+	if idx := h.llcFind(want, base); idx >= 0 {
+		h.llcRRIP.Hit(set, idx-base)
+		h.LLCc.Stats.Hits++
+		return LLC
+	}
+	h.LLCc.Stats.Misses++
+	h.LLCc.Stats.Fills++
+	if h.llcFill(want, set, base) {
+		h.DRAMTraffic.WriteLines++
+	}
+	h.DRAMTraffic.ReadLines++
+	return DRAM
+}
+
+// llcWriteback is installWriteback(LLCc, victim) with the LLC inline: a
+// resident copy turns dirty and takes a DRRIP hit; otherwise the line
+// fills dirty, and a dirty line it displaces is a DRAM write. Neither
+// case counts a demand hit, miss, or fill.
+func (h *Hierarchy) llcWriteback(victim uint64) {
+	set, base, want := h.llcLine(victim)
+	if idx := h.llcFind(want, base); idx >= 0 {
+		h.llcMeta[idx] |= cache.MetaDirty
+		h.llcRRIP.Hit(set, idx-base)
+		return
+	}
+	if h.llcFill(want|cache.MetaDirty, set, base) {
+		h.DRAMTraffic.WriteLines++
+	}
+}
+
+// llcPrefetch is LLCc.Prefetch with the LLC inline: it reports whether
+// addr's line is resident, which changes nothing, and otherwise fills
+// it, counting the fill and dropping a dirty victim as Prefetch does.
+func (h *Hierarchy) llcPrefetch(addr uint64) (present bool) {
+	set, base, want := h.llcLine(addr)
+	if h.llcFind(want, base) >= 0 {
+		return true
+	}
+	h.llcFill(want, set, base)
+	h.LLCc.Stats.Fills++
+	return false
 }
 
 // MissSummary returns per-level demand misses for reporting.
