@@ -2,8 +2,8 @@
 # gofmt + vet + build + race-mode tests on the concurrency-bearing packages
 # (exp's worker pool, input memo and cell store, obsv's lock-free instruments,
 # cache's shared-model users, pb's parallel binning) + the full test
-# suite with coverage + a short fuzz pass over the hardened gio readers
-# and the memory hierarchy's fast walk
+# suite with coverage + a short fuzz pass over the memory hierarchy's
+# fast walk and the core's MSHR queue
 # + the process-level smokes + a one-pass self-checking benchmark run.
 
 GO ?= go
@@ -46,16 +46,13 @@ race:
 # test alone reports success when a pattern matches nothing).
 SMOKE = GO=$(GO) $(GO) run ./scripts/smoke
 
-# Short fuzz budget per target: enough to shake out gio decoder panics
-# and allocation bombs, fast-vs-scalar divergence in the memory
-# hierarchy's fast walk (FuzzAccess, with reservations, resets and
+# Short fuzz budget per target: enough to shake out fast-vs-scalar
+# divergence in the memory hierarchy's fast walk (FuzzAccess, with reservations, resets and
 # scalar calls between references; FuzzAccessBatch, through the batch
 # API), and divergence of the core's MSHR queue from the slot-scan
 # model it replaced (FuzzMSHR), on every CI run without stalling it.
 # (Plain `go test` already replays each target's seed corpus.)
 fuzz-smoke:
-	$(SMOKE) -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/gio
-	$(SMOKE) -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=10s ./internal/gio
 	$(SMOKE) -run='^$$' -fuzz='^FuzzAccessBatch$$' -fuzztime=10s ./internal/mem
 	$(SMOKE) -run='^$$' -fuzz='^FuzzAccess$$' -fuzztime=10s ./internal/mem
 	$(SMOKE) -run='^$$' -fuzz='^FuzzMSHR$$' -fuzztime=10s ./internal/cpu

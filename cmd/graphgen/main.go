@@ -1,5 +1,7 @@
 // Command graphgen generates and inspects the synthetic inputs that
-// stand in for the paper's Table III graphs and matrices.
+// stand in for the paper's Table III graphs and matrices. It builds
+// each input through the experiment registry (exp), so what it
+// describes is exactly what the simulator runs at that scale and seed.
 //
 // Usage:
 //
@@ -14,118 +16,79 @@ import (
 	"io"
 	"os"
 
-	"cobra/internal/fsx"
-	"cobra/internal/gio"
+	"cobra/internal/exp"
 	"cobra/internal/graph"
-	"cobra/internal/sparse"
 )
 
 func main() {
-	var (
-		input  = flag.String("input", "", "graph input to generate: KRON, TWIT, URND, ROAD")
-		matrix = flag.String("matrix", "", "matrix input to generate: STEN, RAND, SKEW, BAND")
-		scale  = flag.Int("scale", 18, "size (vertices/rows ~ 2^scale)")
-		seed   = flag.Uint64("seed", 42, "generator seed")
-		out    = flag.String("o", "", "write the generated input to this file (gio binary format)")
-		load   = flag.String("load", "", "load and describe a previously written edge-list file")
-		list   = flag.Bool("list", false, "describe the input suite, then exit")
-	)
-	flag.Parse()
-
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		el, err := gio.ReadEdgeList(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen:", err)
-			os.Exit(1)
-		}
-		ds := graph.Degrees(el)
-		fmt.Printf("%s: %d vertices, %d edges, mean degree %.2f, max %d\n",
-			*load, ds.N, ds.M, ds.MeanDeg, ds.MaxDeg)
-		return
-	}
-
-	switch {
-	case *list:
-		fmt.Println("Graph inputs (stand-ins for the paper's Table III graphs):")
-		fmt.Println("  KRON  R-MAT power-law (a=.57,b=.19,c=.19), 16 edges/vertex — highly skewed")
-		fmt.Println("  TWIT  R-MAT power-law (a=.65), 12 edges/vertex — extreme skew")
-		fmt.Println("  URND  uniform random, 16 edges/vertex — no skew, no reuse")
-		fmt.Println("  ROAD  2D lattice + short-range shortcuts — bounded degree, high diameter")
-		fmt.Println("Matrix inputs:")
-		fmt.Println("  STEN  5-point stencil Laplacian (HPCG class)")
-		fmt.Println("  RAND  uniform random sparse, 8 nnz/row")
-		fmt.Println("  SKEW  power-law column distribution, 8 nnz/row")
-		fmt.Println("  BAND  banded random, 8 nnz/row")
-	case *input != "":
-		var el *graph.EdgeList
-		switch *input {
-		case "KRON":
-			el = graph.RMAT(*scale, 16, *seed)
-		case "TWIT":
-			el = graph.RMATParams(*scale, 12, 0.65, 0.15, 0.15, *seed+2)
-		case "URND":
-			el = graph.Uniform(1<<*scale, 16<<*scale, *seed+1)
-		case "ROAD":
-			side := 1 << ((*scale + 1) / 2)
-			el = graph.Grid(side, 1<<(*scale/2), 0.05, *seed+3)
-		default:
-			fmt.Fprintf(os.Stderr, "graphgen: unknown input %q\n", *input)
-			os.Exit(1)
-		}
-		ds := graph.Degrees(el)
-		fmt.Printf("%s scale=%d: %d vertices, %d edges\n", *input, *scale, ds.N, ds.M)
-		if *out != "" {
-			// Atomic temp+rename with fsync: a crash or full disk never
-			// leaves a truncated input file for later runs to trip over
-			// (write/close/sync errors all propagate).
-			if err := fsx.WriteFileAtomic(*out, func(w io.Writer) error { return gio.WriteEdgeList(w, el) }); err != nil {
-				fmt.Fprintln(os.Stderr, "graphgen:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		fmt.Printf("  mean degree   %.2f\n", ds.MeanDeg)
-		fmt.Printf("  max degree    %d\n", ds.MaxDeg)
-		fmt.Printf("  p99 degree    %.0f\n", ds.P99Deg)
-		fmt.Printf("  zero-deg frac %.3f\n", ds.ZeroDegFrac)
-		fmt.Printf("  top-1%% share  %.3f of edges\n", ds.Top1PctShare)
-	case *matrix != "":
-		var m *sparse.Matrix
-		n := 1 << *scale
-		switch *matrix {
-		case "STEN":
-			m = sparse.Stencil5(1 << (*scale / 2))
-		case "RAND":
-			m = sparse.RandomSparse(n, n, 8, *seed+4)
-		case "SKEW":
-			m = sparse.SkewedSparse(n, n, 8, *seed+5)
-		case "BAND":
-			m = sparse.Banded(n, 8, 1<<(*scale/2), *seed+6)
-		default:
-			fmt.Fprintf(os.Stderr, "graphgen: unknown matrix %q\n", *matrix)
-			os.Exit(1)
-		}
-		if err := m.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "graphgen: generated matrix invalid: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s scale=%d: %d x %d, %d nnz (%.2f per row)\n",
-			*matrix, *scale, m.Rows, m.Cols, m.NNZ(), float64(m.NNZ())/float64(m.Rows))
-		if *out != "" {
-			if err := fsx.WriteFileAtomic(*out, func(w io.Writer) error { return gio.WriteMatrix(w, m) }); err != nil {
-				fmt.Fprintln(os.Stderr, "graphgen:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// run is the CLI behind a testable seam: argv in, exit code out.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graphgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		input  = fs.String("input", "", "graph input to generate: KRON, TWIT, URND, ROAD")
+		matrix = fs.String("matrix", "", "matrix input to generate: STEN, RAND, SKEW, BAND")
+		scale  = fs.Int("scale", 18, "size (vertices/rows ~ 2^scale)")
+		seed   = fs.Uint64("seed", 42, "generator seed")
+		list   = fs.Bool("list", false, "describe the input suite, then exit")
+	)
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	if *list {
+		fmt.Fprint(stdout, suite)
+		return 0
+	}
+	if *input == "" && *matrix == "" {
+		fs.Usage()
+		return 2
+	}
+	if *scale < exp.MinScale || *scale > exp.MaxScale {
+		fmt.Fprintf(stderr, "graphgen: -scale %d out of range [%d, %d]\n", *scale, exp.MinScale, exp.MaxScale)
+		return 2
+	}
+
+	if *input != "" {
+		el, err := exp.CachedGraphInput(*input, *scale, *seed)
+		if err != nil {
+			fmt.Fprintln(stderr, "graphgen:", err)
+			return 1
+		}
+		ds := graph.Degrees(el)
+		fmt.Fprintf(stdout, "%s scale=%d: %d vertices, %d edges\n", *input, *scale, ds.N, ds.M)
+		fmt.Fprintf(stdout, "  mean degree   %.2f\n", ds.MeanDeg)
+		fmt.Fprintf(stdout, "  max degree    %d\n", ds.MaxDeg)
+		fmt.Fprintf(stdout, "  p99 degree    %.0f\n", ds.P99Deg)
+		fmt.Fprintf(stdout, "  zero-deg frac %.3f\n", ds.ZeroDegFrac)
+		fmt.Fprintf(stdout, "  top-1%% share  %.3f of edges\n", ds.Top1PctShare)
+		return 0
+	}
+	m, err := exp.CachedMatrixInput(*matrix, *scale, *seed)
+	if err != nil {
+		fmt.Fprintln(stderr, "graphgen:", err)
+		return 1
+	}
+	if err := m.Validate(); err != nil {
+		fmt.Fprintf(stderr, "graphgen: generated matrix invalid: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "%s scale=%d: %d x %d, %d nnz (%.2f per row)\n",
+		*matrix, *scale, m.Rows, m.Cols, m.NNZ(), float64(m.NNZ())/float64(m.Rows))
+	return 0
+}
+
+// suite is the -list description of the input suite.
+const suite = `Graph inputs (stand-ins for the paper's Table III graphs):
+  KRON  R-MAT power-law (a=.57,b=.19,c=.19), 16 edges/vertex — highly skewed
+  TWIT  R-MAT power-law (a=.65), 12 edges/vertex — extreme skew
+  URND  uniform random, 16 edges/vertex — no skew, no reuse
+  ROAD  2D lattice + short-range shortcuts — bounded degree, high diameter
+Matrix inputs:
+  STEN  5-point stencil Laplacian (HPCG class)
+  RAND  uniform random sparse, 8 nnz/row
+  SKEW  power-law column distribution, 8 nnz/row
+  BAND  banded random, 8 nnz/row
+`

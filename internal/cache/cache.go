@@ -79,9 +79,6 @@ type Config struct {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeB / (c.Ways * LineSize) }
 
-// Lines returns the total number of lines.
-func (c Config) Lines() int { return c.SizeB / LineSize }
-
 // Cache is one set-associative cache level.
 //
 // Way partitioning: ReserveWays(k) removes the first k ways of every set

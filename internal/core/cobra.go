@@ -242,12 +242,6 @@ func NewMachine(st *CBufStore, c *cpu.Core, cfg Config) *Machine {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// LevelBufs returns the number of C-Buffers at L1, L2, and LLC
-// (after BinInit). The LLC count equals the number of in-memory bins.
-func (m *Machine) LevelBufs() (l1, l2, llc int) {
-	return m.lvl[lvlL1].numBufs, m.lvl[lvlL2].numBufs, m.lvl[lvlLLC].numBufs
-}
-
 // NumBins returns the number of in-memory bins (= LLC C-Buffers).
 func (m *Machine) NumBins() int { return m.lvl[lvlLLC].numBufs }
 
@@ -504,17 +498,6 @@ func (m *Machine) BinFlush() {
 	c.AdvanceCycles(walk + float64(engineTuples))
 	c.DrainMem()
 	m.St.FlushCycles += c.Cycles() - start
-}
-
-// ResidentTuples counts tuples still buffered on chip (0 after flush).
-func (m *Machine) ResidentTuples() int {
-	n := 0
-	for l := 0; l < numLvls; l++ {
-		for _, b := range m.lvl[l].bufs {
-			n += len(b)
-		}
-	}
-	return n
 }
 
 // TotalBinnedTuples counts tuples materialized in memory bins.

@@ -96,14 +96,6 @@ func (c Counters) BranchMissRate() float64 {
 	return float64(c.BranchMisses) / float64(c.Branches)
 }
 
-// MPKI returns branch mispredictions per kilo-instruction.
-func (c Counters) MPKI() float64 {
-	if c.Instructions == 0 {
-		return 0
-	}
-	return 1000 * float64(c.BranchMisses) / float64(c.Instructions)
-}
-
 // Core is one simulated hardware thread bound to a memory hierarchy.
 type Core struct {
 	cfg Config
@@ -203,14 +195,6 @@ func (c *Core) Cycles() float64 { return c.cycle }
 
 // Seconds converts the cycle count to wall time at the configured clock.
 func (c *Core) Seconds() float64 { return c.cycle / (c.cfg.FreqGHz * 1e9) }
-
-// IPC returns retired instructions per cycle so far.
-func (c *Core) IPC() float64 {
-	if c.cycle == 0 {
-		return 0
-	}
-	return float64(c.Ctr.Instructions) / c.cycle
-}
 
 // AdvanceCycles adds raw stall cycles (used by the COBRA eviction-buffer
 // model when the core blocks on a full FIFO).
@@ -338,17 +322,6 @@ func (c *Core) growRing() {
 // Load performs an independent load: the core continues past it
 // (latency overlapped subject to MSHR/ROB limits).
 func (c *Core) Load(addr uint64) { c.load(addr) }
-
-// LoadDep performs a dependent load: execution cannot proceed until the
-// value arrives (e.g., a loaded value feeding the very next address
-// computation). This is what makes pointer-chasing and
-// read-modify-write irregular updates expensive.
-func (c *Core) LoadDep(addr uint64) {
-	done := c.load(addr)
-	if done > c.cycle {
-		c.cycle = done
-	}
-}
 
 // Store retires a store. Write latency is buffered (store queue), so
 // the core does not stall on the fill; we still walk the hierarchy for

@@ -176,11 +176,6 @@ func ValidInput(name string) error {
 	return fmt.Errorf("exp: unknown input %q (want one of %v)", name, InputNames())
 }
 
-// GraphApps lists workloads that take graph inputs.
-func GraphApps() []string {
-	return []string{"DegreeCount", "NeighborPopulate", "PageRank", "Radii"}
-}
-
 // MatrixApps lists workloads that take matrix inputs.
 func MatrixApps() []string { return []string{"SpMV", "Transpose", "SymPerm"} }
 

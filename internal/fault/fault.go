@@ -4,13 +4,13 @@
 // human with an environment variable) schedule real failures — ENOSPC,
 // EIO, short writes, failed fsyncs, torn renames, injected latency,
 // even SIGKILL-ing the process mid-write — at named points threaded
-// through the filesystem (fsx), graph I/O (gio), checkpoint journal
-// and cell store (exp), and service (srv) layers.
+// through the filesystem (fsx), checkpoint journal and cell store
+// (exp), and service (srv) layers.
 //
 // Contract:
 //
 //   - Zero cost when disabled. The registry is an atomic pointer that
-//     is nil until a plan is activated; Hit/Writer/Reader on the
+//     is nil until a plan is activated; Hit and Writer on the
 //     disabled registry are a single atomic load plus a nil check —
 //     no allocations, no map lookups, no clock reads (pinned by
 //     TestDisabledFaultZeroAllocs and BenchmarkFaultHitDisabled).
@@ -32,7 +32,7 @@
 //	fsx.write:every=2:err=short                 tear every 2nd artifact write
 //	exp.cell.complete:p=0.1:err=eio             fail ~10% of cell completions
 //	exp.journal.append:at=2:err=short:kill      tear the 2nd append, then SIGKILL
-//	gio.read:at=1:delay=50ms                    one slow read, no error
+//	srv.queue.admit:at=1:delay=50ms             one slow admission, no error
 //
 // Rules are joined with ";". The chaos harness passes plans to child
 // processes via the COBRA_FAULTS environment variable (seed via
@@ -69,9 +69,6 @@ const (
 	PointFsxWrite  = "fsx.write"
 	PointFsxSync   = "fsx.sync"
 	PointFsxRename = "fsx.rename"
-	// gio serialized graph/matrix reads and writes.
-	PointGioRead  = "gio.read"
-	PointGioWrite = "gio.write"
 	// Checkpoint journal appends and their fsync. A fault here may cost
 	// at most the entry being appended (a torn tail) — never the prefix.
 	PointJournalAppend = "exp.journal.append"

@@ -1,9 +1,9 @@
 package fault
 
-// Stream wrappers: fault-aware io.Writer/io.Reader shims the fsx, gio
-// and journal layers thread their streams through. Disabled, Writer
-// and Reader return the original stream unchanged (one atomic load, no
-// wrapper allocation), so production I/O paths are untouched.
+// Stream wrapper: a fault-aware io.Writer shim the fsx and journal
+// layers thread their streams through. Disabled, Writer returns the
+// original stream unchanged (one atomic load, no wrapper allocation),
+// so production I/O paths are untouched.
 
 import (
 	"errors"
@@ -45,25 +45,4 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 		return n, err
 	}
 	return 0, err
-}
-
-// Reader wraps r with the named injection point: a fired hit fails the
-// Read before any bytes are consumed.
-func Reader(point string, r io.Reader) io.Reader {
-	if active.Load() == nil {
-		return r
-	}
-	return &faultReader{point: point, r: r}
-}
-
-type faultReader struct {
-	point string
-	r     io.Reader
-}
-
-func (fr *faultReader) Read(p []byte) (int, error) {
-	if err := Hit(fr.point); err != nil {
-		return 0, err
-	}
-	return fr.r.Read(p)
 }

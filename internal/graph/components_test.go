@@ -41,10 +41,11 @@ func refComponents(g *CSR) []uint32 {
 
 // undirected symmetrizes g.
 func undirected(g *CSR) *CSR {
-	el := g.ToEdgeList()
-	edges := make([]Edge, 0, 2*len(el.Edges))
-	for _, e := range el.Edges {
-		edges = append(edges, e, Edge{e.Dst, e.Src})
+	edges := make([]Edge, 0, 2*g.M())
+	for v := uint32(0); int(v) < g.N; v++ {
+		for _, u := range g.Neighbors(v) {
+			edges = append(edges, Edge{v, u}, Edge{u, v})
+		}
 	}
 	return BuildCSR(&EdgeList{N: g.N, Edges: edges}, false, pb.Options{})
 }

@@ -17,16 +17,6 @@ import (
 //   - Grid: bounded-degree 2D lattice with local edges (ROAD, EURO —
 //     the high-diameter, low-degree inputs).
 
-// GenKind names a generator for CLI/reporting.
-type GenKind string
-
-// Generator kinds.
-const (
-	GenRMAT    GenKind = "rmat"
-	GenUniform GenKind = "uniform"
-	GenGrid    GenKind = "grid"
-)
-
 // RMAT generates a power-law edge list with 2^scale vertices and
 // edgeFactor edges per vertex using the Graph500 R-MAT parameters
 // (a=0.57, b=0.19, c=0.19, d=0.05).
@@ -165,29 +155,4 @@ func Degrees(el *EdgeList) DegreeStats {
 		ds.Top1PctShare = topEdges / float64(el.M())
 	}
 	return ds
-}
-
-// Input bundles a named generated graph for the experiment harness
-// (stand-ins for Table III).
-type Input struct {
-	Name string
-	Kind GenKind
-	EL   *EdgeList
-}
-
-// StandardInputs generates the default input suite at the given scale
-// (vertices ≈ 2^scale). The names allude to the paper's inputs they
-// stand in for.
-func StandardInputs(scale int, seed uint64) []Input {
-	n := 1 << scale
-	side := 1
-	for side*side < n {
-		side *= 2
-	}
-	return []Input{
-		{Name: "KRON", Kind: GenRMAT, EL: RMAT(scale, 16, seed)},
-		{Name: "URND", Kind: GenUniform, EL: Uniform(n, 16*n, seed+1)},
-		{Name: "TWIT", Kind: GenRMAT, EL: RMATParams(scale, 12, 0.65, 0.15, 0.15, seed+2)},
-		{Name: "ROAD", Kind: GenGrid, EL: Grid(side, side/2, 0.05, seed+3)},
-	}
 }

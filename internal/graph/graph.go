@@ -2,7 +2,9 @@
 // compressed representations of Figure 1, synthetic input generators
 // spanning the paper's input classes (Table III), and the Graph500-style
 // build kernels (Degree-Count, Neighbor-Populate) plus analytics kernels
-// (PageRank, Radii, BFS) in baseline and propagation-blocked forms.
+// (PageRank, Radii, BFS, connected components, SSSP). The build kernels,
+// PageRank, connected components and SSSP also come in
+// propagation-blocked forms.
 package graph
 
 import (
@@ -180,15 +182,4 @@ func (g *CSR) Transpose() *CSR {
 		}
 	}
 	return &CSR{N: g.N, Offsets: offsets, Neighs: neighs}
-}
-
-// ToEdgeList flattens the CSR back into an edge list (testing helper).
-func (g *CSR) ToEdgeList() *EdgeList {
-	edges := make([]Edge, 0, g.M())
-	for v := uint32(0); int(v) < g.N; v++ {
-		for _, u := range g.Neighbors(v) {
-			edges = append(edges, Edge{Src: v, Dst: u})
-		}
-	}
-	return &EdgeList{N: g.N, Edges: edges}
 }

@@ -124,13 +124,6 @@ func TestTransposeReversesEdges(t *testing.T) {
 	}
 }
 
-func TestToEdgeListRoundTrip(t *testing.T) {
-	el := Uniform(50, 300, 9)
-	g := BuildCSR(el, false, pb.Options{})
-	g2 := BuildCSR(g.ToEdgeList(), false, pb.Options{})
-	equalAsSets(t, g, g2)
-}
-
 func TestRMATIsSkewed(t *testing.T) {
 	ds := Degrees(RMAT(12, 16, 1))
 	if ds.MaxDeg < 100 {
@@ -171,18 +164,6 @@ func TestRMATScaleBoundsPanic(t *testing.T) {
 		}
 	}()
 	RMAT(40, 16, 1)
-}
-
-func TestStandardInputs(t *testing.T) {
-	ins := StandardInputs(8, 1)
-	if len(ins) != 4 {
-		t.Fatalf("inputs = %d", len(ins))
-	}
-	for _, in := range ins {
-		if in.EL.N == 0 || in.EL.M() == 0 {
-			t.Fatalf("input %s empty", in.Name)
-		}
-	}
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
@@ -253,21 +234,6 @@ func TestRadiiMatchesBFSOnGrid(t *testing.T) {
 	// lower, but must be positive and bounded by the true diameter.
 	if res.Diameter > 30 {
 		t.Fatalf("diameter estimate %d exceeds the true grid diameter", res.Diameter)
-	}
-}
-
-func TestRadiiPBMatchesBaseline(t *testing.T) {
-	el := RMAT(8, 8, 11)
-	g := BuildCSR(el, false, pb.Options{})
-	a := Radii(g, 100)
-	b := RadiiPB(g, 100, pb.Options{NumBins: 8, Workers: 4})
-	if a.Diameter != b.Diameter || a.Rounds != b.Rounds {
-		t.Fatalf("diameter/rounds: (%d,%d) vs (%d,%d)", a.Diameter, a.Rounds, b.Diameter, b.Rounds)
-	}
-	for i := range a.Radii {
-		if a.Radii[i] != b.Radii[i] {
-			t.Fatalf("radii differ at %d: %d vs %d", i, a.Radii[i], b.Radii[i])
-		}
 	}
 }
 

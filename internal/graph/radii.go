@@ -10,12 +10,6 @@ package graph
 // (bitwise-OR) update — the paper's representative of graph kernels
 // that process only a subset of vertices each iteration.
 
-import (
-	"sync/atomic"
-
-	"cobra/internal/pb"
-)
-
 // RadiiResult carries per-vertex eccentricity estimates and the
 // estimated diameter.
 type RadiiResult struct {
@@ -38,57 +32,9 @@ func radiiSources(n int) []uint32 {
 }
 
 // Radii runs the multi-source BFS on g (treated as directed; use an
-// undirected/symmetrized graph for true radii). Baseline push variant.
+// undirected/symmetrized graph for true radii), pushing masks along
+// out-edges.
 func Radii(g *CSR, maxRounds int) *RadiiResult {
-	return radiiRun(g, maxRounds, func(cur, next []uint64, radii []int32, round int32, changed *atomic.Bool) {
-		for v := uint32(0); int(v) < g.N; v++ {
-			m := cur[v]
-			if m == 0 {
-				continue
-			}
-			for _, u := range g.Neighbors(v) {
-				if m&^next[u] != 0 { // irregular read-modify-write
-					next[u] |= m
-					if radii[u] < round {
-						radii[u] = round
-					}
-					changed.Store(true)
-				}
-			}
-		}
-	})
-}
-
-// RadiiPB is the propagation-blocked variant: mask propagations are
-// binned by destination before being OR-ed in with cache locality.
-func RadiiPB(g *CSR, maxRounds int, o pb.Options) *RadiiResult {
-	return radiiRun(g, maxRounds, func(cur, next []uint64, radii []int32, round int32, changed *atomic.Bool) {
-		pb.Run(g.N, g.N,
-			func(b, e int, emit func(uint32, uint64)) {
-				for v := b; v < e; v++ {
-					m := cur[v]
-					if m == 0 {
-						continue
-					}
-					for _, u := range g.Neighbors(uint32(v)) {
-						emit(u, m)
-					}
-				}
-			},
-			func(u uint32, m uint64) {
-				if m&^next[u] != 0 {
-					next[u] |= m
-					if radii[u] < round {
-						radii[u] = round
-					}
-					changed.Store(true)
-				}
-			},
-			o)
-	})
-}
-
-func radiiRun(g *CSR, maxRounds int, propagate func(cur, next []uint64, radii []int32, round int32, changed *atomic.Bool)) *RadiiResult {
 	n := g.N
 	cur := make([]uint64, n)
 	next := make([]uint64, n)
@@ -103,9 +49,23 @@ func radiiRun(g *CSR, maxRounds int, propagate func(cur, next []uint64, radii []
 	res := &RadiiResult{}
 	for round := int32(1); int(round) <= maxRounds; round++ {
 		copy(next, cur)
-		var changed atomic.Bool
-		propagate(cur, next, radii, round, &changed)
-		if !changed.Load() {
+		changed := false
+		for v := uint32(0); int(v) < n; v++ {
+			m := cur[v]
+			if m == 0 {
+				continue
+			}
+			for _, u := range g.Neighbors(v) {
+				if m&^next[u] != 0 { // irregular read-modify-write
+					next[u] |= m
+					if radii[u] < round {
+						radii[u] = round
+					}
+					changed = true
+				}
+			}
+		}
+		if !changed {
 			break
 		}
 		cur, next = next, cur

@@ -130,13 +130,3 @@ func CountingSortPB(keys []uint32, maxKey int, o pb.Options) []uint32 {
 		o)
 	return out
 }
-
-// IsSorted reports whether keys is non-decreasing.
-func IsSorted(keys []uint32) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			return false
-		}
-	}
-	return true
-}

@@ -75,14 +75,6 @@ func DegreeCount(el *graph.EdgeList, inputName string) *sim.App {
 	}
 }
 
-// DegCounts exposes a degree applier's functional result for validation.
-func DegCounts(a sim.Applier) []uint32 {
-	if d, ok := a.(*degreeApplier); ok {
-		return d.cnt
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Neighbor-Populate
 
@@ -212,14 +204,6 @@ func PageRank(g *graph.CSR, inputName string) *sim.App {
 			return &pagerankApplier{m: m, incoming: m.Alloc(uint64(n) * 8), sums: make([]float64, n)}
 		},
 	}
-}
-
-// PageRankSums exposes the applier's accumulated sums for validation.
-func PageRankSums(a sim.Applier) []float64 {
-	if pr, ok := a.(*pagerankApplier); ok {
-		return pr.sums
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -413,14 +397,6 @@ func IntSort(n, maxKey int, seed uint64, inputName string) *sim.App {
 	}
 }
 
-// SortedOutput exposes the isort applier result for validation.
-func SortedOutput(a sim.Applier) []uint32 {
-	if s, ok := a.(*isortApplier); ok {
-		return s.out
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // SpMV (scatter formulation over the transpose representation, §VI)
 
@@ -474,14 +450,6 @@ func SpMV(a *sparse.Matrix, inputName string) *sim.App {
 			return &spmvApplier{m: m, yR: m.Alloc(uint64(a.Cols) * 8), y: make([]float64, a.Cols)}
 		},
 	}
-}
-
-// SpMVResult exposes the accumulated y vector for validation.
-func SpMVResult(a sim.Applier) []float64 {
-	if s, ok := a.(*spmvApplier); ok {
-		return s.y
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -558,14 +526,6 @@ func Transpose(a *sparse.Matrix, inputName string) *sim.App {
 	}
 }
 
-// TransposeCols exposes a transpose/symperm applier's column result.
-func TransposeCols(a sim.Applier) []uint32 {
-	if t, ok := a.(*transposeApplier); ok {
-		return t.colIdx
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // PINV
 
@@ -613,14 +573,6 @@ func PINV(perm []uint32, inputName string) *sim.App {
 			return &pinvApplier{m: m, outR: m.Alloc(uint64(n) * 4), out: make([]uint32, n)}
 		},
 	}
-}
-
-// PINVResult exposes the applier's inverse permutation for validation.
-func PINVResult(a sim.Applier) []uint32 {
-	if p, ok := a.(*pinvApplier); ok {
-		return p.out
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

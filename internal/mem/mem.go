@@ -355,9 +355,6 @@ func (h *Hierarchy) StoreNT(addr uint64) Level {
 // burst of tuples to an in-memory bin). lines counts 64 B units.
 func (h *Hierarchy) WriteLineDirect(lines uint64) { h.DRAMTraffic.WriteLines += lines }
 
-// ReadLineDirect models a full-line DRAM read bypassing the caches.
-func (h *Hierarchy) ReadLineDirect(lines uint64) { h.DRAMTraffic.ReadLines += lines }
-
 // access is the scalar demand walk, entirely through cache.Cache: the
 // reference Access's fast walk must match.
 func (h *Hierarchy) access(addr uint64, write bool) Level {

@@ -37,7 +37,6 @@ package obsv
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -395,26 +394,4 @@ func (r *Registry) Snapshot() map[string]MetricValue {
 		}
 	}
 	return out
-}
-
-// Names returns every registered metric name, sorted — the
-// deterministic iteration order for reports.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.s.mu.RLock()
-	defer r.s.mu.RUnlock()
-	names := make([]string, 0, len(r.s.counts)+len(r.s.gauges)+len(r.s.hists))
-	for n := range r.s.counts {
-		names = append(names, n)
-	}
-	for n := range r.s.gauges {
-		names = append(names, n)
-	}
-	for n := range r.s.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

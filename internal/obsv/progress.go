@@ -99,14 +99,6 @@ func (p *Progress) Replayed() {
 	p.replayed.Add(1)
 }
 
-// Counts returns (done, total, replayed) — test observability.
-func (p *Progress) Counts() (done, total, replayed int64) {
-	if p == nil {
-		return 0, 0, 0
-	}
-	return p.done.Load(), p.total.Load(), p.replayed.Load()
-}
-
 // Line renders the current progress state (without the \r framing).
 func (p *Progress) Line() string {
 	if p == nil {

@@ -47,12 +47,3 @@ func BenchmarkHistogramPBSkipCount(b *testing.B) {
 		Histogram(keys, k, Options{SkipCount: true})
 	}
 }
-
-func BenchmarkGroupOffsets(b *testing.B) {
-	const n, k = 1 << 20, 1 << 16
-	keys := benchKeys(n, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GroupOffsets(keys, k, Options{})
-	}
-}

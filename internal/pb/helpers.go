@@ -1,8 +1,8 @@
 package pb
 
-// This file provides ready-made PB applications of the generic
-// executor: dense histograms and scatter, the two shapes that cover
-// most irregular-update kernels (commutative and non-commutative).
+// This file provides a ready-made PB application of the generic
+// executor: the dense histogram, the commutative shape of most
+// irregular-update kernels.
 
 // Histogram counts occurrences of each key in keys over [0, numKeys)
 // using propagation blocking. Equivalent to the naive loop
@@ -21,69 +21,4 @@ func Histogram(keys []uint32, numKeys int, o Options) []uint32 {
 		func(k uint32, _ struct{}) { counts[k]++ },
 		o)
 	return counts
-}
-
-// WeightedHistogram accumulates vals[i] into out[keys[i]].
-func WeightedHistogram(keys []uint32, vals []float64, numKeys int, o Options) []float64 {
-	if len(keys) != len(vals) {
-		panic("pb: keys and vals length mismatch")
-	}
-	out := make([]float64, numKeys)
-	Run(len(keys), numKeys,
-		func(begin, end int, emit func(uint32, float64)) {
-			for i := begin; i < end; i++ {
-				emit(keys[i], vals[i])
-			}
-		},
-		func(k uint32, v float64) { out[k] += v },
-		o)
-	return out
-}
-
-// Scatter writes vals[i] to out[keys[i]] (last writer per key within a
-// producer chunk wins; keys duplicated across chunks have unspecified
-// winners — the unordered-parallelism contract). out must have length
-// >= numKeys.
-func Scatter[V any](keys []uint32, vals []V, out []V, o Options) {
-	if len(keys) != len(vals) {
-		panic("pb: keys and vals length mismatch")
-	}
-	Run(len(keys), len(out),
-		func(begin, end int, emit func(uint32, V)) {
-			for i := begin; i < end; i++ {
-				emit(keys[i], vals[i])
-			}
-		},
-		func(k uint32, v V) { out[k] = v },
-		o)
-}
-
-// GroupOffsets bins n items by key and returns, for each key, the
-// positions of the items carrying it, as a CSR-style (offsets, items)
-// pair — the core of counting sort and Edgelist→CSR. Items within a key
-// preserve a worker chunk's relative order.
-func GroupOffsets(keys []uint32, numKeys int, o Options) (offsets []uint32, items []uint32) {
-	counts := Histogram(keys, numKeys, o)
-	offsets = make([]uint32, numKeys+1)
-	var sum uint32
-	for i, c := range counts {
-		offsets[i] = sum
-		sum += c
-	}
-	offsets[numKeys] = sum
-	items = make([]uint32, len(keys))
-	cursor := make([]uint32, numKeys)
-	copy(cursor, offsets[:numKeys])
-	Run(len(keys), numKeys,
-		func(begin, end int, emit func(uint32, uint32)) {
-			for i := begin; i < end; i++ {
-				emit(keys[i], uint32(i))
-			}
-		},
-		func(k uint32, item uint32) {
-			items[cursor[k]] = item
-			cursor[k]++ // non-commutative: order defines contents
-		},
-		o)
-	return offsets, items
 }

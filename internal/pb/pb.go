@@ -264,10 +264,3 @@ func Run[V any](numItems, numKeys int, src Source[V], apply Apply[V], o Options)
 func updateSize[V any]() uintptr {
 	return unsafe.Sizeof(Update[V]{})
 }
-
-// RunSeq is a single-goroutine convenience wrapper (Workers=1); exact
-// deterministic order: bins ascending, production order within a bin.
-func RunSeq[V any](numItems, numKeys int, src Source[V], apply Apply[V], o Options) Stats {
-	o.Workers = 1
-	return Run(numItems, numKeys, src, apply, o)
-}

@@ -68,27 +68,6 @@ func TestHistogramMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestWeightedHistogram(t *testing.T) {
-	keys := []uint32{0, 1, 1, 3}
-	vals := []float64{1.5, 2.0, 3.0, -1.0}
-	out := WeightedHistogram(keys, vals, 4, Options{Workers: 2})
-	want := []float64{1.5, 5.0, 0, -1.0}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v", out)
-		}
-	}
-}
-
-func TestWeightedHistogramLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	WeightedHistogram([]uint32{1}, []float64{1, 2}, 4, Options{})
-}
-
 func TestRunCountsUpdates(t *testing.T) {
 	keys := randomKeys(2, 5000, 100)
 	var applied uint64
@@ -117,7 +96,7 @@ func TestOutOfRangeKeyPanics(t *testing.T) {
 			t.Fatal("out-of-range key did not panic")
 		}
 	}()
-	RunSeq(1, 4, func(b, e int, emit func(uint32, int)) { emit(99, 0) }, func(uint32, int) {}, Options{})
+	Run(1, 4, func(b, e int, emit func(uint32, int)) { emit(99, 0) }, func(uint32, int) {}, Options{Workers: 1})
 }
 
 func TestEmptyInputs(t *testing.T) {
@@ -186,74 +165,17 @@ func TestPerChunkOrderPreserved(t *testing.T) {
 	const n = 10000
 	keys := randomKeys(3, n, 7) // heavy duplication
 	var seen [7][]uint32
-	RunSeq(n, 7,
+	Run(n, 7,
 		func(b, e int, emit func(uint32, uint32)) {
 			for i := b; i < e; i++ {
 				emit(keys[i], uint32(i))
 			}
 		},
 		func(k uint32, item uint32) { seen[k] = append(seen[k], item) },
-		Options{NumBins: 4})
+		Options{NumBins: 4, Workers: 1})
 	for k := range seen {
 		if !sort.SliceIsSorted(seen[k], func(i, j int) bool { return seen[k][i] < seen[k][j] }) {
 			t.Fatalf("key %d: items applied out of production order", k)
-		}
-	}
-}
-
-func TestScatter(t *testing.T) {
-	keys := []uint32{3, 1, 4, 1, 5}
-	vals := []string{"a", "b", "c", "d", "e"}
-	out := make([]string, 8)
-	Scatter(keys, vals, out, Options{Workers: 1})
-	// Worker=1: last write per key wins in production order.
-	if out[3] != "a" || out[4] != "c" || out[5] != "e" || out[1] != "d" {
-		t.Fatalf("out = %v", out)
-	}
-}
-
-func TestGroupOffsetsIsStableGrouping(t *testing.T) {
-	const n, k = 20000, 512
-	keys := randomKeys(5, n, k)
-	offsets, items := GroupOffsets(keys, k, Options{Workers: 1})
-	if int(offsets[k]) != n {
-		t.Fatalf("total grouped = %d, want %d", offsets[k], n)
-	}
-	seen := make([]bool, n)
-	for key := 0; key < k; key++ {
-		prev := -1
-		for _, it := range items[offsets[key]:offsets[key+1]] {
-			if keys[it] != uint32(key) {
-				t.Fatalf("item %d grouped under key %d but has key %d", it, key, keys[it])
-			}
-			if seen[it] {
-				t.Fatalf("item %d appears twice", it)
-			}
-			seen[it] = true
-			if int(it) < prev {
-				t.Fatalf("key %d: single-worker grouping not stable", key)
-			}
-			prev = int(it)
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("item %d lost", i)
-		}
-	}
-}
-
-func TestGroupOffsetsParallelIsCompletePartition(t *testing.T) {
-	const n, k = 30000, 256
-	keys := randomKeys(6, n, k)
-	offsets, items := GroupOffsets(keys, k, Options{Workers: 6, NumBins: 8})
-	seen := make([]bool, n)
-	for key := 0; key < k; key++ {
-		for _, it := range items[offsets[key]:offsets[key+1]] {
-			if keys[it] != uint32(key) || seen[it] {
-				t.Fatalf("bad grouping for item %d", it)
-			}
-			seen[it] = true
 		}
 	}
 }

@@ -64,24 +64,6 @@ type Stats struct {
 	MemBytes     uint64
 }
 
-// CoalesceRate returns the fraction of updates absorbed on chip.
-func (s Stats) CoalesceRate() float64 {
-	if s.Updates == 0 {
-		return 0
-	}
-	return float64(s.CoalescedL1+s.CoalescedL2+s.CoalescedLLC) / float64(s.Updates)
-}
-
-// LLCShare returns the fraction of coalescing that happened at the LLC
-// (the paper reports 97% on average).
-func (s Stats) LLCShare() float64 {
-	total := s.CoalescedL1 + s.CoalescedL2 + s.CoalescedLLC
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CoalescedLLC) / float64(total)
-}
-
 // slot is one coalescing-table entry (val first: 16 bytes, not 24).
 type slot struct {
 	val   uint64
@@ -263,15 +245,6 @@ func (m *Model) drainPrivate() {
 			}
 		}
 	}
-}
-
-// TotalBinnedTuples counts residue tuples in memory bins.
-func (m *Model) TotalBinnedTuples() int {
-	n := 0
-	for _, b := range m.Bins {
-		n += len(b)
-	}
-	return n
 }
 
 // String describes the model.

@@ -28,3 +28,8 @@ func (a Arch) WithScalarWalk() Arch {
 	a.scalarWalk = true
 	return a
 }
+
+// Merge folds m with rest, per MergeMetrics.
+func (m Metrics) Merge(rest ...Metrics) Metrics {
+	return MergeMetrics(append([]Metrics{m}, rest...))
+}

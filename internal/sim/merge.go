@@ -88,11 +88,6 @@ func MergeMetrics(parts []Metrics) Metrics {
 	return out
 }
 
-// Merge folds m with rest, per MergeMetrics.
-func (m Metrics) Merge(rest ...Metrics) Metrics {
-	return MergeMetrics(append([]Metrics{m}, rest...))
-}
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a

@@ -95,20 +95,6 @@ func PINV(p []uint32) []uint32 {
 	return out
 }
 
-// PINVPB is the propagation-blocked PINV.
-func PINVPB(p []uint32, o pb.Options) []uint32 {
-	out := make([]uint32, len(p))
-	pb.Run(len(p), len(p),
-		func(b, e int, emit func(uint32, uint32)) {
-			for i := b; i < e; i++ {
-				emit(p[i], uint32(i))
-			}
-		},
-		func(k uint32, v uint32) { out[k] = v },
-		o)
-	return out
-}
-
 // SymPerm computes C = P·triu(A)·Pᵀ keeping only the upper triangle
 // (cs_symperm from SuiteSparse, a Cholesky preprocessing step): entry
 // (i,j) of the upper triangle of A moves to (min(p)(i,j)', max(...)')
@@ -159,65 +145,5 @@ func SymPerm(a *Matrix, perm []uint32) *Matrix {
 			cursor[i2] = p + 1
 		}
 	}
-	return &Matrix{Rows: n, Cols: n, RowPtr: rowptr, ColIdx: colidx, Vals: vals}
-}
-
-// SymPermPB is the propagation-blocked SymPerm: both the counting and
-// scatter passes bin by destination row.
-func SymPermPB(a *Matrix, perm []uint32, o pb.Options) *Matrix {
-	n := a.Rows
-	cnt := make([]uint32, n)
-	pb.Run(n, n,
-		func(b, e int, emit func(uint32, struct{})) {
-			for i := b; i < e; i++ {
-				cols, _ := a.Row(i)
-				for _, j := range cols {
-					if int(j) < i {
-						continue
-					}
-					i2, j2 := perm[i], perm[j]
-					if i2 > j2 {
-						i2, j2 = j2, i2
-					}
-					emit(i2, struct{}{})
-				}
-			}
-		},
-		func(k uint32, _ struct{}) { cnt[k]++ },
-		o)
-	rowptr := make([]uint32, n+1)
-	var sum uint32
-	for i, c := range cnt {
-		rowptr[i] = sum
-		sum += c
-	}
-	rowptr[n] = sum
-	colidx := make([]uint32, sum)
-	vals := make([]float64, sum)
-	cursor := make([]uint32, n)
-	copy(cursor, rowptr[:n])
-	pb.Run(n, n,
-		func(b, e int, emit func(uint32, transposeEntry)) {
-			for i := b; i < e; i++ {
-				cols, vs := a.Row(i)
-				for k, j := range cols {
-					if int(j) < i {
-						continue
-					}
-					i2, j2 := perm[i], perm[j]
-					if i2 > j2 {
-						i2, j2 = j2, i2
-					}
-					emit(i2, transposeEntry{row: j2, val: vs[k]})
-				}
-			}
-		},
-		func(i2 uint32, t transposeEntry) {
-			p := cursor[i2]
-			colidx[p] = t.row
-			vals[p] = t.val
-			cursor[i2] = p + 1
-		},
-		o)
 	return &Matrix{Rows: n, Cols: n, RowPtr: rowptr, ColIdx: colidx, Vals: vals}
 }

@@ -1,14 +1,13 @@
 // Package sparse provides the sparse linear algebra substrate: CSR/COO
 // matrices, synthetic generators (stencil, random, banded), and the four
 // kernels the paper evaluates — SpMV (HPCG-style), Transpose, PINV, and
-// SymPerm (SuiteSparse subroutines) — in baseline and
-// propagation-blocked forms.
+// SymPerm (SuiteSparse subroutines) — as host references; Transpose
+// also comes in a propagation-blocked form.
 package sparse
 
 import (
 	"fmt"
 
-	"cobra/internal/pb"
 	"cobra/internal/stats"
 )
 
@@ -84,18 +83,6 @@ func FromCOO(rows, cols int, coords []Coord) *Matrix {
 		cursor[c.Row] = p + 1
 	}
 	return &Matrix{Rows: rows, Cols: cols, RowPtr: rowptr, ColIdx: colidx, Vals: vals}
-}
-
-// ToCOO flattens to coordinates (testing helper).
-func (m *Matrix) ToCOO() []Coord {
-	out := make([]Coord, 0, m.NNZ())
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k := range cols {
-			out = append(out, Coord{Row: uint32(i), Col: cols[k], Val: vals[k]})
-		}
-	}
-	return out
 }
 
 // Stencil5 generates the 5-point Laplacian on an n×n grid (the HPCG
@@ -225,33 +212,4 @@ func SpMV(a *Matrix, x, y []float64) {
 		}
 		y[i] = sum
 	}
-}
-
-// SpMVScatter computes y += Aᵀ·x by streaming A's rows and scattering
-// partial products into y[col] — the irregular-update formulation the
-// paper's PB version uses (it processes the transpose representation).
-func SpMVScatter(a *Matrix, x, y []float64) {
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		xi := x[i]
-		for k := range cols {
-			y[cols[k]] += vals[k] * xi // irregular commutative update
-		}
-	}
-}
-
-// SpMVScatterPB is the propagation-blocked SpMVScatter.
-func SpMVScatterPB(a *Matrix, x, y []float64, o pb.Options) {
-	pb.Run(a.Rows, a.Cols,
-		func(b, e int, emit func(uint32, float64)) {
-			for i := b; i < e; i++ {
-				cols, vals := a.Row(i)
-				xi := x[i]
-				for k := range cols {
-					emit(cols[k], vals[k]*xi)
-				}
-			}
-		},
-		func(col uint32, v float64) { y[col] += v },
-		o)
 }

@@ -10,13 +10,25 @@ import (
 	"cobra/internal/stats"
 )
 
+// toCOO flattens m to coordinates in row order.
+func toCOO(m *Matrix) []Coord {
+	out := make([]Coord, 0, m.NNZ())
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		for k := range cols {
+			out = append(out, Coord{Row: uint32(i), Col: cols[k], Val: vals[k]})
+		}
+	}
+	return out
+}
+
 // denseOf expands m for small-matrix ground truth (duplicates sum).
 func denseOf(m *Matrix) [][]float64 {
 	d := make([][]float64, m.Rows)
 	for i := range d {
 		d[i] = make([]float64, m.Cols)
 	}
-	for _, c := range m.ToCOO() {
+	for _, c := range toCOO(m) {
 		d[c.Row][c.Col] += c.Val
 	}
 	return d
@@ -43,7 +55,7 @@ func TestFromCOORoundTrip(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	back := m.ToCOO()
+	back := toCOO(m)
 	if len(back) != len(coords) {
 		t.Fatalf("NNZ %d vs %d", len(back), len(coords))
 	}
@@ -150,42 +162,6 @@ func TestSpMVAgainstDense(t *testing.T) {
 	}
 }
 
-func TestSpMVScatterEqualsTransposeSpMV(t *testing.T) {
-	m := RandomSparse(60, 45, 4, 11)
-	x := make([]float64, 60)
-	r := stats.NewRand(2)
-	for i := range x {
-		x[i] = r.Float64()*2 - 1
-	}
-	yScatter := make([]float64, 45)
-	SpMVScatter(m, x, yScatter)
-	yT := make([]float64, 45)
-	SpMV(Transpose(m), x, yT)
-	for i := range yScatter {
-		if math.Abs(yScatter[i]-yT[i]) > 1e-10 {
-			t.Fatalf("scatter[%d] = %g, Aᵀx = %g", i, yScatter[i], yT[i])
-		}
-	}
-}
-
-func TestSpMVScatterPBMatches(t *testing.T) {
-	m := SkewedSparse(500, 512, 6, 13)
-	x := make([]float64, 500)
-	r := stats.NewRand(3)
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	a := make([]float64, 512)
-	b := make([]float64, 512)
-	SpMVScatter(m, x, a)
-	SpMVScatterPB(m, x, b, pb.Options{NumBins: 16, Workers: 4})
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatalf("PB scatter differs at %d: %g vs %g", i, a[i], b[i])
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	m := RandomSparse(70, 50, 5, 17)
 	tt := Transpose(Transpose(m))
@@ -209,9 +185,8 @@ func TestPINVProperty(t *testing.T) {
 		n := int(nRaw%2000) + 1
 		p := stats.NewRand(seed).Perm(n)
 		inv := PINV(p)
-		invPB := PINVPB(p, pb.Options{NumBins: 8, Workers: 3})
 		for i := 0; i < n; i++ {
-			if inv[p[i]] != uint32(i) || invPB[i] != inv[i] {
+			if inv[p[i]] != uint32(i) {
 				return false
 			}
 		}
@@ -277,20 +252,10 @@ func TestSymPermAgainstDense(t *testing.T) {
 		}
 	}
 	// Result must be upper triangular.
-	for _, co := range c.ToCOO() {
+	for _, co := range toCOO(c) {
 		if co.Col < co.Row {
 			t.Fatalf("lower-triangular entry (%d,%d)", co.Row, co.Col)
 		}
-	}
-}
-
-func TestSymPermPBMatchesBaseline(t *testing.T) {
-	a := SymmetricUpper(200, 4, 37)
-	perm := stats.NewRand(41).Perm(200)
-	base := SymPerm(a, perm)
-	for _, o := range []pb.Options{{}, {NumBins: 16, Workers: 4}} {
-		pbm := SymPermPB(a, perm, o)
-		matricesEqual(t, base, pbm, 1e-12)
 	}
 }
 

@@ -97,18 +97,6 @@ func NextPow2(n uint64) uint64 {
 	return 1 << Log2Ceil(maxU64(n, 1))
 }
 
-// PrevPow2 returns the largest power of two <= n for n >= 1; it panics on 0.
-func PrevPow2(n uint64) uint64 {
-	if n == 0 {
-		panic("stats: PrevPow2(0)")
-	}
-	p := uint64(1)
-	for p<<1 <= n && p<<1 != 0 {
-		p <<= 1
-	}
-	return p
-}
-
 // IsPow2 reports whether n is a power of two (n > 0).
 func IsPow2(n uint64) bool { return n > 0 && n&(n-1) == 0 }
 
@@ -121,40 +109,3 @@ func maxU64(a, b uint64) uint64 {
 
 // DivCeil returns ceil(a/b) for b > 0.
 func DivCeil(a, b uint64) uint64 { return (a + b - 1) / b }
-
-// Histogram counts values into n equal-width buckets over [lo, hi).
-// Values outside the range clamp into the edge buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []uint64
-	Count   uint64
-}
-
-// NewHistogram returns a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	idx := int(float64(len(h.Buckets)) * (v - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.Count++
-}
-
-// Frac returns the fraction of observations in bucket i.
-func (h *Histogram) Frac(i int) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.Count)
-}
