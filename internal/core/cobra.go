@@ -185,9 +185,13 @@ type Machine struct {
 	fifo1 *fifo // L1 -> L2
 
 	// Bins materialized in memory (per-key-range), appended on LLC
-	// evictions and flush. binOffsets mirrors the repurposed-tag offsets.
-	Bins       [][]Tuple
-	binOffsets []uint32
+	// evictions and flush. BinInit leaves every bin empty and nil,
+	// reusing the headers Bins already holds when there is room for one
+	// per LLC C-Buffer. A caller that sized the bins in an Init pass may
+	// then replace Bins with NumBins zero-length windows of exactly each
+	// bin's capacity in its own array (BinBasePtr + BinOffset, §V-E), so
+	// no eviction grows a bin.
+	Bins [][]Tuple
 
 	nextCtxSwitch float64
 
@@ -249,8 +253,8 @@ func (m *Machine) NumBins() int { return m.lvl[lvlLLC].numBufs }
 // configured ways, compute the smallest power-of-two bin range whose
 // C-Buffers fit the reserved capacity, and record the ways actually
 // used (§V-A). numIndices is the size of the data namespace (e.g.,
-// vertex count). It also initializes the in-memory bins and the
-// repurposed-tag bin offsets (§V-E).
+// vertex count). It also initializes the in-memory bins, whose lengths
+// are the repurposed-tag bin offsets (§V-E).
 func (m *Machine) BinInit(numIndices uint64) error {
 	if numIndices == 0 {
 		return fmt.Errorf("core: BinInit with zero indices")
@@ -308,8 +312,12 @@ func (m *Machine) BinInit(numIndices uint64) error {
 	}
 	m.numIndices = numIndices
 	m.fifo1 = newFIFO(m.cfg.EvictBufL1L2, float64(m.tuplesPerLine))
-	m.Bins = make([][]Tuple, m.lvl[lvlLLC].numBufs)
-	m.binOffsets = make([]uint32, m.lvl[lvlLLC].numBufs)
+	if n := m.lvl[lvlLLC].numBufs; cap(m.Bins) < n {
+		m.Bins = make([][]Tuple, n)
+	} else {
+		m.Bins = m.Bins[:n]
+		clear(m.Bins)
+	}
 	// Init cost: one bininit per level plus one tag-offset write per LLC
 	// C-Buffer (§V-E "initializes the starting offsets ... using a new
 	// ISA instruction"). Charge issue slots for them.
@@ -416,8 +424,8 @@ func (m *Machine) tryCoalesce(llc *levelState, id int, t Tuple) bool {
 }
 
 // evictLLC writes an LLC C-Buffer's tuples to its in-memory bin
-// (BinBasePtr + BinOffset[binID], §V-E) as a line-sized DRAM burst,
-// then bumps the offset. Partial lines (flush/preemption) still cost a
+// (BinBasePtr + BinOffset[binID], §V-E) as a line-sized DRAM burst;
+// the offset is the bin's length, so the append bumps it. Partial lines (flush/preemption) still cost a
 // full 64 B write — the waste measured in Figure 13c.
 func (m *Machine) evictLLC(id int, partial bool) {
 	llc := &m.lvl[lvlLLC]
@@ -426,7 +434,6 @@ func (m *Machine) evictLLC(id int, partial bool) {
 		return
 	}
 	m.Bins[id] = append(m.Bins[id], buf...)
-	m.binOffsets[id] += uint32(len(buf))
 	m.CPU.Mem.WriteLineDirect(1)
 	m.St.MemWriteBytes += 64
 	if partial {

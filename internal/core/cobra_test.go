@@ -479,3 +479,39 @@ func TestBatchedMachineMatchesOpAtATime(t *testing.T) {
 		})
 	}
 }
+
+// TestReusedStoreEqualsNew: a machine on a store a larger run filled
+// (C-Buffers left unflushed), handed that run's full bin headers,
+// bins exactly as one on a new store — the same bins and the same
+// Stats.
+func TestReusedStoreEqualsNew(t *testing.T) {
+	run := func(st *CBufStore, bins [][]Tuple, n uint64, seed uint64, updates int, flush bool) *Machine {
+		m := NewMachine(st, cpu.New(cpu.DefaultConfig(), mem.New(mem.DefaultConfig())), DefaultConfig(8))
+		m.Bins = bins
+		if err := m.BinInit(n); err != nil {
+			t.Fatal(err)
+		}
+		r := stats.NewRand(seed)
+		for i := 0; i < updates; i++ {
+			m.BinUpdate(uint32(r.Uint64n(n)), uint64(i))
+		}
+		if flush {
+			m.BinFlush()
+		}
+		return m
+	}
+	st := new(CBufStore)
+	stale := run(st, nil, 1<<16, 1, 200000, false).Bins
+	for _, n := range []uint64{1 << 16, 5000} {
+		fresh, reused := run(new(CBufStore), nil, n, 2, 50000, true), run(st, stale, n, 2, 50000, true)
+		if &reused.Bins[0] != &stale[0] {
+			t.Fatalf("n=%d: BinInit did not reuse the bin headers it was handed", n)
+		}
+		if !reflect.DeepEqual(fresh.Bins, reused.Bins) {
+			t.Fatalf("n=%d: bins on a reused store differ from a new one's", n)
+		}
+		if fresh.St != reused.St {
+			t.Fatalf("n=%d: stats %+v on a reused store, %+v on a new one", n, reused.St, fresh.St)
+		}
+	}
+}

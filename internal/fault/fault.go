@@ -371,18 +371,6 @@ func Kill() {
 	select {} // SIGKILL is asynchronous; never execute past it
 }
 
-// Hits reports how many times the named point was reached under the
-// active plan, and Fires how many faults it injected. Both are 0 with
-// no active plan (or no rule for the point).
-func Hits(point string) uint64 {
-	if p := active.Load(); p != nil {
-		if r := p.rules[point]; r != nil {
-			return r.hits.Load()
-		}
-	}
-	return 0
-}
-
 // Fires reports how many times the named point actually fired.
 func Fires(point string) uint64 {
 	if p := active.Load(); p != nil {

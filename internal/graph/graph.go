@@ -2,7 +2,8 @@
 // compressed representations of Figure 1, synthetic input generators
 // spanning the paper's input classes (Table III), and the Graph500-style
 // build kernels (Degree-Count, Neighbor-Populate) plus analytics kernels
-// (PageRank, Radii, BFS, connected components, SSSP). The build kernels,
+// (PageRank, BFS, connected components, SSSP; the multi-source Radii
+// reference is test code). The build kernels,
 // PageRank, connected components and SSSP also come in
 // propagation-blocked forms.
 package graph
@@ -182,4 +183,28 @@ func (g *CSR) Transpose() *CSR {
 		}
 	}
 	return &CSR{N: g.N, Offsets: offsets, Neighs: neighs}
+}
+
+// BFS runs a standard single-source BFS returning parent pointers
+// (-1 for unreached).
+func BFS(g *CSR, source uint32) []int32 {
+	parent := make([]int32, g.N)
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[source] = int32(source)
+	frontier := []uint32{source}
+	for len(frontier) > 0 {
+		var nextFrontier []uint32
+		for _, v := range frontier {
+			for _, u := range g.Neighbors(v) {
+				if parent[u] == -1 {
+					parent[u] = int32(v)
+					nextFrontier = append(nextFrontier, u)
+				}
+			}
+		}
+		frontier = nextFrontier
+	}
+	return parent
 }

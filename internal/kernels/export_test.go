@@ -52,3 +52,11 @@ func PINVResult(a sim.Applier) []uint32 {
 	}
 	return nil
 }
+
+// Neighs exposes a neighPop applier's functional result for validation.
+func Neighs(a sim.Applier) []uint32 {
+	if np, ok := a.(*neighPopApplier); ok {
+		return np.neighs
+	}
+	return nil
+}

@@ -138,14 +138,6 @@ func NeighborPopulate(el *graph.EdgeList, inputName string) *sim.App {
 	}
 }
 
-// Neighs exposes a neighPop applier's functional result for validation.
-func Neighs(a sim.Applier) []uint32 {
-	if np, ok := a.(*neighPopApplier); ok {
-		return np.neighs
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // PageRank
 

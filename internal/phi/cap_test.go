@@ -22,7 +22,7 @@ func uncappedTable(capacityBytes, tupleBytes int) *table {
 // newUncapped builds a model identical to New's except that every level
 // keeps its full configured capacity.
 func newUncapped(cfg Config, numKeys uint64) *Model {
-	m := New(cfg, numKeys)
+	m := New(new(Store), cfg, numKeys)
 	for l, b := range [3]int{cfg.L1Bytes, cfg.L2Bytes, cfg.LLCBytes} {
 		m.lvls[l] = uncappedTable(b, cfg.TupleBytes)
 	}
@@ -45,7 +45,7 @@ func TestKeySpaceCapIsExact(t *testing.T) {
 					seed++
 					cfg := DefaultConfig(tb, 256)
 					cfg.BatchSize = batch
-					capped, oracle := New(cfg, n), newUncapped(cfg, n)
+					capped, oracle := New(new(Store), cfg, n), newUncapped(cfg, n)
 					r := stats.NewRand(seed)
 					updates := 3*int(n) + 5000
 					if updates > 100000 {
@@ -90,7 +90,7 @@ func TestKeySpaceCapSizes(t *testing.T) {
 		{10000, [3]int{4096, 1 << 14, 1 << 14}},
 		{300000, [3]int{4096, 1 << 15, 1 << 18}},
 	} {
-		m := New(cfg, c.numKeys)
+		m := New(new(Store), cfg, c.numKeys)
 		for l, want := range c.want {
 			if got := len(m.lvls[l].slots); got != want {
 				t.Errorf("numKeys=%d level %d: %d slots, want %d", c.numKeys, l, got, want)

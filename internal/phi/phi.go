@@ -79,23 +79,31 @@ type table struct {
 	mask  uint32
 }
 
-// newTable sizes one level: capacityBytes/tupleBytes slots rounded
-// down to a power of two for mask indexing, then capped at the smallest
-// power of two >= numKeys. The cap is exact, not an approximation:
-// every key is below numKeys (New's contract), and numKeys <= p' <= p
-// for the capped size p' and configured size p whenever the cap binds,
-// so key & (p'-1) == key & (p-1) == key. Each key therefore
-// lands in the same slot index, slots >= p' stay empty in the uncapped
-// table, and every insert, displacement and Flush/drainPrivate scan
-// visits the same valid slots in the same order. Only the empty tail —
-// which a small window would otherwise allocate, zero and scan — goes.
-func newTable(capacityBytes, tupleBytes int, numKeys uint64) *table {
+// table sizes level l from st's storage: capacityBytes/tupleBytes
+// slots rounded down to a power of two for mask indexing, then capped
+// at the smallest power of two >= numKeys. The cap is exact, not an
+// approximation: every key is below numKeys (New's contract), and
+// numKeys <= p' <= p for the capped size p' and configured size p
+// whenever the cap binds, so key & (p'-1) == key & (p-1) == key. Each
+// key therefore lands in the same slot index, slots >= p' stay empty in
+// the uncapped table, and every insert, displacement and
+// Flush/drainPrivate scan visits the same valid slots in the same
+// order. Only the empty tail — which a small window would otherwise
+// clear and scan — goes. The slots are cleared, so a reused store
+// starts every table empty.
+func (st *Store) table(l, capacityBytes, tupleBytes int, numKeys uint64) *table {
 	n := capacityBytes / tupleBytes
 	p := 1
 	for p*2 <= n && uint64(p) < numKeys {
 		p *= 2
 	}
-	return &table{slots: make([]slot, p), mask: uint32(p - 1)}
+	if cap(st.slots[l]) < p {
+		st.slots[l] = make([]slot, p)
+	}
+	slots := st.slots[l][:p]
+	clear(slots)
+	st.tabs[l] = table{slots: slots, mask: uint32(p - 1)}
+	return &st.tabs[l]
 }
 
 // insert returns (coalesced, displaced, displacedTuple).
@@ -114,6 +122,31 @@ func (t *table) insert(key uint32, val uint64, reduce func(a, b uint64) uint64) 
 	return false, true, old
 }
 
+// Store is the backing storage New takes a model's coalescing tables
+// and bin headers from. A store outlives the model built on it: handing
+// the store of a model that is out of use to New lets the next model
+// reuse its arrays instead of allocating and zeroing megabytes per run.
+// Reuse is invisible to the model — New clears every table slot it
+// uses and empties every bin header, so nothing a previous model left
+// behind is ever read. The store keeps no bin's tuples: each model's
+// bins grow from nil, and a caller done with a model's Bins may clear
+// them to drop its residue while the store lives on.
+type Store struct {
+	slots [3][]slot
+	tabs  [3]table
+	bins  [][]core.Tuple
+}
+
+// binHeaders returns numBins nil bins.
+func (st *Store) binHeaders(numBins int) [][]core.Tuple {
+	if cap(st.bins) < numBins {
+		st.bins = make([][]core.Tuple, numBins)
+	}
+	bins := st.bins[:numBins]
+	clear(bins)
+	return bins
+}
+
 // Model is one core's PHI pipeline.
 type Model struct {
 	cfg      Config
@@ -124,9 +157,10 @@ type Model struct {
 	St       Stats
 }
 
-// New builds a PHI model. numKeys sizes the bin ranges and caps each
-// level's table (see newTable); every key must be below numKeys.
-func New(cfg Config, numKeys uint64) *Model {
+// New builds a PHI model on st, which no other live model may use.
+// numKeys sizes the bin ranges and caps each level's table (see
+// Store.table); every key must be below numKeys.
+func New(st *Store, cfg Config, numKeys uint64) *Model {
 	if cfg.TupleBytes <= 0 {
 		panic("phi: tuple size must be positive")
 	}
@@ -137,9 +171,9 @@ func New(cfg Config, numKeys uint64) *Model {
 		cfg.NumBins = 1
 	}
 	m := &Model{cfg: cfg}
-	m.lvls[0] = newTable(cfg.L1Bytes, cfg.TupleBytes, numKeys)
-	m.lvls[1] = newTable(cfg.L2Bytes, cfg.TupleBytes, numKeys)
-	m.lvls[2] = newTable(cfg.LLCBytes, cfg.TupleBytes, numKeys)
+	for l, b := range [3]int{cfg.L1Bytes, cfg.L2Bytes, cfg.LLCBytes} {
+		m.lvls[l] = st.table(l, b, cfg.TupleBytes, numKeys)
+	}
 	// Power-of-two bin range covering numKeys with <= NumBins bins.
 	shift := uint(0)
 	for (numKeys+(1<<shift)-1)>>shift > uint64(cfg.NumBins) {
@@ -147,7 +181,7 @@ func New(cfg Config, numKeys uint64) *Model {
 	}
 	m.shift = shift
 	bins := int((numKeys + (1 << shift) - 1) >> shift)
-	m.Bins = make([][]core.Tuple, bins)
+	m.Bins = st.binHeaders(bins)
 	return m
 }
 

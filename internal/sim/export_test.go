@@ -1,5 +1,7 @@
 package sim
 
+import "cobra/internal/core"
+
 // Test hooks for the external sim_test package: the scalar-walk
 // oracle switch, and the machine pool's construction and checkout steps,
 // reachable without going through the pool (whose hand-outs a test
@@ -13,6 +15,15 @@ func (m *Mach) Recycle() { m.recycle() }
 
 // Released reports whether m is currently released to the pool.
 func (m *Mach) Released() bool { return m.released }
+
+// HostBins returns the bins the last PB-SW or COBRA run on m left in
+// its host arena, and the arena's tuple array.
+func (m *Mach) HostBins() (bins [][]core.Tuple, arena []core.Tuple) {
+	return m.bins.bins, m.bins.tuples
+}
+
+// ShardRange is the chunk [lo, hi) of total items core c of n owns.
+var ShardRange = shardRange
 
 // DrainPool empties the machine pool, so the next runs build fresh
 // machines.

@@ -239,6 +239,18 @@ func RunBaseline(app *App, arch Arch) (Metrics, error) {
 	return g.merge(0), nil
 }
 
+// hostBins checks out every core's bin arena for numBins bins over its
+// stream chunk and returns where Init counts each core's tuples per
+// bin.
+func (g *gang) hostBins(numBins int) [][]int {
+	counts := make([][]int, g.n)
+	for c, m := range g.machs {
+		lo, hi := shardRange(c, g.n, g.app.NumUpdates)
+		counts[c] = m.bins.checkout(numBins, hi-lo).off[1:]
+	}
+	return counts
+}
+
 // initCount is the Init phase PB-SW and COBRA both pay (Table I): each
 // core streams its chunk counting tuples per bin into its private count
 // array cnt, then prefix-sums the counts. When host is non-nil, core c
@@ -274,25 +286,16 @@ func (g *gang) initCount(cnt Region, shift uint, numBins int, host [][]int) erro
 
 // accumulate is the Accumulate phase PB-SW, COBRA and PHI share:
 // owner-computes over the bin range. perSrc[s] holds source core s's
-// bins, srcRegions[s] their simulated bin array; nil srcRegions are
-// allocated here, each sized to its source's tuples (for bins the
-// Binning phase materialized without a software layout). For each
-// owned bin, every source's segment is read sequentially and applied
-// in source order — which is input order, preserving per-key update
-// sequence exactly.
-func (g *gang) accumulate(perSrc [][][]core.Tuple, srcRegions []Region) error {
+// bins, prefix[s] their positions in its bin array (prefix[s][b] is
+// bin b's first tuple, prefix[s][numBins] the source's total), and
+// srcRegions[s] that simulated bin array; nil srcRegions are allocated
+// here, each sized to its source's tuples (for bins the Binning phase
+// materialized without a software layout). For each owned bin, every
+// source's segment is read sequentially and applied in source order —
+// which is input order, preserving per-key update sequence exactly.
+func (g *gang) accumulate(perSrc [][][]core.Tuple, prefix [][]int, srcRegions []Region) error {
 	tb := uint64(g.app.TupleBytes)
 	numBins := len(perSrc[0])
-	// prefix[s][b] is the position of bin b's first tuple in source s's
-	// bin array; prefix[s][numBins] is the source's total.
-	prefix := make([][]int, len(perSrc))
-	for s, bins := range perSrc {
-		p := make([]int, len(bins)+1)
-		for b, seg := range bins {
-			p[b+1] = p[b] + len(seg)
-		}
-		prefix[s] = p
-	}
 	if srcRegions == nil {
 		srcRegions = make([]Region, g.n)
 		for s := range srcRegions {
@@ -388,38 +391,23 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 	defer g.close()
 	lay := g.planPB(numBins)
 
-	// Each source core's host bins are one tuple array of its chunk's
-	// length; Init's pass counts the tuples per bin into off[1:].
-	scratches := make([]*binScratch, g.n)
-	counts := make([][]int, g.n)
-	for c := range scratches {
-		lo, hi := shardRange(c, g.n, app.NumUpdates)
-		scratches[c] = getBinScratch(lay.numBins, hi-lo)
-		counts[c] = scratches[c].off[1:]
-	}
-	defer func() {
-		for _, s := range scratches {
-			putBinScratch(s)
-		}
-	}()
-	if err := g.initCount(lay.cnt, lay.shift, lay.numBins, counts); err != nil {
+	if err := g.initCount(lay.cnt, lay.shift, lay.numBins, g.hostBins(lay.numBins)); err != nil {
 		return Metrics{}, err
 	}
 
 	// ---- Binning: per-core chunks into private bins ----
 	perSrc := make([][][]core.Tuple, g.n)
+	prefix := make([][]int, g.n)
 	tb := uint64(app.TupleBytes)
 	err = g.phase("binning.wall", func(c int, mach *Mach) {
 		start := markPhase(mach)
-		scratch := scratches[c]
+		scratch := &mach.bins
+		scratch.prefixSums()
 		tuples := scratch.tuples // materialized software bins, bin after bin
 		off := scratch.off       // bin b's first tuple in tuples
 		fill := scratch.fill     // tuples in each software C-Buffer
 		binPos := scratch.binPos // write cursor into each memory bin
 		binRegion := lay.bins[c]
-		for b := 0; b < lay.numBins; b++ {
-			off[b+1] += off[b]
-		}
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {
 			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
 			mach.CPU.Branch(pcInnerLoop, !newGroup)
@@ -468,13 +456,13 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 		for b := range scratch.bins {
 			scratch.bins[b] = tuples[off[b]:off[b+1]]
 		}
-		perSrc[c] = scratch.bins
+		perSrc[c], prefix[c] = scratch.bins, off
 	})
 	if err != nil {
 		return Metrics{}, err
 	}
 
-	if err := g.accumulate(perSrc, lay.bins); err != nil {
+	if err := g.accumulate(perSrc, prefix, lay.bins); err != nil {
 		return Metrics{}, err
 	}
 	return g.merge(lay.numBins), nil
@@ -537,6 +525,7 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	machines := make([]*core.Machine, g.n)
 	for c := range machines {
 		machines[c] = core.NewMachine(&g.machs[c].cbufs, g.machs[c].CPU, cfg)
+		machines[c].Bins = g.machs[c].bins.bins // headers for BinInit to reuse
 		if err := machines[c].BinInit(uint64(app.NumKeys)); err != nil {
 			return Metrics{}, err
 		}
@@ -545,13 +534,17 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	// fixed: one per LLC C-Buffer. Offsets must exist before Binning
 	// (§V-E).
 	numBins := machines[0].NumBins()
-	if err := g.initCount(g.alloc(uint64(numBins)*4), machines[0].BinShiftLLC(), numBins, nil); err != nil {
+	if err := g.initCount(g.alloc(uint64(numBins)*4), machines[0].BinShiftLLC(), numBins, g.hostBins(numBins)); err != nil {
 		return Metrics{}, err
 	}
 
 	// ---- Binning: one binupdate per tuple, per-core C-Buffers ----
 	err = g.phase("binning.wall", func(c int, mach *Mach) {
 		m := machines[c]
+		// Each in-memory bin is a window of the core's arena at Init's
+		// offset, exactly as large as Init counted.
+		mach.bins.prefixSums()
+		m.Bins = mach.bins.carve()
 		start := markPhase(mach)
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {
 			mach.CPU.Load(g.input.Addr(uint64(i) * uint64(app.StreamBytes)))
@@ -577,13 +570,15 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	}
 
 	perSrc := make([][][]core.Tuple, g.n)
+	prefix := make([][]int, g.n)
 	for s := range perSrc {
 		perSrc[s] = machines[s].Bins
 		if opt.MaxLLCBufs > 0 && opt.MaxLLCBufs < len(perSrc[s]) {
 			perSrc[s] = regroupBins(perSrc[s], opt.MaxLLCBufs)
 		}
+		prefix[s] = g.machs[s].bins.lenPrefix(perSrc[s])
 	}
-	if err := g.accumulate(perSrc, nil); err != nil {
+	if err := g.accumulate(perSrc, prefix, nil); err != nil {
 		return Metrics{}, err
 	}
 	return g.merge(numBins), nil
@@ -612,7 +607,7 @@ func RunPHI(app *App, numBins int, arch Arch) (Metrics, error) {
 	phiCfg.Reduce = app.Reduce
 	models := make([]*phi.Model, g.n)
 	for c := range models {
-		models[c] = phi.New(phiCfg, uint64(app.NumKeys))
+		models[c] = phi.New(&g.machs[c].phi, phiCfg, uint64(app.NumKeys))
 	}
 
 	// ---- Binning: stream the chunk (real cache traffic); coalescing
@@ -639,10 +634,18 @@ func RunPHI(app *App, numBins int, arch Arch) (Metrics, error) {
 	}
 
 	perSrc := make([][][]core.Tuple, g.n)
+	prefix := make([][]int, g.n)
 	for s := range perSrc {
 		perSrc[s] = models[s].Bins
+		prefix[s] = g.machs[s].bins.lenPrefix(perSrc[s])
 	}
-	if err := g.accumulate(perSrc, nil); err != nil {
+	err = g.accumulate(perSrc, prefix, nil)
+	// The residue is applied: drop it, so the machines keep only the
+	// bin headers.
+	for _, m := range models {
+		clear(m.Bins)
+	}
+	if err != nil {
 		return Metrics{}, err
 	}
 	return g.merge(models[0].NumBins()), nil

@@ -96,20 +96,25 @@ func TestRecycledMachineEqualsNew(t *testing.T) {
 
 // TestRecycledMachinesMetricsBitEqual runs every scheme on new machines
 // (empty pool) and again on machines other schemes dirtied and released,
-// at 1 and 4 cores; the Metrics must not differ in any bit.
+// at 1 and 4 cores; neither the Metrics nor the applier's functional
+// output may differ in any bit. The dirtying runs are larger — more
+// updates over more keys — so their stale tuples and table slots sit
+// past every bin window and table the measured run takes from the
+// machines' host stores.
 func TestRecycledMachinesMetricsBitEqual(t *testing.T) {
 	reused := false
 	for _, cores := range []int{1, 4} {
 		arch := sim.DefaultArch().WithCores(cores)
 		for _, sr := range schemeRuns() {
-			app, _ := simtest.CountAppDist(simtest.DistSkewed, 1<<13, 30000, 21)
+			app, counts := simtest.CountAppDist(simtest.DistSkewed, 1<<13, 30000, 21)
 			sim.DrainPool()
 			fresh, err := sr.run(app, arch)
 			if err != nil {
 				t.Fatal(err)
 			}
+			freshCounts := *counts
 			// Dirty the pool with machines from other schemes.
-			dirtyApp, _ := simtest.CountAppDist(simtest.DistUniform, 1<<12, 20000, 22)
+			dirtyApp, _ := simtest.CountAppDist(simtest.DistUniform, 1<<14, 60000, 22)
 			dirtied := captureMachs(dirtyApp)
 			for _, d := range schemeRuns() {
 				if d.name != sr.name {
@@ -126,6 +131,7 @@ func TestRecycledMachinesMetricsBitEqual(t *testing.T) {
 			if !reflect.DeepEqual(fresh, again) {
 				t.Errorf("%d cores, %s: metrics on recycled machines differ\nnew:      %+v\nrecycled: %+v", cores, sr.name, fresh, again)
 			}
+			simtest.CheckCounts(t, fmt.Sprintf("%d cores, %s on recycled machines", cores, sr.name), *counts, freshCounts)
 			for _, d := range *dirtied {
 				if d == (*used)[0] {
 					reused = true
@@ -140,20 +146,24 @@ func TestRecycledMachinesMetricsBitEqual(t *testing.T) {
 
 // TestConcurrentCellsThroughPool runs several cells at once on separate
 // goroutines, all checking machines out of and back into the one pool,
-// and demands each cell's Metrics equal its serial run. Under -race
-// this also pins that no machine is handed to two runs at once.
+// and demands each cell's Metrics equal its serial run. The cells have
+// mixed sizes, so a machine's host store passes between larger and
+// smaller runs. Under -race this also pins that no machine is handed
+// to two runs at once.
 func TestConcurrentCellsThroughPool(t *testing.T) {
 	type cell struct {
-		sr    schemeRun
-		cores int
-		seed  uint64
+		sr      schemeRun
+		cores   int
+		keys    int
+		updates int
+		seed    uint64
 	}
 	var cells []cell
 	for i, sr := range schemeRuns() {
-		cells = append(cells, cell{sr, 1 + 3*(i%2), uint64(31 + i)})
+		cells = append(cells, cell{sr, 1 + 3*(i%2), 1 << (11 + i%3), 10000 + 15000*(i%3), uint64(31 + i)})
 	}
 	run := func(c cell) (sim.Metrics, error) {
-		app, _ := simtest.CountAppDist(simtest.DistSkewed, 1<<12, 20000, c.seed)
+		app, _ := simtest.CountAppDist(simtest.DistSkewed, c.keys, c.updates, c.seed)
 		return c.sr.run(app, sim.DefaultArch().WithCores(c.cores))
 	}
 	serial := make([]sim.Metrics, len(cells))

@@ -18,6 +18,7 @@ import (
 	"cobra/internal/core"
 	"cobra/internal/cpu"
 	"cobra/internal/mem"
+	"cobra/internal/phi"
 )
 
 // Arch is the simulated architecture (Table II defaults).
@@ -96,9 +97,15 @@ type Mach struct {
 	scalarWalk bool // H is on the scalar walk (Arch.scalarWalk)
 	next       uint64
 
-	// cbufs outlives each run's COBRA machine so the next BinInit on
-	// this Mach reuses its C-Buffer arrays.
+	// The host store outlives each run, so the next run on this Mach
+	// reuses its arrays instead of allocating them: cbufs backs the
+	// COBRA machine's C-Buffers, bins is the in-memory bin arena of the
+	// stream chunk this core bins (PB-SW, COBRA) with the bin headers,
+	// and phi backs PHI's coalescing tables and bin headers. Every run
+	// carves or clears what it uses, so no stale contents are read.
 	cbufs    core.CBufStore
+	bins     binScratch
+	phi      phi.Store
 	released bool
 }
 
@@ -135,7 +142,7 @@ func (m *Mach) fits(a Arch) bool {
 // recycle resets a released machine to the state buildMach leaves:
 // caches, prefetcher, write-combining, location hints, DRAM counts,
 // core clock, counters, MSHRs, branch predictor and allocator. Only
-// the C-Buffer store keeps its (never-read) contents.
+// the host store keeps its (never-read) contents.
 func (m *Mach) recycle() {
 	m.H.Reset()
 	m.CPU.Reset()

@@ -83,18 +83,6 @@ func TransposePB(a *Matrix, o pb.Options) *Matrix {
 	return &Matrix{Rows: a.Cols, Cols: a.Rows, RowPtr: rowptr, ColIdx: colidx, Vals: vals}
 }
 
-// PINV computes the inverse of a permutation: out[p[i]] = i. Each key
-// is written exactly once — a pure irregular scatter with no reuse at
-// all, which is why the paper found PINV to be the one workload where
-// more bins do not improve Accumulate (§VII-A).
-func PINV(p []uint32) []uint32 {
-	out := make([]uint32, len(p))
-	for i, pi := range p {
-		out[pi] = uint32(i)
-	}
-	return out
-}
-
 // SymPerm computes C = P·triu(A)·Pᵀ keeping only the upper triangle
 // (cs_symperm from SuiteSparse, a Cholesky preprocessing step): entry
 // (i,j) of the upper triangle of A moves to (min(p)(i,j)', max(...)')

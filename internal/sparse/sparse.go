@@ -1,8 +1,9 @@
 // Package sparse provides the sparse linear algebra substrate: CSR/COO
-// matrices, synthetic generators (stencil, random, banded), and the four
-// kernels the paper evaluates — SpMV (HPCG-style), Transpose, PINV, and
-// SymPerm (SuiteSparse subroutines) — as host references; Transpose
-// also comes in a propagation-blocked form.
+// matrices, synthetic generators (stencil, random, banded), and host
+// references for two of the four kernels the paper evaluates:
+// Transpose, also in a propagation-blocked form, and SymPerm
+// (SuiteSparse subroutines). The SpMV (HPCG-style) and PINV references
+// are test code.
 package sparse
 
 import (
@@ -199,17 +200,4 @@ func SymmetricUpper(n, nnzPerRow int, seed uint64) *Matrix {
 		}
 	}
 	return FromCOO(n, n, coords)
-}
-
-// SpMV computes y = A·x row-wise (HPCG shape). In CSR this gathers
-// x[col] irregularly.
-func SpMV(a *Matrix, x, y []float64) {
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		sum := 0.0
-		for k := range cols {
-			sum += vals[k] * x[cols[k]]
-		}
-		y[i] = sum
-	}
 }

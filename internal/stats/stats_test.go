@@ -236,3 +236,43 @@ func TestExpPositive(t *testing.T) {
 		t.Fatalf("Exp mean = %v, want ~1", mean)
 	}
 }
+
+// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// Max returns the maximum of xs, or 0 for an empty slice.
+func Max(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Min returns the minimum of xs, or 0 for an empty slice.
+func Min(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
