@@ -2,8 +2,8 @@
 # gofmt + vet + build + race-mode tests on the concurrency-bearing packages
 # (exp's worker pool, input memo and cell store, obsv's lock-free instruments,
 # cache's shared-model users, pb's parallel binning) + the full test
-# suite with coverage + a short fuzz pass over the memory hierarchy's
-# fast walk and the core's MSHR queue
+# suite with coverage + a short fuzz pass over the cache levels'
+# location hints, the memory hierarchy's walk and the core's MSHR queue
 # + the process-level smokes + a one-pass self-checking benchmark run.
 
 GO ?= go
@@ -46,13 +46,18 @@ race:
 # test alone reports success when a pattern matches nothing).
 SMOKE = GO=$(GO) $(GO) run ./scripts/smoke
 
-# Short fuzz budget per target: enough to shake out fast-vs-scalar
-# divergence in the memory hierarchy's fast walk (FuzzAccess, with reservations, resets and
-# scalar calls between references; FuzzAccessBatch, through the batch
-# API), and divergence of the core's MSHR queue from the slot-scan
-# model it replaced (FuzzMSHR), on every CI run without stalling it.
-# (Plain `go test` already replays each target's seed corpus.)
+# Short fuzz budget per target, enough to shake out on every CI run,
+# without stalling it: a cache level whose location hints disagree
+# with a plain scan under any replacement policy (FuzzLevel, with
+# reservations and resets between operations); a hierarchy walk that
+# diverges from the test-only reference walk over hint-free reference
+# levels (FuzzAccess, reference by reference with reservations and
+# resets between references; FuzzAccessBatch, through the batch API);
+# and divergence of the core's MSHR queue from the slot-scan model it
+# replaced (FuzzMSHR). (Plain `go test` already replays each target's
+# seed corpus.)
 fuzz-smoke:
+	$(SMOKE) -run='^$$' -fuzz='^FuzzLevel$$' -fuzztime=10s ./internal/cache
 	$(SMOKE) -run='^$$' -fuzz='^FuzzAccessBatch$$' -fuzztime=10s ./internal/mem
 	$(SMOKE) -run='^$$' -fuzz='^FuzzAccess$$' -fuzztime=10s ./internal/mem
 	$(SMOKE) -run='^$$' -fuzz='^FuzzMSHR$$' -fuzztime=10s ./internal/cpu
@@ -118,10 +123,9 @@ bench-smoke:
 ci: fmt-check vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-smoke
 
 # Hot-path microbenchmarks (packed cache metadata; the hierarchy's
-# scalar walk vs its fast walk, L1- and L2-resident and missing every
-# level; the core's issue path on a miss-bound stream; the simulated
-# PB-SW bin sweep; PB binning). -run='^$$' keeps each package's tests
-# out of the run.
+# walk, L1- and L2-resident and missing every level; the core's issue
+# path on a miss-bound stream; the simulated PB-SW bin sweep; PB
+# binning). -run='^$$' keeps each package's tests out of the run.
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkCacheAccessHot -benchmem ./internal/cache
 	$(GO) test -run='^$$' -bench=BenchmarkHierarchyAccess -benchmem ./internal/mem

@@ -37,14 +37,14 @@ func BenchmarkAccessDRRIP(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccessHot guards the packed-metadata + MRU-filter win:
+// BenchmarkCacheAccessHot guards the packed-metadata + location-hint win:
 // a hit-dominated access stream with heavy same-line reuse, the shape
 // of every simulated access in the Binning/Accumulate inner loops.
 func BenchmarkCacheAccessHot(b *testing.B) {
 	c := benchCache(BitPLRU)
 	// 64-line working set fits the 512-line cache: ~100% hits after
 	// warmup. Four consecutive touches per line model word-granular
-	// reuse inside one line (the MRU-filter fast path).
+	// reuse inside one line (the location-hint fast path).
 	const lines = 64
 	addrs := make([]uint64, lines*4)
 	for i := range addrs {

@@ -2,18 +2,27 @@
 // pluggable replacement policies and Intel-CAT-style way partitioning.
 //
 // The model is trace-driven and functional-only at this layer: callers
-// feed byte addresses through Access and read hit/miss/writeback counts
-// back. Timing is the concern of package cpu and package mem, which
-// compose levels into a hierarchy.
+// feed byte addresses through a level's operations and read
+// hit/miss/writeback counts back. Timing is the concern of package cpu
+// and package mem, which compose levels into a hierarchy. A level is
+// the only code that knows its metadata format, its replacement policy
+// and its stats accounting; a hierarchy composes four operations:
+//
+//   - Access, a demand load or store;
+//   - Writeback, the install of a dirty line the level above displaced,
+//     which counts no demand event;
+//   - Prefetch, a prefetch fill;
+//   - WriteNT, a non-temporal store that updates a resident line.
+//
+// Hinted and HitAt are Access's inlinable fast path.
 //
 // Hot-path layout: per-line metadata is packed into a single uint64
-// (tag<<2 | dirty<<1 | valid) so the probe loop in find/fill issues one
-// load and one masked compare per way instead of touching three
-// parallel slices. A one-entry last-line MRU filter in front of the way
-// scan short-circuits the common same-line / same-set-reuse case. Both
-// are pure implementation details: every simulated counter (hits,
-// misses, evictions, writebacks) and every victim choice is identical
-// to the unpacked three-slice layout.
+// (tag<<2 | dirty<<1 | valid), so a way probe is one load and one
+// masked compare. In front of the way scan sits a table of verified
+// location hints (see Cache.hints). Both are pure implementation
+// details: every simulated counter (hits, misses, evictions,
+// writebacks) and every victim choice is that of a plain scan of the
+// set's ways.
 package cache
 
 import (
@@ -37,15 +46,6 @@ const (
 	metaValid    uint64 = 1 << 0
 	metaDirty    uint64 = 1 << 1
 	metaTagShift        = 2
-)
-
-// Exported aliases of the packed-metadata layout so BatchView users
-// (package mem's inlined hit path) can compose probe words without
-// duplicating magic numbers.
-const (
-	MetaValid    = metaValid
-	MetaDirty    = metaDirty
-	MetaTagShift = metaTagShift
 )
 
 // Stats aggregates access outcomes for one cache level.
@@ -84,11 +84,10 @@ func (c Config) Sets() int { return c.SizeB / (c.Ways * LineSize) }
 // Way partitioning: ReserveWays(k) removes the first k ways of every set
 // from normal allocation, modeling Intel CAT reserving those ways for
 // pinned data (COBRA's C-Buffers). Reserved ways are never probed or
-// filled by Access; the pinned structures that live there are modeled by
-// their owners (package core).
+// filled by the level's operations; the pinned structures that live
+// there are modeled by their owners (package core).
 type Cache struct {
 	cfg      Config
-	sets     int
 	setMask  uint64
 	setBits  uint
 	ways     int
@@ -98,21 +97,33 @@ type Cache struct {
 	// indexed by set*ways+way.
 	meta []uint64
 
-	// One-entry MRU filter: the (set, way) of the last line touched by
-	// find/fill. It is a hint only — find re-verifies the packed word
-	// before trusting it — so invalidations, reservations, and refills
-	// never need to maintain it for correctness.
-	lastSet int32
-	lastWay int32
+	// Verified location hints: a direct-mapped table of the ways lines
+	// were last found or filled in, one way byte per line of the level
+	// (the slot of a line is line & hintMask). The hot loops interleave
+	// several line streams (input / counter / C-Buffer; bin /
+	// accumulator), and a hint hit replaces the way scan with one
+	// metadata compare. A set plus a tag names a line, so a hint is
+	// trusted only after the live metadata word at (set(line), way)
+	// re-verifies (valid + tag): evictions, reservations, resets, and a
+	// slot another line last wrote can never fake a hit; they just fall
+	// back to the scan. A reserved way's metadata is zero, so a verified
+	// way is always a usable one, and a set holds at most one valid copy
+	// of a tag, so it is the way the scan would find.
+	hints    []uint8
+	hintMask uint64
 
-	// Replacement state, called directly for the two policies of the
-	// simulated machine (Table II): plru for Bit-PLRU (L1, L2) and rrip
-	// for DRRIP (the LLC). The ablation-only TrueLRU and Random (A2) sit
-	// behind the replacer interface in other. Exactly one of the three
-	// is set.
-	plru  *bitPLRU
-	rrip  *RRIP
-	other replacer
+	// hintValid is the valid bit Hinted's compare asks for: metaValid
+	// on a Bit-PLRU level, and on any other a word no metadata holds
+	// (bit 63 is past every tag), so Hinted never verifies there.
+	hintValid uint64
+
+	// Replacement state, called by concrete type: exactly the one of
+	// policy is in use.
+	policy PolicyKind
+	plru   bitPLRU
+	rrip   drrip
+	lru    trueLRU
+	rnd    randomRepl
 
 	Stats Stats
 }
@@ -125,38 +136,45 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache %s: set count %d must be a positive power of two (size=%d ways=%d)",
 			cfg.Name, sets, cfg.SizeB, cfg.Ways))
 	}
-	if cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cache %s: ways must be positive", cfg.Name))
+	if cfg.Ways <= 0 || cfg.Ways > 256 {
+		panic(fmt.Sprintf("cache %s: ways must be in [1, 256], got %d", cfg.Name, cfg.Ways))
 	}
 	if cfg.Policy == BitPLRU && cfg.Ways > plruMaxWays {
 		panic(fmt.Sprintf("cache %s: Bit-PLRU supports at most %d ways, got %d", cfg.Name, plruMaxWays, cfg.Ways))
 	}
 	n := sets * cfg.Ways
+	hints := 1 << stats.Log2Ceil(uint64(n)) // a power of two: slot = line & (hints-1)
 	c := &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		setMask: uint64(sets - 1),
-		setBits: stats.Log2Ceil(uint64(sets)),
-		ways:    cfg.Ways,
-		meta:    make([]uint64, n),
-		lastSet: -1,
+		cfg:      cfg,
+		setMask:  uint64(sets - 1),
+		setBits:  stats.Log2Ceil(uint64(sets)),
+		ways:     cfg.Ways,
+		meta:     make([]uint64, n),
+		hints:    make([]uint8, hints),
+		hintMask: uint64(hints - 1),
+		policy:   cfg.Policy,
+	}
+	c.hintValid = metaValid
+	if cfg.Policy != BitPLRU {
+		c.hintValid |= 1 << 63
 	}
 	switch cfg.Policy {
 	case BitPLRU:
 		c.plru = newBitPLRU(sets, cfg.Ways)
+	case TrueLRU:
+		c.lru = newTrueLRU(sets, cfg.Ways)
 	case DRRIP:
-		c.rrip = newRRIP(sets, cfg.Ways)
+		c.rrip = newDRRIP(sets, cfg.Ways)
+	case Random:
+		c.rnd.reset()
 	default:
-		c.other = newReplacer(cfg.Policy, sets, cfg.Ways)
+		panic(fmt.Sprintf("cache %s: unknown replacement policy %d", cfg.Name, cfg.Policy))
 	}
 	return c
 }
 
-// Config returns the geometry this level was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -170,12 +188,9 @@ func (c *Cache) ReserveWays(k int) error {
 		return fmt.Errorf("cache %s: cannot reserve %d of %d ways (at least one must remain)", c.cfg.Name, k, c.ways)
 	}
 	c.reserved = k
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < k; w++ {
-			c.meta[s*c.ways+w] = 0
-		}
+	for base := 0; base < len(c.meta); base += c.ways {
+		clear(c.meta[base : base+k])
 	}
-	c.lastSet = -1
 	return nil
 }
 
@@ -183,127 +198,173 @@ func (c *Cache) ReserveWays(k int) error {
 func (c *Cache) ReservedWays() int { return c.reserved }
 
 // Reset restores the level to its post-New state: all lines invalid,
-// stats zeroed, replacement state cleared, reservation lifted. It lets
-// a pooled machine reuse a Cache without leaking lines, stats, or
-// replacement history from the previous run.
+// hints cleared, stats zeroed, replacement state cleared, reservation
+// lifted. It lets a pooled machine reuse a Cache without leaking lines,
+// stats, or replacement history from the previous run.
 func (c *Cache) Reset() {
-	for i := range c.meta {
-		c.meta[i] = 0
-	}
+	clear(c.meta)
+	clear(c.hints)
 	c.reserved = 0
-	c.lastSet, c.lastWay = -1, 0
-	switch {
-	case c.plru != nil:
+	switch c.policy {
+	case BitPLRU:
 		c.plru.reset()
-	case c.rrip != nil:
+	case TrueLRU:
+		c.lru.reset()
+	case DRRIP:
 		c.rrip.reset()
-	default:
-		c.other.reset()
+	case Random:
+		c.rnd.reset()
 	}
 	c.Stats = Stats{}
 }
 
-func (c *Cache) setIndex(addr uint64) int { return int((addr >> LineBits) & c.setMask) }
-func (c *Cache) tagOf(addr uint64) uint64 { return addr >> (LineBits + c.setBits) }
+// Hinted and HitAt are Access's fast path for a Bit-PLRU level, split
+// in two so that each inlines into the caller: together they are a
+// demand hit on a line that sits in the way its location hint names.
+//
+// Hinted reports whether addr's line sits where its hint says, and its
+// position there. It is never true for a level of any other policy,
+// and it changes nothing; on false the caller goes on to Access. (A
+// line whose hint verifies is present, so Hinted is also a presence
+// probe.)
+func (c *Cache) Hinted(addr uint64) (pos int, ok bool) {
+	line := addr >> LineBits
+	i := int(line&c.setMask)*c.ways + int(c.hints[line&c.hintMask])
+	return i, c.meta[i]&^metaDirty == line>>c.setBits<<metaTagShift|c.hintValid
+}
 
-// Result reports what one access did.
-type Result struct {
-	Hit           bool
-	Evicted       bool   // a valid line was displaced
-	WroteBack     bool   // the displaced line was dirty
-	VictimAddr    uint64 // line-aligned address of the displaced line (valid when Evicted)
-	BypassedAlloc bool   // access was a non-allocating write (non-temporal store)
+// HitAt performs the demand hit of addr at pos, which Hinted returned
+// for it: the dirty bit of a store, the Bit-PLRU touch and the hit
+// count.
+func (c *Cache) HitAt(addr uint64, pos int, write bool) {
+	set := int(addr >> LineBits & c.setMask)
+	if write {
+		c.meta[pos] |= metaDirty
+	}
+	c.plru.touch(set, pos-set*c.ways)
+	c.Stats.Hits++
 }
 
 // Access performs a demand load or store of addr. Misses allocate
-// (write-allocate, writeback). It returns what happened so hierarchies
-// can propagate fills and writebacks.
-func (c *Cache) Access(addr uint64, write bool) Result {
-	return c.access(addr, write)
+// (write-allocate, writeback). On a miss whose fill displaced a dirty
+// line, dirty is set and victim is that line's address, for the
+// hierarchy to write back.
+func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, dirty bool) {
+	line, set, base, want := c.locate(addr)
+	if w := c.find(line, base, want); w >= 0 {
+		if write {
+			c.meta[base+w] |= metaDirty
+		}
+		c.onHit(set, w, base)
+		c.Stats.Hits++
+		return true, 0, false
+	}
+	c.Stats.Misses++
+	c.Stats.Fills++
+	if write {
+		want |= metaDirty
+	}
+	victim, dirty = c.fill(line, set, base, want)
+	return false, victim, dirty
+}
+
+// Writeback installs addr's line dirty, as the level above writing back
+// a line it displaced: a resident copy turns dirty and takes a hit's
+// replacement update, and otherwise the line fills dirty. Neither is a
+// demand event, so no hit, miss or fill is counted, only the eviction
+// and writeback of a fill. It reports whether the line the fill
+// displaced was dirty.
+func (c *Cache) Writeback(addr uint64) (dirty bool) {
+	line, set, base, want := c.locate(addr)
+	if w := c.find(line, base, want); w >= 0 {
+		c.meta[base+w] |= metaDirty
+		c.onHit(set, w, base)
+		return false
+	}
+	_, dirty = c.fill(line, set, base, want|metaDirty)
+	return dirty
 }
 
 // Prefetch installs addr's line if absent without counting a demand
-// miss. Used by the L2 stream prefetcher. Returns true if the line was
-// already present.
-func (c *Cache) Prefetch(addr uint64) bool {
-	set := c.setIndex(addr)
-	tag := c.tagOf(addr)
-	if w := c.find(set, tag); w >= 0 {
+// miss (the L2 stream prefetcher's fill), and reports whether the line
+// was already present, in which case nothing changes. A dirty line the
+// fill displaces counts in Writebacks but goes nowhere.
+func (c *Cache) Prefetch(addr uint64) (present bool) {
+	line, set, base, want := c.locate(addr)
+	if c.find(line, base, want) >= 0 {
 		return true
 	}
-	c.fill(set, tag, false)
+	c.fill(line, set, base, want)
+	c.Stats.Fills++
 	return false
 }
 
-// Probe reports whether addr's line is resident, without side effects.
-func (c *Cache) Probe(addr uint64) bool {
-	return c.find(c.setIndex(addr), c.tagOf(addr)) >= 0
-}
-
 // WriteNT models a non-temporal (streaming) store: if the line is
-// resident it is updated in place (and marked dirty); otherwise the
-// store bypasses the cache entirely (write-combining to memory) and no
-// allocation happens.
-func (c *Cache) WriteNT(addr uint64) Result {
-	set := c.setIndex(addr)
-	tag := c.tagOf(addr)
-	if w := c.find(set, tag); w >= 0 {
-		c.meta[set*c.ways+w] |= metaDirty
-		c.onHit(set, w)
-		c.Stats.Hits++
-		return Result{Hit: true}
+// resident it is updated in place (marked dirty, counted as a hit) and
+// WriteNT reports true; otherwise the store bypasses the level entirely
+// (write-combining to memory) and nothing changes.
+func (c *Cache) WriteNT(addr uint64) bool {
+	line, set, base, want := c.locate(addr)
+	w := c.find(line, base, want)
+	if w < 0 {
+		return false
 	}
-	return Result{BypassedAlloc: true}
+	c.meta[base+w] |= metaDirty
+	c.onHit(set, w, base)
+	c.Stats.Hits++
+	return true
 }
 
-func (c *Cache) access(addr uint64, write bool) Result {
-	set := c.setIndex(addr)
-	tag := c.tagOf(addr)
-	if w := c.find(set, tag); w >= 0 {
-		if write {
-			c.meta[set*c.ways+w] |= metaDirty
-		}
-		c.onHit(set, w)
-		c.Stats.Hits++
-		return Result{Hit: true}
-	}
-	c.Stats.Misses++
-	return c.fill(set, tag, write)
+// locate returns addr's line number, its set, the set's first metadata
+// index, and the metadata word of the line when valid and clean.
+func (c *Cache) locate(addr uint64) (line uint64, set, base int, want uint64) {
+	line = addr >> LineBits
+	set = int(line & c.setMask)
+	return line, set, set * c.ways, line>>c.setBits<<metaTagShift | metaValid
 }
 
-// PrefetchMiss installs addr's line as a prefetch fill, skipping the
-// tag probe — for callers that have already established (via Probe)
-// that the line is absent. Identical to Prefetch on a missing line.
-func (c *Cache) PrefetchMiss(addr uint64) {
-	c.fill(c.setIndex(addr), c.tagOf(addr), false)
-}
-
-// find locates tag in set, returning the way or -1. The packed layout
-// makes the scan a single masked compare per way; the MRU filter skips
-// the scan entirely when the last-touched line matches (it re-verifies
-// the packed word, so it is never stale).
-func (c *Cache) find(set int, tag uint64) int {
-	base := set * c.ways
-	want := tag<<metaTagShift | metaValid
+// find returns the way of the set at base that holds line, whose valid
+// clean word is want, or -1 when the line is absent: the hinted way
+// when its word verifies, else a scan of the usable ways, which records
+// the way it finds as the line's hint. It has no simulated side
+// effects.
+func (c *Cache) find(line uint64, base int, want uint64) (way int) {
 	row := c.meta[base : base+c.ways]
-	if int(c.lastSet) == set {
-		if w := int(c.lastWay); w >= c.reserved && row[w]&^metaDirty == want {
-			return w
-		}
+	slot := line & c.hintMask
+	if w := int(c.hints[slot]); row[w]&^metaDirty == want {
+		return w
 	}
 	for w := c.reserved; w < len(row); w++ {
 		if row[w]&^metaDirty == want {
-			c.lastSet, c.lastWay = int32(set), int32(w)
+			c.hints[slot] = uint8(w)
 			return w
 		}
 	}
 	return -1
 }
 
-func (c *Cache) fill(set int, tag uint64, write bool) Result {
-	base := set * c.ways
+// onHit is the replacement update of a hit on way of set (base is the
+// set's first metadata index), by the policy's concrete type. Random
+// keeps no recency.
+func (c *Cache) onHit(set, way, base int) {
+	switch c.policy {
+	case BitPLRU:
+		c.plru.touch(set, way)
+	case DRRIP:
+		c.rrip.rrpv[base+way] = 0 // a near re-reference
+	case TrueLRU:
+		c.lru.clock++
+		c.lru.stamp[base+way] = c.lru.clock
+	}
+}
+
+// fill installs metadata word m for line in the set at base: in the
+// first invalid usable way, else in the policy's victim, counting the
+// eviction and, for a dirty victim, the writeback. It returns the
+// address of a dirty line it displaced, and records the way as line's
+// hint. The caller counts the fill.
+func (c *Cache) fill(line uint64, set, base int, m uint64) (victim uint64, dirty bool) {
 	row := c.meta[base : base+c.ways]
-	res := Result{}
 	way := -1
 	for w := c.reserved; w < len(row); w++ {
 		if row[w]&metaValid == 0 {
@@ -312,102 +373,37 @@ func (c *Cache) fill(set int, tag uint64, write bool) Result {
 		}
 	}
 	if way < 0 {
-		way = c.victim(set)
-		m := row[way]
-		res.Evicted = true
-		res.WroteBack = m&metaDirty != 0
-		res.VictimAddr = c.victimAddr(set, m>>metaTagShift)
+		switch c.policy {
+		case BitPLRU:
+			way = c.plru.victim(set, c.reserved)
+		case DRRIP:
+			way = c.rrip.victim(set, c.reserved)
+		case TrueLRU:
+			way = c.lru.victim(set, c.reserved)
+		default:
+			way = c.rnd.victim(c.ways, c.reserved)
+		}
+		old := row[way]
 		c.Stats.Evictions++
-		if res.WroteBack {
+		if old&metaDirty != 0 {
 			c.Stats.Writebacks++
+			victim, dirty = old>>metaTagShift<<(LineBits+c.setBits)|uint64(set)<<LineBits, true
 		}
 	}
-	m := tag<<metaTagShift | metaValid
-	if write {
-		m |= metaDirty
-	}
 	row[way] = m
-	c.lastSet, c.lastWay = int32(set), int32(way)
-	c.onFill(set, way)
-	c.Stats.Fills++
-	return res
-}
-
-// onHit, onFill, and victim dispatch to the level's replacement
-// policy: a nil check per direct policy instead of an interface call.
-func (c *Cache) onHit(set, way int) {
-	switch {
-	case c.plru != nil:
-		c.plru.touch(set, way)
-	case c.rrip != nil:
-		c.rrip.Hit(set, way)
-	default:
-		c.other.onHit(set, way)
+	if c.policy == DRRIP {
+		c.rrip.fill(set, way)
+	} else {
+		c.onHit(set, way, base) // the other policies insert as they hit
 	}
+	c.hints[line&c.hintMask] = uint8(way)
+	return victim, dirty
 }
 
-func (c *Cache) onFill(set, way int) {
-	switch {
-	case c.plru != nil:
-		c.plru.touch(set, way)
-	case c.rrip != nil:
-		c.rrip.Fill(set, way)
-	default:
-		c.other.onFill(set, way)
-	}
-}
-
-func (c *Cache) victim(set int) int {
-	switch {
-	case c.plru != nil:
-		return PLRUVictim(c.plru.mru[set], c.plru.full, c.reserved)
-	case c.rrip != nil:
-		return c.rrip.Victim(set, c.reserved)
-	default:
-		return c.other.victim(set, c.reserved)
-	}
-}
-
-func (c *Cache) victimAddr(set int, tag uint64) uint64 {
-	return (tag << (LineBits + c.setBits)) | (uint64(set) << LineBits)
-}
-
-// BatchView exposes the packed per-line metadata and the replacement
-// state of the simulated machine's policies — the Bit-PLRU masks, or
-// DRRIP's RRIP state — so package mem can inline this level's hit and
-// fill paths in its fast walk without a call per reference. Meta, PLRU
-// and RRIP stay the level's own state for its whole life (Reset clears
-// them in place), so both walks update one copy; the way reservation
-// is not part of the view, as it changes mid-run (read ReservedWays
-// live). Mutations through the view must follow the scalar access
-// semantics exactly (fill way choice, dirty bit, replacement updates
-// via PLRUTouch and PLRUVictim, or RRIP's Hit, Fill and Victim), and
-// the caller counts those accesses in Stats itself.
-type BatchView struct {
-	Meta     []uint64 // packed tag<<2|dirty<<1|valid, indexed set*Ways+way
-	PLRU     []uint16 // per-set Bit-PLRU masks; nil if the policy is not mask Bit-PLRU
-	PLRUFull uint16   // mask with all Ways bits set
-	RRIP     *RRIP    // DRRIP state; nil if the policy is not DRRIP
-	SetMask  uint64
-	SetBits  uint
-	Ways     int
-}
-
-// BatchView returns the inline-probe view of this level. PLRU is
-// non-nil only for Bit-PLRU and RRIP only for DRRIP; with TrueLRU or
-// Random an inlining caller must keep using the scalar methods, whose
-// replacement updates are not replayed outside this package.
-func (c *Cache) BatchView() BatchView {
-	v := BatchView{
-		Meta:    c.meta,
-		RRIP:    c.rrip,
-		SetMask: c.setMask,
-		SetBits: c.setBits,
-		Ways:    c.ways,
-	}
-	if c.plru != nil {
-		v.PLRU = c.plru.mru
-		v.PLRUFull = c.plru.full
-	}
-	return v
+// Line reports what way way of set holds: whether the way is valid and
+// dirty, and a valid line's line-aligned address. It lets package mem's
+// tests compare a level way by way against their reference walk.
+func (c *Cache) Line(set, way int) (addr uint64, valid, dirty bool) {
+	m := c.meta[set*c.ways+way]
+	return m>>metaTagShift<<(LineBits+c.setBits) | uint64(set)<<LineBits, m&metaValid != 0, m&metaDirty != 0
 }

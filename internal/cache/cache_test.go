@@ -49,13 +49,13 @@ func TestWideBitPLRUPanics(t *testing.T) {
 func TestHitAfterMiss(t *testing.T) {
 	for _, p := range []PolicyKind{BitPLRU, TrueLRU, DRRIP, Random} {
 		c := tiny(p)
-		if r := c.Access(0x1000, false); r.Hit {
+		if hit, _, _ := c.Access(0x1000, false); hit {
 			t.Fatalf("%v: cold access hit", p)
 		}
-		if r := c.Access(0x1000, false); !r.Hit {
+		if hit, _, _ := c.Access(0x1000, false); !hit {
 			t.Fatalf("%v: second access missed", p)
 		}
-		if r := c.Access(0x1004, false); !r.Hit {
+		if hit, _, _ := c.Access(0x1004, false); !hit {
 			t.Fatalf("%v: same-line access missed", p)
 		}
 		if c.Stats.Hits != 2 || c.Stats.Misses != 1 {
@@ -99,12 +99,11 @@ func TestVictimAddrRoundTrip(t *testing.T) {
 	c := tiny(TrueLRU)
 	setStride := uint64(4 * LineSize)
 	target := uint64(2*LineSize + 7) // set 2, offset 7
-	c.Access(target, false)
+	c.Access(target, true)           // dirty, so its eviction reports the victim
 	var victim uint64
 	for i := uint64(1); i < 5; i++ {
-		r := c.Access(target+i*setStride, false)
-		if r.Evicted {
-			victim = r.VictimAddr
+		if _, v, dirty := c.Access(target+i*setStride, false); dirty {
+			victim = v
 		}
 	}
 	if victim != target&^uint64(LineSize-1) {
@@ -153,17 +152,15 @@ func TestReserveInvalidatesResidentLines(t *testing.T) {
 
 func TestWriteNTBypassesAllocation(t *testing.T) {
 	c := tiny(BitPLRU)
-	r := c.WriteNT(0x40)
-	if !r.BypassedAlloc || r.Hit {
-		t.Fatalf("NT store to absent line: %+v", r)
+	if c.WriteNT(0x40) {
+		t.Fatal("NT store to absent line hit")
 	}
 	if c.Probe(0x40) {
 		t.Fatal("NT store must not allocate")
 	}
 	// But it updates in place when resident.
 	c.Access(0x80, false)
-	r = c.WriteNT(0x80)
-	if !r.Hit {
+	if !c.WriteNT(0x80) {
 		t.Fatal("NT store to resident line should hit")
 	}
 }
@@ -177,7 +174,7 @@ func TestPrefetchInstallsQuietly(t *testing.T) {
 	if c.Stats.Misses != misses {
 		t.Fatal("prefetch counted a demand miss")
 	}
-	if r := c.Access(0x100, false); !r.Hit {
+	if hit, _, _ := c.Access(0x100, false); !hit {
 		t.Fatal("demand access after prefetch should hit")
 	}
 }
@@ -317,12 +314,13 @@ func TestPackedMetaRoundTrip(t *testing.T) {
 	c := tiny(TrueLRU)
 	addr := uint64(0x7FFC0) // high-ish tag
 	c.Access(addr, true)
-	set, tag := c.setIndex(addr), c.tagOf(addr)
-	w := c.find(set, tag)
+	line, _, base, want := c.locate(addr)
+	w := c.find(line, base, want)
 	if w < 0 {
 		t.Fatal("line not found after fill")
 	}
-	i := set*c.Ways() + w
+	i := base + w
+	tag := addr >> (LineBits + c.setBits)
 	if !c.lineValid(i) || !c.lineDirty(i) {
 		t.Fatalf("valid/dirty bits lost: meta=%#x", c.meta[i])
 	}
@@ -332,8 +330,9 @@ func TestPackedMetaRoundTrip(t *testing.T) {
 }
 
 func TestMRUFilterNeverStale(t *testing.T) {
-	// The MRU filter is a hint: after invalidation or reservation of the
-	// last-touched line, probes must not report a stale hit.
+	// The location hints are hints: after invalidation or reservation of
+	// a hinted line, or a fill of another line into the same hint slot,
+	// probes must not report a stale hit.
 	c := tiny(TrueLRU)
 	c.Access(0x40, false)
 	if !c.Probe(0x40) {
@@ -341,14 +340,35 @@ func TestMRUFilterNeverStale(t *testing.T) {
 	}
 	c.Invalidate(0x40)
 	if c.Probe(0x40) {
-		t.Fatal("MRU filter returned an invalidated line")
+		t.Fatal("hint returned an invalidated line")
 	}
-	c.Access(0, false) // lands in way 0 (first free), becomes last-touched
+	c.Access(0, false) // lands in way 0 (first free), hinted there
 	if err := c.ReserveWays(1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Probe(0) {
-		t.Fatal("MRU filter returned a line in a reserved way")
+		t.Fatal("hint returned a line in a reserved way")
+	}
+	// Lines 1 and 1+len(hints) share a hint slot and a set.
+	a, b := uint64(LineSize), uint64(LineSize)*uint64(len(c.hints)+1)
+	c.Access(a, false)
+	c.Access(b, false)
+	if !c.Probe(a) || !c.Probe(b) {
+		t.Fatal("aliased lines not both resident")
+	}
+	c.Invalidate(b)
+	if c.Probe(b) || !c.Probe(a) {
+		t.Fatal("hint slot shared by two lines answered for the wrong one")
+	}
+	p := tiny(BitPLRU)
+	p.Access(a, false)
+	if _, ok := p.Hinted(b); ok {
+		t.Fatal("Hinted verified another line's hint")
+	}
+	q := tiny(DRRIP)
+	q.Access(a, false)
+	if _, ok := q.Hinted(a); ok {
+		t.Fatal("Hinted answered for a level that is not Bit-PLRU")
 	}
 }
 
@@ -426,7 +446,7 @@ func TestSmallCacheThrashes(t *testing.T) {
 	}
 }
 
-// agingVictim is the DRRIP victim search RRIP.Victim replaced, kept as
+// agingVictim is the DRRIP victim search drrip.victim replaced, kept as
 // its oracle: age every usable way by one until some way reaches RRPV
 // 3, then take the first such way.
 func agingVictim(rrpv []uint8, base, ways, minWay int) int {
@@ -444,31 +464,31 @@ func agingVictim(rrpv []uint8, base, ways, minWay int) int {
 	}
 }
 
-// TestDRRIPVictimMatchesAgingLoop holds the one-pass Victim to the
+// TestDRRIPVictimMatchesAgingLoop holds the one-pass victim to the
 // aging loop over random RRPV rows (with and without a way at RRPV 3)
 // at every way-reservation floor: the same victim and the same aged
 // RRPVs, reserved ways untouched.
 func TestDRRIPVictimMatchesAgingLoop(t *testing.T) {
 	const sets, ways = 4, 16
 	r := stats.NewRand(5)
-	d := newRRIP(sets, ways)
+	d := newDRRIP(sets, ways)
 	for trial := 0; trial < 2000; trial++ {
 		set := r.Intn(sets)
 		top := uint64(rrpvMax + 1)
 		if trial%2 == 0 {
 			top = rrpvMax // no way at RRPV 3: the set must age
 		}
-		for i := range d.RRPV {
-			d.RRPV[i] = uint8(r.Uint64n(top))
+		for i := range d.rrpv {
+			d.rrpv[i] = uint8(r.Uint64n(top))
 		}
 		for minWay := 0; minWay < ways; minWay++ {
-			want := append([]uint8(nil), d.RRPV...)
+			want := append([]uint8(nil), d.rrpv...)
 			wantWay := agingVictim(want, set*ways, ways, minWay)
-			got := append([]uint8(nil), d.RRPV...)
-			dd := &RRIP{RRPV: got, ways: ways}
-			if w := dd.Victim(set, minWay); w != wantWay {
+			got := append([]uint8(nil), d.rrpv...)
+			dd := &drrip{rrpv: got, ways: ways}
+			if w := dd.victim(set, minWay); w != wantWay {
 				t.Fatalf("trial %d, minWay %d: victim %d, aging loop %d (row %v)",
-					trial, minWay, w, wantWay, d.RRPV[set*ways:(set+1)*ways])
+					trial, minWay, w, wantWay, d.rrpv[set*ways:(set+1)*ways])
 			}
 			for i := range want {
 				if got[i] != want[i] {

@@ -243,9 +243,6 @@ func NewMachine(st *CBufStore, c *cpu.Core, cfg Config) *Machine {
 	return &Machine{CPU: c, cfg: cfg, tuplesPerLine: 64 / cfg.TupleBytes, store: st}
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // NumBins returns the number of in-memory bins (= LLC C-Buffers).
 func (m *Machine) NumBins() int { return m.lvl[lvlLLC].numBufs }
 
@@ -260,7 +257,7 @@ func (m *Machine) BinInit(numIndices uint64) error {
 		return fmt.Errorf("core: BinInit with zero indices")
 	}
 	h := m.CPU.Mem
-	caches := [numLvls]*cache.Cache{h.L1c, h.L2c, h.LLCc}
+	caches := [numLvls]*cache.Cache{&h.L1c, &h.L2c, &h.LLCc}
 	reserve := [numLvls]int{m.cfg.ReserveL1, m.cfg.ReserveL2, m.cfg.ReserveLLC}
 	for l := 0; l < numLvls; l++ {
 		c := caches[l]
@@ -352,7 +349,7 @@ func (m *Machine) BinUpdate(key uint32, val uint64) {
 		// The C-Buffer line is an ordinary cached line: walk the real
 		// hierarchy and record whether the insert found it in L1.
 		m.St.CBufAccesses++
-		if m.CPU.Mem.Store(l1.baseAddr+uint64(id)*64) != mem.L1 {
+		if m.CPU.Mem.Access(l1.baseAddr+uint64(id)*64, mem.RefStore) != mem.L1 {
 			m.St.CBufMisses++
 		}
 	}

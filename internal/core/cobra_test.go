@@ -402,16 +402,16 @@ func TestPartitionedModeTracksNoCBufStats(t *testing.T) {
 
 // TestBatchedMachineMatchesOpAtATime drives a Binning loop — a stream
 // load, a loop branch and a binupdate per tuple, as the COBRA runner
-// does — through a machine whose hierarchy takes the fast walk and
-// through one on the scalar cache.Cache walk (mem's ScalarWalk). The
-// two must be indistinguishable: same bins, stats, clock, counters and
-// memory activity, for every configuration that reads the clock or the
-// hierarchy mid-stream: the way reservation BinInit makes after the
-// fast walk has recorded location hints, the NoPartition insert's
-// scalar Store between fast-walk references, the context-switch check
-// and the eviction buffer. (The name is the one the test had when the
-// fast side batched its micro-ops and the oracle retired them one at a
-// time.)
+// does — through a machine on a fresh hierarchy and through one on a
+// hierarchy that a different loop dirtied and Reset then restored, as a
+// pooled machine is. The two must be indistinguishable: same bins,
+// stats, clock, counters and memory activity, for every configuration
+// that reads the clock or the hierarchy mid-stream: the way reservation
+// BinInit makes after the levels have recorded location hints (on the
+// reset side, also stale hints of the earlier loop), the NoPartition
+// insert's store, the context-switch check and the eviction buffer.
+// (The name is the one the test had when one side batched its
+// micro-ops and the other retired them one at a time.)
 func TestBatchedMachineMatchesOpAtATime(t *testing.T) {
 	cfgs := map[string]func(*Config){
 		"default":     func(*Config) {},
@@ -422,16 +422,21 @@ func TestBatchedMachineMatchesOpAtATime(t *testing.T) {
 	}
 	for name, tweak := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			run := func(scalar bool) (*Machine, *cpu.Core) {
+			run := func(reused bool) (*Machine, *cpu.Core) {
 				h := mem.New(mem.DefaultConfig())
-				if scalar {
-					h.ScalarWalk()
+				if reused {
+					r := stats.NewRand(3)
+					for i := 0; i < 20000; i++ {
+						region := [2]uint64{1 << 32, 1 << 40}[r.Intn(2)] // input, C-Buffers
+						h.Access(region+r.Uint64n(1<<20), mem.RefKind(r.Intn(3)))
+					}
+					h.Reset()
 				}
 				c := cpu.New(cpu.DefaultConfig(), h)
 				cfg := DefaultConfig(4)
 				tweak(&cfg)
 				m := NewMachine(new(CBufStore), c, cfg)
-				// Lines the fast walk holds hints for when BinInit
+				// Lines the levels hold hints for when BinInit
 				// reserves ways: the reservation drops some of them.
 				input := uint64(1 << 32)
 				for i := uint64(0); i < 64; i++ {
@@ -454,26 +459,26 @@ func TestBatchedMachineMatchesOpAtATime(t *testing.T) {
 				m.BinFlush()
 				return m, c
 			}
-			fast, fc := run(false)
-			oracle, oc := run(true)
-			if !reflect.DeepEqual(fast.Bins, oracle.Bins) {
+			fresh, fc := run(false)
+			reused, oc := run(true)
+			if !reflect.DeepEqual(fresh.Bins, reused.Bins) {
 				t.Error("bins diverge")
 			}
-			if fast.St != oracle.St {
-				t.Errorf("stats diverge\nfast:    %+v\noracle:  %+v", fast.St, oracle.St)
+			if fresh.St != reused.St {
+				t.Errorf("stats diverge\nfresh:  %+v\nreused: %+v", fresh.St, reused.St)
 			}
 			if fc.Cycles() != oc.Cycles() || fc.Ctr != oc.Ctr {
-				t.Errorf("core diverges: cycles %v vs %v\nfast:    %+v\noracle:  %+v", fc.Cycles(), oc.Cycles(), fc.Ctr, oc.Ctr)
+				t.Errorf("core diverges: cycles %v vs %v\nfresh:  %+v\nreused: %+v", fc.Cycles(), oc.Cycles(), fc.Ctr, oc.Ctr)
 			}
 			fm, om := fc.Mem, oc.Mem
 			if fm.DRAMTraffic != om.DRAMTraffic || fm.L1c.Stats != om.L1c.Stats ||
 				fm.L2c.Stats != om.L2c.Stats || fm.LLCc.Stats != om.LLCc.Stats {
 				t.Error("memory activity diverges")
 			}
-			if name == "evictbuf2" && fast.St.StallCycles == 0 {
+			if name == "evictbuf2" && fresh.St.StallCycles == 0 {
 				t.Error("a 2-line eviction buffer never stalled; the test exercises nothing")
 			}
-			if name == "quantum" && fast.St.CtxSwitches == 0 {
+			if name == "quantum" && fresh.St.CtxSwitches == 0 {
 				t.Error("no context switch fired; the test exercises nothing")
 			}
 		})

@@ -193,9 +193,6 @@ func (c *Core) Config() Config { return c.cfg }
 // Cycles returns the current cycle count.
 func (c *Core) Cycles() float64 { return c.cycle }
 
-// Seconds converts the cycle count to wall time at the configured clock.
-func (c *Core) Seconds() float64 { return c.cycle / (c.cfg.FreqGHz * 1e9) }
-
 // AdvanceCycles adds raw stall cycles (used by the COBRA eviction-buffer
 // model when the core blocks on a full FIFO).
 func (c *Core) AdvanceCycles(n float64) { c.cycle += n }

@@ -1,7 +1,8 @@
 package cpu
 
 // Test-only core views and the dependent load: the simulated kernels
-// issue only independent loads (Load), and no report reads IPC or MPKI.
+// issue only independent loads (Load), and no report reads IPC, MPKI
+// or wall time.
 
 // MPKI returns branch mispredictions per kilo-instruction.
 func (c Counters) MPKI() float64 {
@@ -29,3 +30,6 @@ func (c *Core) LoadDep(addr uint64) {
 		c.cycle = done
 	}
 }
+
+// Seconds converts the cycle count to wall time at the configured clock.
+func (c *Core) Seconds() float64 { return c.cycle / (c.cfg.FreqGHz * 1e9) }

@@ -140,8 +140,8 @@ func apply(x issuer, o op) {
 	}
 }
 
-// scalarFeed executes ops on c directly: with c's hierarchy on the
-// scalar walk, the reference the OpBuf side must match bit for bit.
+// scalarFeed executes ops on c directly, one call per op: the reference
+// the OpBuf side must match bit for bit.
 func scalarFeed(c *Core, ops []op) {
 	for _, o := range ops {
 		apply(c, o)
@@ -178,20 +178,16 @@ func cadences(rng *rand.Rand) []cadence {
 	}
 }
 
-// twinCores returns a core on the scalar walk and one whose OpBuf
-// issues on the fast walk, over hierarchies built from mcfg.
+// twinCores returns a core fed op by op and one fed through an OpBuf,
+// over twin hierarchies built from mcfg.
 func twinCores(mcfg mem.Config) (scalar *Core, fast *OpBuf) {
-	h := mem.New(mcfg)
-	h.ScalarWalk()
-	return New(DefaultConfig(), h), NewOpBuf(New(DefaultConfig(), mem.New(mcfg)))
+	return New(DefaultConfig(), mem.New(mcfg)), NewOpBuf(New(DefaultConfig(), mem.New(mcfg)))
 }
 
 // checkSameCore fails unless the two cores — clock, counters, MSHRs,
 // branch predictor — and their hierarchies' stats and DRAM traffic are
 // identical. The clock must match bit for bit (==, not within epsilon).
-// (The hierarchies' host-side location hints legitimately differ
-// between the two walks, so they are not compared; the mem package's
-// tests compare the rest of the hierarchy state.)
+// (The mem package's tests compare the rest of the hierarchy state.)
 func checkSameCore(t *testing.T, what string, scalar, fast *Core) {
 	t.Helper()
 	if scalar.cycle != fast.cycle {
@@ -215,9 +211,9 @@ func checkSameCore(t *testing.T, what string, scalar, fast *Core) {
 	}
 }
 
-// TestOpBufMatchesScalarCore issues identical op streams on a core over
-// the scalar walk and through an OpBuf over the fast walk, calling
-// Flush at several cadences; the cores must end bit-identical.
+// TestOpBufMatchesScalarCore issues identical op streams on a core one
+// op at a time and through an OpBuf, calling Flush at several cadences;
+// the cores must end bit-identical.
 func TestOpBufMatchesScalarCore(t *testing.T) {
 	cfgs := map[string]mem.Config{"default": mem.DefaultConfig()}
 	nuca := mem.DefaultConfig()

@@ -90,13 +90,11 @@ func (k CellKey) Fingerprint() string { return k.fingerprint() }
 // NUCA, prefetcher) changes the fingerprint, so checkpoints recorded
 // under one architecture are never replayed under another.
 //
-// It digests the configuration fields by name, leaving out the
-// test-only scalar-walk switch (which changes no result), in the
-// rendering "%+v" gave when Arch carried an older test-only switch:
-// that switch's always-false tail stays, so the fingerprints journals
-// and the result cache are keyed on do not change. A field added to
-// Arch must be added here; TestArchFingerprintSensitivity fails until
-// it is.
+// It digests Arch's fields by name, in the rendering "%+v" gave when
+// Arch still carried a test-only switch: that switch's always-false
+// tail stays, so the fingerprints journals and the result cache are
+// keyed on do not change. A field added to Arch must be added here;
+// TestArchFingerprintSensitivity fails until it is.
 func ArchFingerprint(a sim.Arch) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "{Mem:%+v CPU:%+v NumCores:%d opAtATime:false}", a.Mem, a.CPU, a.NumCores)

@@ -47,15 +47,14 @@ func TestArchFingerprintSensitivity(t *testing.T) {
 		t.Fatal("core count not reflected in arch fingerprint")
 	}
 	// ArchFingerprint renders Arch's configuration fields by name; a
-	// field added to Arch must be added there too (or, if test-only,
-	// here), or cells recorded under one value would replay under
-	// another.
+	// field added to Arch must be added there too, or cells recorded
+	// under one value would replay under another.
 	var fields []string
 	at := reflect.TypeOf(sim.Arch{})
 	for i := 0; i < at.NumField(); i++ {
 		fields = append(fields, at.Field(i).Name)
 	}
-	if want := []string{"Mem", "CPU", "NumCores", "scalarWalk"}; !reflect.DeepEqual(fields, want) {
+	if want := []string{"Mem", "CPU", "NumCores"}; !reflect.DeepEqual(fields, want) {
 		t.Fatalf("sim.Arch fields are %v, ArchFingerprint covers %v", fields, want)
 	}
 }

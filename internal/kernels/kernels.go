@@ -29,25 +29,15 @@ func orU64(a, b uint64) uint64  { return a | b }
 // Degree-Count
 
 type degreeApplier struct {
-	m   *sim.Mach
 	deg sim.Region
 	cnt []uint32
 }
 
-func (a *degreeApplier) Apply(key uint32, val uint64) {
+func (a *degreeApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	addr := a.deg.Addr(uint64(key) * 4)
-	a.m.CPU.Load(addr) // read-modify-write the counter
-	a.m.CPU.Store(addr)
+	m.CPU.Load(addr) // read-modify-write the counter
+	m.CPU.Store(addr)
 	a.cnt[key] += uint32(val)
-}
-
-// Shard returns a per-core view issuing ops on m while sharing the
-// functional counter array (sharded runs partition the key range, so
-// views write disjoint elements).
-func (a *degreeApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // DegreeCount builds the Degree-Count app from an edge list: the first
@@ -70,7 +60,7 @@ func DegreeCount(el *graph.EdgeList, inputName string) *sim.App {
 			}
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
-			return &degreeApplier{m: m, deg: m.Alloc(uint64(el.N) * 4), cnt: make([]uint32, el.N)}
+			return &degreeApplier{deg: m.Alloc(uint64(el.N) * 4), cnt: make([]uint32, el.N)}
 		},
 	}
 }
@@ -79,30 +69,20 @@ func DegreeCount(el *graph.EdgeList, inputName string) *sim.App {
 // Neighbor-Populate
 
 type neighPopApplier struct {
-	m       *sim.Mach
 	cursorR sim.Region
 	neighsR sim.Region
 	cursor  []uint32
 	neighs  []uint32
 }
 
-func (a *neighPopApplier) Apply(key uint32, val uint64) {
+func (a *neighPopApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	curAddr := a.cursorR.Addr(uint64(key) * 4)
-	a.m.CPU.Load(curAddr) // offsetVal <- offsets[src]
+	m.CPU.Load(curAddr) // offsetVal <- offsets[src]
 	off := a.cursor[key]
-	a.m.CPU.Store(a.neighsR.Addr(uint64(off) * 4)) // neighs[offsetVal] <- dst
-	a.m.CPU.Store(curAddr)                         // offsets[src]++
+	m.CPU.Store(a.neighsR.Addr(uint64(off) * 4)) // neighs[offsetVal] <- dst
+	m.CPU.Store(curAddr)                         // offsets[src]++
 	a.neighs[off] = uint32(val)
 	a.cursor[key] = off + 1
-}
-
-// Shard returns a per-core view sharing the cursor and neighbor arrays
-// (key-partitioned: each cursor, and the CSR segment it walks, belongs
-// to exactly one core).
-func (a *neighPopApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // NeighborPopulate builds Algorithm 1's kernel: populate the CSR
@@ -126,7 +106,6 @@ func NeighborPopulate(el *graph.EdgeList, inputName string) *sim.App {
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
 			a := &neighPopApplier{
-				m:       m,
 				cursorR: m.Alloc(uint64(el.N) * 4),
 				neighsR: m.Alloc(uint64(el.M()) * 4),
 				cursor:  make([]uint32, el.N),
@@ -142,23 +121,15 @@ func NeighborPopulate(el *graph.EdgeList, inputName string) *sim.App {
 // PageRank
 
 type pagerankApplier struct {
-	m        *sim.Mach
 	incoming sim.Region
 	sums     []float64
 }
 
-func (a *pagerankApplier) Apply(key uint32, val uint64) {
+func (a *pagerankApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	addr := a.incoming.Addr(uint64(key) * 8)
-	a.m.CPU.Load(addr) // incoming[dst] += contrib
-	a.m.CPU.Store(addr)
+	m.CPU.Load(addr) // incoming[dst] += contrib
+	m.CPU.Store(addr)
 	a.sums[key] += float64FromBits(val)
-}
-
-// Shard returns a per-core view sharing the sums array (key-partitioned).
-func (a *pagerankApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // PageRank builds one push iteration of GAP-style PageRank on g
@@ -193,7 +164,7 @@ func PageRank(g *graph.CSR, inputName string) *sim.App {
 			}
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
-			return &pagerankApplier{m: m, incoming: m.Alloc(uint64(n) * 8), sums: make([]float64, n)}
+			return &pagerankApplier{incoming: m.Alloc(uint64(n) * 8), sums: make([]float64, n)}
 		},
 	}
 }
@@ -202,7 +173,6 @@ func PageRank(g *graph.CSR, inputName string) *sim.App {
 // Radii
 
 type radiiApplier struct {
-	m     *sim.Mach
 	nextR sim.Region
 	radR  sim.Region
 	next  []uint64
@@ -210,25 +180,17 @@ type radiiApplier struct {
 	round int32
 }
 
-func (a *radiiApplier) Apply(key uint32, val uint64) {
+func (a *radiiApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	maskAddr := a.nextR.Addr(uint64(key) * 8)
-	a.m.CPU.Load(maskAddr) // next[u] |= m
-	a.m.CPU.Store(maskAddr)
+	m.CPU.Load(maskAddr) // next[u] |= m
+	m.CPU.Store(maskAddr)
 	if val&^a.next[key] != 0 {
 		a.next[key] |= val
-		a.m.CPU.Store(a.radR.Addr(uint64(key) * 4)) // radii[u] = round
+		m.CPU.Store(a.radR.Addr(uint64(key) * 4)) // radii[u] = round
 		if a.radii[key] < a.round {
 			a.radii[key] = a.round
 		}
 	}
-}
-
-// Shard returns a per-core view sharing the mask and radii arrays
-// (key-partitioned).
-func (a *radiiApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // Radii builds one sampled pull iteration of Ligra-style Radii
@@ -280,7 +242,6 @@ func Radii(g *graph.CSR, inputName string) *sim.App {
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
 			a := &radiiApplier{
-				m:     m,
 				nextR: m.Alloc(uint64(n) * 8),
 				radR:  m.Alloc(uint64(n) * 4),
 				next:  make([]uint64, n),
@@ -324,29 +285,20 @@ func radiiFrontier(g *graph.CSR, rounds int) []uint64 {
 // Integer Sort
 
 type isortApplier struct {
-	m       *sim.Mach
 	cursorR sim.Region
 	outR    sim.Region
 	cursor  []uint32
 	out     []uint32
 }
 
-func (a *isortApplier) Apply(key uint32, val uint64) {
+func (a *isortApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	curAddr := a.cursorR.Addr(uint64(key) * 4)
-	a.m.CPU.Load(curAddr)
+	m.CPU.Load(curAddr)
 	off := a.cursor[key]
-	a.m.CPU.Store(a.outR.Addr(uint64(off) * 4))
-	a.m.CPU.Store(curAddr)
+	m.CPU.Store(a.outR.Addr(uint64(off) * 4))
+	m.CPU.Store(curAddr)
 	a.out[off] = uint32(val)
 	a.cursor[key] = off + 1
-}
-
-// Shard returns a per-core view sharing the cursor and output arrays
-// (key-partitioned: each key's output segment has one owner).
-func (a *isortApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // IntSort builds the counting-sort scatter over n random keys with the
@@ -377,7 +329,6 @@ func IntSort(n, maxKey int, seed uint64, inputName string) *sim.App {
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
 			a := &isortApplier{
-				m:       m,
 				cursorR: m.Alloc(uint64(maxKey) * 4),
 				outR:    m.Alloc(uint64(n) * 4),
 				cursor:  make([]uint32, maxKey),
@@ -393,23 +344,15 @@ func IntSort(n, maxKey int, seed uint64, inputName string) *sim.App {
 // SpMV (scatter formulation over the transpose representation, §VI)
 
 type spmvApplier struct {
-	m  *sim.Mach
 	yR sim.Region
 	y  []float64
 }
 
-func (a *spmvApplier) Apply(key uint32, val uint64) {
+func (a *spmvApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	addr := a.yR.Addr(uint64(key) * 8)
-	a.m.CPU.Load(addr)
-	a.m.CPU.Store(addr)
+	m.CPU.Load(addr)
+	m.CPU.Store(addr)
 	a.y[key] += float64FromBits(val)
-}
-
-// Shard returns a per-core view sharing the y vector (key-partitioned).
-func (a *spmvApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // SpMV builds the scatter-form sparse matrix-vector product y += Aᵀ·x
@@ -439,7 +382,7 @@ func SpMV(a *sparse.Matrix, inputName string) *sim.App {
 			}
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
-			return &spmvApplier{m: m, yR: m.Alloc(uint64(a.Cols) * 8), y: make([]float64, a.Cols)}
+			return &spmvApplier{yR: m.Alloc(uint64(a.Cols) * 8), y: make([]float64, a.Cols)}
 		},
 	}
 }
@@ -448,7 +391,6 @@ func SpMV(a *sparse.Matrix, inputName string) *sim.App {
 // Transpose
 
 type transposeApplier struct {
-	m       *sim.Mach
 	cursorR sim.Region
 	colR    sim.Region
 	valR    sim.Region
@@ -456,23 +398,15 @@ type transposeApplier struct {
 	colIdx  []uint32
 }
 
-func (a *transposeApplier) Apply(key uint32, val uint64) {
+func (a *transposeApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	curAddr := a.cursorR.Addr(uint64(key) * 4)
-	a.m.CPU.Load(curAddr)
+	m.CPU.Load(curAddr)
 	p := a.cursor[key]
-	a.m.CPU.Store(a.colR.Addr(uint64(p) * 4))
-	a.m.CPU.Store(a.valR.Addr(uint64(p) * 8))
-	a.m.CPU.Store(curAddr)
+	m.CPU.Store(a.colR.Addr(uint64(p) * 4))
+	m.CPU.Store(a.valR.Addr(uint64(p) * 8))
+	m.CPU.Store(curAddr)
 	a.colIdx[p] = uint32(val)
 	a.cursor[key] = p + 1
-}
-
-// Shard returns a per-core view sharing the cursor and column arrays
-// (key-partitioned: each destination column has one owner).
-func (a *transposeApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // Transpose builds the sparse transpose kernel (SuiteSparse cs_transpose
@@ -505,7 +439,6 @@ func Transpose(a *sparse.Matrix, inputName string) *sim.App {
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
 			ap := &transposeApplier{
-				m:       m,
 				cursorR: m.Alloc(uint64(a.Cols) * 4),
 				colR:    m.Alloc(uint64(a.NNZ()) * 4),
 				valR:    m.Alloc(uint64(a.NNZ()) * 8),
@@ -522,24 +455,15 @@ func Transpose(a *sparse.Matrix, inputName string) *sim.App {
 // PINV
 
 type pinvApplier struct {
-	m    *sim.Mach
 	outR sim.Region
 	out  []uint32
 }
 
-func (a *pinvApplier) Apply(key uint32, val uint64) {
+func (a *pinvApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	// Pure scatter: out[p[i]] = i. No read — each key written once, so
 	// Accumulate has no temporal reuse to harvest (the §VII-A anomaly).
-	a.m.CPU.Store(a.outR.Addr(uint64(key) * 4))
+	m.CPU.Store(a.outR.Addr(uint64(key) * 4))
 	a.out[key] = uint32(val)
-}
-
-// Shard returns a per-core view sharing the output permutation
-// (key-partitioned: each key is written exactly once by its owner).
-func (a *pinvApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // PINV builds the permutation-inverse kernel (SuiteSparse cs_pinv).
@@ -562,7 +486,7 @@ func PINV(perm []uint32, inputName string) *sim.App {
 			}
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
-			return &pinvApplier{m: m, outR: m.Alloc(uint64(n) * 4), out: make([]uint32, n)}
+			return &pinvApplier{outR: m.Alloc(uint64(n) * 4), out: make([]uint32, n)}
 		},
 	}
 }
@@ -630,7 +554,6 @@ func SymPerm(a *sparse.Matrix, perm []uint32, inputName string) *sim.App {
 		},
 		NewApplier: func(m *sim.Mach) sim.Applier {
 			ap := &transposeApplier{
-				m:       m,
 				cursorR: m.Alloc(uint64(n) * 4),
 				colR:    m.Alloc(uint64(numUpdates) * 4),
 				valR:    m.Alloc(uint64(numUpdates) * 8),

@@ -21,8 +21,8 @@ func tinyConfig() Config {
 	}
 }
 
-// batchConfigs returns hierarchy configurations spanning the fast walk
-// (mask Bit-PLRU L1 and L2, DRRIP LLC), the scalar fallback (TrueLRU
+// batchConfigs returns hierarchy configurations spanning Table II's
+// policies (Bit-PLRU L1 and L2, DRRIP LLC), the other policies (TrueLRU
 // L1 or L2; TrueLRU or Random LLC, ablation A2), tiny caches (high
 // conflict pressure), NUCA on/off, and prefetcher on/off.
 func batchConfigs() map[string]Config {
@@ -54,79 +54,6 @@ func batchConfigs() map[string]Config {
 		"lru_llc":    lruLLC,
 		"random_llc": randomLLC,
 		"reserved":   DefaultConfig(), // ways reserved by the test body
-	}
-}
-
-// scalarRef resolves r through the scalar oracle API.
-func scalarRef(h *Hierarchy, r Ref) Level {
-	switch r.Kind {
-	case RefStore:
-		return h.Store(r.Addr)
-	case RefStoreNT:
-		return h.StoreNT(r.Addr)
-	default:
-		return h.Load(r.Addr)
-	}
-}
-
-// replayScalar drives the scalar oracle API.
-func replayScalar(h *Hierarchy, refs []Ref) []Level {
-	out := make([]Level, len(refs))
-	for i, r := range refs {
-		out[i] = scalarRef(h, r)
-	}
-	return out
-}
-
-// snapshot captures a hierarchy's simulated state: every counter, the
-// DRAM traffic, each level's packed line metadata (tags, valid and dirty
-// bits, way by way), the L1 and L2 Bit-PLRU masks, and the LLC's DRRIP
-// state (RRPVs, PSEL, BRRIP insert count). A wrong victim or a missed
-// replacement update shows up here at once, not only when it happens
-// to change a count or a later victim.
-type snapshot struct {
-	L1, L2, LLC cache.Stats
-	Traffic     Traffic
-	Meta        [3][]uint64 // L1, L2, LLC
-	PLRU        [2][]uint16 // L1, L2 (nil when not mask Bit-PLRU)
-	RRIP        cache.RRIP  // the LLC's (zero when not DRRIP)
-}
-
-func snap(h *Hierarchy) snapshot {
-	s := snapshot{L1: h.L1c.Stats, L2: h.L2c.Stats, LLC: h.LLCc.Stats, Traffic: h.DRAMTraffic}
-	for i, c := range []*cache.Cache{h.L1c, h.L2c, h.LLCc} {
-		v := c.BatchView()
-		s.Meta[i] = append([]uint64(nil), v.Meta...)
-		if i < len(s.PLRU) && v.PLRU != nil {
-			s.PLRU[i] = append([]uint16(nil), v.PLRU...)
-		}
-	}
-	if r := h.LLCc.BatchView().RRIP; r != nil {
-		s.RRIP = cache.RRIP{RRPV: append([]uint8(nil), r.RRPV...), PSEL: r.PSEL, BRRIP: r.BRRIP}
-	}
-	return s
-}
-
-// checkSameState fails unless the two hierarchies' snapshots are equal,
-// naming the first part that differs.
-func checkSameState(t *testing.T, what string, scalar, fast *Hierarchy) {
-	t.Helper()
-	s, b := snap(scalar), snap(fast)
-	if s.L1 != b.L1 || s.L2 != b.L2 || s.LLC != b.LLC || s.Traffic != b.Traffic {
-		t.Fatalf("%s: counters diverged\nscalar: %+v %+v %+v %+v\nfast:   %+v %+v %+v %+v",
-			what, s.L1, s.L2, s.LLC, s.Traffic, b.L1, b.L2, b.LLC, b.Traffic)
-	}
-	for i, name := range []string{"L1", "L2", "LLC"} {
-		if !reflect.DeepEqual(s.Meta[i], b.Meta[i]) {
-			t.Fatalf("%s: %s line metadata diverged", what, name)
-		}
-		if i < len(s.PLRU) && !reflect.DeepEqual(s.PLRU[i], b.PLRU[i]) {
-			t.Fatalf("%s: %s Bit-PLRU masks diverged", what, name)
-		}
-	}
-	if !reflect.DeepEqual(s.RRIP, b.RRIP) {
-		t.Fatalf("%s: LLC DRRIP state diverged (PSEL %d vs %d, BRRIP %d vs %d)",
-			what, s.RRIP.PSEL, b.RRIP.PSEL, s.RRIP.BRRIP, b.RRIP.BRRIP)
 	}
 }
 
@@ -162,32 +89,23 @@ func genRefs(rng *rand.Rand, n int, addrSpace uint64) []Ref {
 }
 
 // TestAccessBatchMatchesScalar replays identical random streams through
-// AccessBatch (the fast walk, a reference at a time) and the scalar API
-// on twin hierarchies and requires every counter, residency count, and
-// returned level to be bit-identical.
+// AccessBatch and the reference walk and requires every returned level
+// and the full simulated state to be identical.
 func TestAccessBatchMatchesScalar(t *testing.T) {
 	for name, cfg := range batchConfigs() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for trial := 0; trial < 8; trial++ {
-				scalar := New(cfg)
+				ref := newRef(cfg)
 				batched := New(cfg)
 				if name == "reserved" {
-					for _, h := range []*Hierarchy{scalar, batched} {
-						if err := h.L1c.ReserveWays(2); err != nil {
-							t.Fatal(err)
-						}
-						if err := h.L2c.ReserveWays(3); err != nil {
-							t.Fatal(err)
-						}
-						if err := h.LLCc.ReserveWays(4); err != nil {
-							t.Fatal(err)
-						}
+					for lvl, k := range []int{2, 3, 4} {
+						reserve(t, batched, ref, lvl, k)
 					}
 				}
-				// Vary batch sizes: the walk's hints outlive each call.
+				// Vary batch sizes: the levels' hints outlive each call.
 				refs := genRefs(rng, 2000+rng.Intn(1000), 1<<uint(14+trial))
-				want := replayScalar(scalar, refs)
+				want := ref.replay(refs)
 				var got []Level
 				var buf []Level
 				for off := 0; off < len(refs); {
@@ -199,56 +117,61 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 					got = append(got, buf...)
 					off += sz
 				}
-				if !reflect.DeepEqual(want, got) {
-					for i := range want {
-						if want[i] != got[i] {
-							t.Fatalf("trial %d: level mismatch at ref %d (%+v): scalar=%v batched=%v",
-								trial, i, refs[i], want[i], got[i])
-						}
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("trial %d: level mismatch at ref %d (%+v): reference=%v batched=%v",
+							trial, i, refs[i], want[i], got[i])
 					}
 				}
-				checkSameState(t, fmt.Sprintf("trial %d", trial), scalar, batched)
+				checkSameState(t, fmt.Sprintf("trial %d", trial), ref, batched)
 			}
 		})
 	}
 }
 
 // TestAccessBatchInterleavedWithScalar checks the handoff points: a
-// hierarchy may freely alternate between fast-walk and scalar calls.
+// hierarchy may freely alternate between AccessBatch and single Access
+// calls, with way reservations between them, as a run does.
 func TestAccessBatchInterleavedWithScalar(t *testing.T) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(7))
-	oracle := New(cfg)
+	ref := newRef(cfg)
 	mixed := New(cfg)
 	refs := genRefs(rng, 4000, 1<<18)
-	want := replayScalar(oracle, refs)
-	var got, buf []Level
+	var buf []Level
 	for off := 0; off < len(refs); {
 		sz := 1 + rng.Intn(50)
 		if off+sz > len(refs) {
 			sz = len(refs) - off
 		}
-		if rng.Intn(2) == 0 {
-			got = append(got, replayScalar(mixed, refs[off:off+sz])...)
+		mode := rng.Intn(3)
+		if mode == 2 {
+			lvl := rng.Intn(3)
+			reserve(t, mixed, ref, lvl, rng.Intn([3]int{cfg.L1.Ways, cfg.L2.Ways, cfg.LLC.Ways}[lvl]))
+		}
+		want := ref.replay(refs[off : off+sz])
+		if mode == 0 {
+			buf = buf[:0]
+			for _, r := range refs[off : off+sz] {
+				buf = append(buf, mixed.Access(r.Addr, r.Kind))
+			}
 		} else {
 			buf = mixed.AccessBatch(refs[off:off+sz], buf)
-			got = append(got, buf...)
+		}
+		if !reflect.DeepEqual(want, buf) {
+			t.Fatalf("refs %d..%d: levels %v, reference %v", off, off+sz, buf, want)
 		}
 		off += sz
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("interleaved levels diverged from scalar oracle")
-	}
-	checkSameState(t, "interleaved", oracle, mixed)
+	checkSameState(t, "interleaved", ref, mixed)
 }
 
-// FuzzAccessBatch asserts scalar/fast-walk equivalence on fuzzer-chosen
-// streams through AccessBatch: every returned level and the full
-// simulated state (counters, line metadata, Bit-PLRU masks) must
-// match. Partway through, both hierarchies reserve a seed-chosen
-// number of ways in L1, L2, and the LLC, as COBRA's BinInit does
-// mid-run, so the fast walk meets both unreserved and reserved sets and
-// location hints made stale by the reservation.
+// FuzzAccessBatch holds AccessBatch to the reference walk on
+// fuzzer-chosen streams: every returned level and the full simulated
+// state must match. Partway through, both reserve a seed-chosen number
+// of ways in L1, L2, and the LLC, as COBRA's BinInit does mid-run, so
+// the walk meets both unreserved and reserved sets and location hints
+// made stale by the reservation.
 func FuzzAccessBatch(f *testing.F) {
 	f.Add(uint64(1), uint8(3), []byte{0, 1, 2, 3, 40, 41, 200})
 	f.Add(uint64(99), uint8(16), []byte{7, 7, 7, 7, 7, 7})
@@ -280,39 +203,35 @@ func FuzzAccessBatch(f *testing.F) {
 		tiny.PrefetchDegree = 2
 		for _, cfg := range []Config{DefaultConfig(), tiny} {
 			// Reserve 0..ways-1 ways per level (at least one stays usable).
-			reserve := [3]int{
+			rsv := [3]int{
 				rng.Intn(cfg.L1.Ways), rng.Intn(cfg.L2.Ways), rng.Intn(cfg.LLC.Ways),
 			}
-			scalar := New(cfg)
+			ref := newRef(cfg)
 			batched := New(cfg)
-			want := replayScalar(scalar, refs[:split])
+			want := ref.replay(refs[:split])
 			got := batched.AccessBatch(refs[:split], nil)
-			for _, h := range []*Hierarchy{scalar, batched} {
-				for i, c := range []*cache.Cache{h.L1c, h.L2c, h.LLCc} {
-					if err := c.ReserveWays(reserve[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
+			for lvl, k := range rsv {
+				reserve(t, batched, ref, lvl, k)
 			}
-			want = append(want, replayScalar(scalar, refs[split:])...)
+			want = append(want, ref.replay(refs[split:])...)
 			got = append(got, batched.AccessBatch(refs[split:], nil)...)
+			what := fmt.Sprintf("L1 %d ways, reserve %v at ref %d", cfg.L1.Ways, rsv, split)
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("levels diverged (L1 %d ways, reserve %v at ref %d)", cfg.L1.Ways, reserve, split)
+				t.Fatalf("levels diverged (%s)", what)
 			}
-			checkSameState(t, fmt.Sprintf("L1 %d ways, reserve %v at ref %d", cfg.L1.Ways, reserve, split), scalar, batched)
+			checkSameState(t, what, ref, batched)
 		}
 	})
 }
 
-// FuzzAccess holds Access to the scalar walk reference by reference,
-// interleaving what a run does to a hierarchy between references:
-// way reservations on L1, L2 and the LLC (COBRA's BinInit), Reset (a
-// recycled machine), and direct scalar Store and StoreNT calls on the
-// fast side too (COBRA's NoPartition insert). Each of them can leave
-// an L1 or L2 location hint, which lives across calls, pointing at a
-// line that has moved; a hint trusted without re-verifying shows as a
-// diverged level or state. The full state checkSameState compares must
-// match before every Reset and at the end.
+// FuzzAccess holds Access to the reference walk reference by reference,
+// under every LLC policy, interleaving what a run does to a hierarchy
+// between references: way reservations on L1, L2 and the LLC (COBRA's
+// BinInit) and Reset (a recycled machine). Each can leave a location
+// hint, which lives across calls, pointing at a line that has moved; a
+// hint trusted without re-verifying shows as a diverged level or
+// state. The full state checkSameState compares must match before
+// every Reset and at the end.
 func FuzzAccess(f *testing.F) {
 	f.Add(uint64(1), uint8(3), []byte{0, 16, 32, 48, 1, 17, 33, 49, 12, 2, 18, 34, 50, 13, 3, 19, 35, 51, 14, 15})
 	f.Add(uint64(7), uint8(4), []byte{0, 64, 80, 96, 44, 60, 76, 92, 28, 1, 2, 0, 128, 160, 192, 224, 12, 0, 1, 2})
@@ -326,25 +245,28 @@ func FuzzAccess(f *testing.F) {
 		tinyPf := tinyConfig()
 		tinyPf.PrefetchStreams = 4
 		tinyPf.PrefetchDegree = 2
-		for _, cfg := range []Config{DefaultConfig(), tinyConfig(), tinyPf} {
+		var cfgs []Config
+		for _, p := range []cache.PolicyKind{cache.DRRIP, cache.TrueLRU, cache.Random, cache.BitPLRU} {
+			for _, cfg := range []Config{DefaultConfig(), tinyConfig(), tinyPf} {
+				cfg.LLC.Policy = p
+				cfgs = append(cfgs, cfg)
+			}
+		}
+		for _, cfg := range cfgs {
 			rng := rand.New(rand.NewSource(int64(seed)))
-			scalar, fast := New(cfg), New(cfg)
+			ref, h := newRef(cfg), New(cfg)
 			base := rng.Uint64() % (1 << bits)
 			for i, b := range raw {
-				what := fmt.Sprintf("L1 %d ways, event %d (%d)", cfg.L1.Ways, i, b)
+				what := fmt.Sprintf("L1 %d ways, %v LLC, event %d (%d)", cfg.L1.Ways, cfg.LLC.Policy, i, b)
 				switch b % 16 {
 				case 12: // reserve ways on one level, at least one left usable
-					k := rng.Intn([3]int{cfg.L1.Ways, cfg.L2.Ways, cfg.LLC.Ways}[b>>4%3])
-					for _, h := range []*Hierarchy{scalar, fast} {
-						if err := [3]*cache.Cache{h.L1c, h.L2c, h.LLCc}[b>>4%3].ReserveWays(k); err != nil {
-							t.Fatal(err)
-						}
-					}
+					lvl := int(b >> 4 % 3)
+					reserve(t, h, ref, lvl, rng.Intn([3]int{cfg.L1.Ways, cfg.L2.Ways, cfg.LLC.Ways}[lvl]))
 					continue
 				case 13:
-					checkSameState(t, what, scalar, fast)
-					scalar.Reset()
-					fast.Reset()
+					checkSameState(t, what, ref, h)
+					ref.reset()
+					h.Reset()
 					continue
 				}
 				switch b >> 4 % 4 {
@@ -356,88 +278,63 @@ func FuzzAccess(f *testing.F) {
 					base = base&^uint64(cache.LineSize-1) + uint64(b%cache.LineSize)
 				}
 				r := Ref{Addr: base % (1 << bits), Kind: RefKind(b % 3)}
-				got := Level(0)
 				switch b % 16 {
-				case 14: // a scalar call between fast-walk references
+				case 14: // a store, as COBRA's NoPartition insert issues
 					r.Kind = RefStore
-					got = scalarRef(fast, r)
 				case 15:
 					r.Kind = RefStoreNT
-					got = scalarRef(fast, r)
-				default:
-					got = fast.Access(r.Addr, r.Kind)
 				}
-				want := scalarRef(scalar, r)
-				if got != want {
-					t.Fatalf("%s: %+v resolved at %v, scalar walk at %v", what, r, got, want)
+				if got, want := h.Access(r.Addr, r.Kind), ref.access(r.Addr, r.Kind); got != want {
+					t.Fatalf("%s: %+v resolved at %v, reference walk at %v", what, r, got, want)
 				}
 			}
-			checkSameState(t, fmt.Sprintf("L1 %d ways, end", cfg.L1.Ways), scalar, fast)
+			checkSameState(t, fmt.Sprintf("L1 %d ways, %v LLC, end", cfg.L1.Ways, cfg.LLC.Policy), ref, h)
 		}
 	})
 }
 
 // TestPrefetchFillDisplacesDirtyLine drives a stream whose L2 prefetch
 // fill provably displaces a dirty L2 line under the tiny prefetching
-// config (8-set 2-way L1, 16-set 2-way L2), through the fast walk and
-// the scalar walk side by side. Line 16 is stored, then evicted from
-// L1 by 24 and 40 (L1 set 0), so it sits dirty in L2 set 0; line 32
-// fills L2 set 0's other way, leaving 16 the Bit-PLRU victim. Loads of
-// 61, 62 and 63 (L1 sets 5-7, L2 sets 13-15, all cold) confirm an
-// ascending stream, so the miss on 63 prefetches 64 (L2 set 0) and 65.
-// The demand fill of 63 displaces nothing, so the one writeback L2
-// counts during that reference is the prefetch fill's.
+// config (8-set 2-way L1, 16-set 2-way L2), through Access and the
+// reference walk side by side. Line 16 is stored, then evicted from L1
+// by 24 and 40 (L1 set 0), so it sits dirty in L2 set 0; line 32 fills
+// L2 set 0's other way, leaving 16 the Bit-PLRU victim. Loads of 61, 62
+// and 63 (L1 sets 5-7, L2 sets 13-15, all cold) confirm an ascending
+// stream, so the miss on 63 prefetches 64 (L2 set 0) and 65. The demand
+// fill of 63 displaces nothing, so the one writeback L2 counts during
+// that reference is the prefetch fill's.
 func TestPrefetchFillDisplacesDirtyLine(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PrefetchStreams = 4
 	cfg.PrefetchDegree = 2
-	scalar, fast := New(cfg), New(cfg)
-	ref := func(line uint64, kind RefKind) {
+	ref, h := newRef(cfg), New(cfg)
+	access := func(line uint64, kind RefKind) {
 		t.Helper()
-		r := Ref{Addr: line << cache.LineBits, Kind: kind}
-		if got, want := fast.Access(r.Addr, r.Kind), scalarRef(scalar, r); got != want {
-			t.Fatalf("line %d: fast walk at %v, scalar walk at %v", line, got, want)
+		addr := line << cache.LineBits
+		if got, want := h.Access(addr, kind), ref.access(addr, kind); got != want {
+			t.Fatalf("line %d: Access at %v, reference walk at %v", line, got, want)
 		}
 	}
-	ref(16, RefStore)
+	access(16, RefStore)
 	for _, line := range []uint64{24, 40, 32, 61, 62} {
-		ref(line, RefLoad)
+		access(line, RefLoad)
 	}
-	checkSameState(t, "before the prefetch", scalar, fast)
-	wb, fills := fast.L2c.Stats.Writebacks, fast.L2c.Stats.Fills
-	ref(63, RefLoad)
-	checkSameState(t, "after the prefetch", scalar, fast)
-	if got := fast.L2c.Stats.Writebacks - wb; got != 1 {
+	checkSameState(t, "before the prefetch", ref, h)
+	wb, fills := h.L2c.Stats.Writebacks, h.L2c.Stats.Fills
+	access(63, RefLoad)
+	checkSameState(t, "after the prefetch", ref, h)
+	if got := h.L2c.Stats.Writebacks - wb; got != 1 {
 		t.Fatalf("L2 writebacks rose by %d during the prefetch, want 1", got)
 	}
-	if got := fast.L2c.Stats.Fills - fills; got != 3 {
+	if got := h.L2c.Stats.Fills - fills; got != 3 {
 		t.Fatalf("L2 fills rose by %d (demand 63, prefetch 64 and 65), want 3", got)
 	}
-	if fast.L2c.Probe(16<<cache.LineBits) || !fast.L2c.Probe(64<<cache.LineBits) {
+	if resident(&h.L2c, 16<<cache.LineBits) || !resident(&h.L2c, 64<<cache.LineBits) {
 		t.Fatal("prefetched line 64 did not replace dirty line 16 in L2")
 	}
 }
 
-// TestScalarWalkMatchesScalarAPI checks the oracle seam itself: after
-// ScalarWalk, Access is the scalar Load/Store/StoreNT sequence, state
-// and location hints included (it never reads or records an L1 hint).
-func TestScalarWalkMatchesScalarAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	refs := genRefs(rng, 4000, 1<<16)
-	oracle, seam := New(tinyConfig()), New(tinyConfig())
-	seam.ScalarWalk()
-	want := replayScalar(oracle, refs)
-	got := seam.AccessBatch(refs, nil)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("scalar-walk levels diverged from the scalar API")
-	}
-	seam.scalar = false // the one field ScalarWalk sets
-	if !reflect.DeepEqual(oracle, seam) {
-		t.Fatal("scalar-walk hierarchy differs from one driven through the scalar API")
-	}
-}
-
-// TestAccessBatchL1HitPathAllocs pins the fast walk's L1-hit path at
+// TestAccessBatchL1HitPathAllocs pins the walk's L1-hit path at
 // zero allocations, reference by reference and through AccessBatch
 // once the level buffer is warm.
 func TestAccessBatchL1HitPathAllocs(t *testing.T) {
@@ -455,32 +352,17 @@ func TestAccessBatchL1HitPathAllocs(t *testing.T) {
 		out = h.AccessBatch(refs, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("fast-walk L1-hit path allocates: %v allocs/op", allocs)
+		t.Fatalf("the L1-hit path allocates: %v allocs/op", allocs)
 	}
 }
 
-// BenchmarkHierarchyAccessScalar measures the per-reference scalar
-// walk (Load/Store through cache.Cache) on an L1-resident working set
-// (the hot-loop case the fast walk optimizes).
-func BenchmarkHierarchyAccessScalar(b *testing.B) {
-	h := New(DefaultConfig())
-	refs := benchRefs()
-	replayScalar(h, refs) // warm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range refs {
-			scalarRef(h, r)
-		}
-	}
-	b.SetBytes(int64(len(refs)))
-}
-
-// BenchmarkHierarchyAccessFast measures the same stream through Access,
-// the fast walk.
+// BenchmarkHierarchyAccessFast measures Access on an accumulate-like
+// stream over an L1-resident working set (the hot-loop case the L1
+// location hints serve).
 func BenchmarkHierarchyAccessFast(b *testing.B) {
 	h := New(DefaultConfig())
 	refs := benchRefs()
-	replayScalar(h, refs) // warm
+	h.AccessBatch(refs, nil) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range refs {

@@ -40,7 +40,7 @@ func TestL2AndLLCHitLevels(t *testing.T) {
 	for i := uint64(1); i <= 8; i++ {
 		h.Load(0x20000 + i*setStride)
 	}
-	if h.L1c.Probe(0x20000) {
+	if resident(&h.L1c, 0x20000) {
 		t.Skip("conflict walk failed to evict; geometry changed")
 	}
 	if l := h.Load(0x20000); l != L2 {
@@ -185,7 +185,7 @@ func TestStreamTableMatchesStampLRU(t *testing.T) {
 			default:
 				line = rng.Uint64n(1 << 22)
 			}
-			h.observeStream(line<<cache.LineBits, false)
+			h.pf.observe(line)
 			m.observe(line)
 			for i := 0; i < streams; i++ {
 				if i >= h.pf.nvalid {

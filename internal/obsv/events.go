@@ -87,19 +87,6 @@ func (e *EventLog) Emit(name string, fields map[string]any) {
 	}
 }
 
-// Flush forces buffered events to the underlying writer.
-func (e *EventLog) Flush() error {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
-}
-
 // Close flushes and closes the log, returning the first error the log
 // hit at any point. Close on a nil log is a no-op.
 func (e *EventLog) Close() error {

@@ -1,6 +1,7 @@
 package obsv
 
-// Test-only views of a registry's names and a progress line's counts.
+// Test-only views of a registry's names and a progress line's counts,
+// and a forced flush of an event log.
 
 import "sort"
 
@@ -32,4 +33,17 @@ func (p *Progress) Counts() (done, total, replayed int64) {
 		return 0, 0, 0
 	}
 	return p.done.Load(), p.total.Load(), p.replayed.Load()
+}
+
+// Flush forces buffered events to the underlying writer.
+func (e *EventLog) Flush() error {
+	if e == nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.err != nil {
+		return e.err
+	}
+	return e.w.Flush()
 }

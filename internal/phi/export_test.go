@@ -1,6 +1,7 @@
 package phi
 
-// Test-only views of PHI's coalescing statistics and residue bins.
+// Test-only views of PHI's coalescing statistics, residue bins and bin
+// range.
 
 // CoalesceRate returns the fraction of updates absorbed on chip.
 func (s Stats) CoalesceRate() float64 {
@@ -28,3 +29,6 @@ func (m *Model) TotalBinnedTuples() int {
 	}
 	return n
 }
+
+// BinShift returns the bin range shift.
+func (m *Model) BinShift() uint { return m.shift }

@@ -188,9 +188,6 @@ func New(st *Store, cfg Config, numKeys uint64) *Model {
 // NumBins returns the in-memory bin count (PB-SW's compromise).
 func (m *Model) NumBins() int { return len(m.Bins) }
 
-// BinShift returns the bin range shift.
-func (m *Model) BinShift() uint { return m.shift }
-
 // Update feeds one commutative update through the coalescing hierarchy.
 func (m *Model) Update(key uint32, val uint64) {
 	m.St.Updates++

@@ -1,26 +1,102 @@
 package sim_test
 
-// Differential tests pinning the fast walk (mem.Hierarchy.Access with
-// its verified location hints and inline L1/L2) to the scalar oracle
-// (the same machine with its hierarchy on the scalar cache.Cache walk,
-// Arch.WithScalarWalk()): every Metrics field of every scheme must be
-// bit-identical. The mem package's tests and fuzzer pin the walk
-// reference by reference; what these tests catch is a divergence that
-// only a whole run's reference mix, way reservations, scalar Store
-// calls (COBRA's NoPartition insert) and recycled machines bring out.
-// (The tests keep the names they had when the fast side batched its
-// micro-ops.)
+// Whole-run digests: every cell below must produce Metrics whose digest
+// equals the one recorded in testdata/digests/<test>.txt. The digests
+// were recorded when the hierarchy still had a second, scalar walk and
+// every one of these cells produced identical Metrics on both, so they
+// are the scalar walk's results: what the mem package's reference walk
+// pins reference by reference, these pin for whole runs — the
+// reference mix, way reservations, COBRA's NoPartition inserts,
+// recycled machines, NUCA timing, sharding over 4 cores, and ablation
+// A2's TrueLRU and Random LLCs. A mismatch prints the cell's full
+// Metrics. (The tests keep the names they had when they ran each cell
+// on both walks.) Intended model changes regenerate the files with
+//
+//	go test ./internal/sim -run 'Match(es)?Scalar' -update
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
-	"reflect"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
+	"cobra/internal/cache"
 	"cobra/internal/exp"
 	"cobra/internal/mem"
 	"cobra/internal/sim"
 	"cobra/internal/simtest"
 )
+
+var updateDigests = flag.Bool("update", false, "rewrite testdata/digests with current outputs")
+
+// digest is a short hash of every Metrics field.
+func digest(t *testing.T, m sim.Metrics) string {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:12])
+}
+
+// checkDigests compares each cell's Metrics against the digests
+// recorded for the calling test, or records them under -update.
+func checkDigests(t *testing.T, got map[string]sim.Metrics) {
+	t.Helper()
+	path := filepath.Join("testdata", "digests", t.Name()+".txt")
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if *updateDigests {
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s %s\n", name, digest(t, got[name]))
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d cells)", path, len(names))
+		return
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("reading digests (regenerate with -update): %v", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, d, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
+		}
+		want[name] = d
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s records %d cells, the test ran %d", path, len(want), len(got))
+	}
+	for _, name := range names {
+		if d := digest(t, got[name]); d != want[name] {
+			t.Errorf("%s: Metrics digest %s, recorded %q\nMetrics: %+v", name, d, want[name], got[name])
+		}
+	}
+}
 
 // runAll executes every scheme (including the COBRA variants with
 // distinctive machinery: coalescing, bin regrouping, no-partition, and
@@ -83,30 +159,21 @@ func runAll(t *testing.T, arch sim.Arch) map[string]sim.Metrics {
 	return out
 }
 
-// TestBatchedPipelineMatchesScalar is the whole-simulation analogue of
-// the mem/cpu layer differential tests: Metrics — cycles (float64,
-// compared exactly), phase deltas, counters, traffic — must not differ
-// in any bit between the fast walk and the scalar-walk oracle.
+// TestBatchedPipelineMatchesScalar pins every scheme of runAll on 1 and
+// 4 cores.
 func TestBatchedPipelineMatchesScalar(t *testing.T) {
-	fast := runAll(t, sim.DefaultArch())
-	oracle := runAll(t, sim.DefaultArch().WithScalarWalk())
-	if len(fast) != len(oracle) {
-		t.Fatalf("scheme sets differ: %d vs %d", len(fast), len(oracle))
-	}
-	for name, b := range fast {
-		s, ok := oracle[name]
-		if !ok {
-			t.Fatalf("missing scalar-walk run %q", name)
-		}
-		if !reflect.DeepEqual(b, s) {
-			t.Errorf("%s: fast-walk metrics diverge from scalar-walk oracle\nfast:   %+v\noracle: %+v", name, b, s)
+	got := map[string]sim.Metrics{}
+	for _, cores := range []int{1, 4} {
+		for name, m := range runAll(t, sim.DefaultArch().WithCores(cores)) {
+			got[fmt.Sprintf("%s/cores=%d", name, cores)] = m
 		}
 	}
+	checkDigests(t, got)
 }
 
-// TestBatchedPipelineMatchesScalarNUCA repeats the check with NUCA hop
+// TestBatchedPipelineMatchesScalarNUCA pins each scheme with NUCA hop
 // latencies enabled (the one place LLC/DRAM load timing depends on the
-// address, exercising the core's hoisted latencies), on every scheme.
+// address).
 func TestBatchedPipelineMatchesScalarNUCA(t *testing.T) {
 	arch := sim.DefaultArch()
 	arch.Mem.NUCA = mem.DefaultNUCA()
@@ -117,16 +184,15 @@ func TestBatchedPipelineMatchesScalarNUCA(t *testing.T) {
 		"cobra": func(a sim.Arch) (sim.Metrics, error) { return sim.RunCOBRA(app, sim.CobraOpt{}, a) },
 		"phi":   func(a sim.Arch) (sim.Metrics, error) { return sim.RunPHI(app, 64, a) },
 	}
+	got := map[string]sim.Metrics{}
 	for scheme, run := range runs {
-		b, err1 := run(arch)
-		s, err2 := run(arch.WithScalarWalk())
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+		m, err := run(arch)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(b, s) {
-			t.Errorf("%s under NUCA: fast walk diverges from scalar walk", scheme)
-		}
+		got[scheme] = m
 	}
+	checkDigests(t, got)
 }
 
 // figureCell is one simulation cell of Figure 10 or Table I.
@@ -177,30 +243,50 @@ func figureCells(t *testing.T, scale int, seed uint64) ([]figureCell, map[string
 	return cells, apps
 }
 
-// TestFigureCellsMatchScalar extends the equivalence to the workloads
-// the headline artifacts are built from: every Figure 10 and Table I
-// cell at scale 12, on 1 and 4 cores, must produce identical Metrics
-// on the fast walk and on the scalar-walk oracle — so the figure tables
-// derived from them are byte-identical too.
+// TestFigureCellsMatchScalar pins the workloads the headline artifacts are
+// built from: every Figure 10 and Table I cell at scale 12, on 1 and 4
+// cores, so the figure tables derived from them stay byte-identical.
 func TestFigureCellsMatchScalar(t *testing.T) {
 	cells, apps := figureCells(t, 12, 42)
+	got := map[string]sim.Metrics{}
 	for _, cores := range []int{1, 4} {
 		arch := sim.DefaultArch().WithCores(cores)
-		oracleArch := arch.WithScalarWalk()
 		for _, c := range cells {
 			name := fmt.Sprintf("%s/%s/%s/bins=%d/cores=%d", c.app, c.input, c.scheme, c.bins, cores)
-			app := apps[c.app+"/"+c.input]
-			b, err := exp.RunScheme(app, c.scheme, c.bins, arch)
+			m, err := exp.RunScheme(apps[c.app+"/"+c.input], c.scheme, c.bins, arch)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			s, err := exp.RunScheme(app, c.scheme, c.bins, oracleArch)
-			if err != nil {
-				t.Fatalf("%s scalar walk: %v", name, err)
-			}
-			if !reflect.DeepEqual(b, s) {
-				t.Errorf("%s: fast-walk metrics diverge from scalar-walk oracle\nfast:   %+v\noracle: %+v", name, b, s)
-			}
+			got[name] = m
 		}
 	}
+	checkDigests(t, got)
+}
+
+// TestAblationA2MatchesScalar pins ablation A2's cells — the
+// DegreeCount/URND baseline at scale 12 under each LLC policy — and
+// runAll on one core under the TrueLRU and Random LLCs, whose ways
+// COBRA reserves too.
+func TestAblationA2MatchesScalar(t *testing.T) {
+	app, err := exp.BuildApp("DegreeCount", "URND", 12, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]sim.Metrics{}
+	for _, p := range []cache.PolicyKind{cache.DRRIP, cache.TrueLRU, cache.Random} {
+		arch := sim.DefaultArch()
+		arch.Mem.LLC.Policy = p
+		m, err := exp.RunScheme(app, sim.SchemeBaseline, 0, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["a2/"+p.String()] = m
+		if p == cache.DRRIP {
+			continue
+		}
+		for name, m := range runAll(t, arch) {
+			got[p.String()+"/"+name] = m
+		}
+	}
+	checkDigests(t, got)
 }

@@ -2,10 +2,9 @@ package sim
 
 import "cobra/internal/core"
 
-// Test hooks for the external sim_test package: the scalar-walk
-// oracle switch, and the machine pool's construction and checkout steps,
-// reachable without going through the pool (whose hand-outs a test
-// cannot force).
+// Test hooks for the external sim_test package: the machine pool's
+// construction and checkout steps, reachable without going through the
+// pool (whose hand-outs a test cannot force).
 
 // BuildMach constructs a machine without consulting the pool.
 var BuildMach = buildMach
@@ -30,14 +29,6 @@ var ShardRange = shardRange
 func DrainPool() {
 	for machPool.Get() != nil {
 	}
-}
-
-// WithScalarWalk returns a copy of a whose machines' hierarchies take
-// the scalar cache.Cache walk (the oracle the fast walk is verified
-// against).
-func (a Arch) WithScalarWalk() Arch {
-	a.scalarWalk = true
-	return a
 }
 
 // Merge folds m with rest, per MergeMetrics.

@@ -7,6 +7,8 @@ package sim_test
 import (
 	"runtime"
 	"runtime/debug"
+	"sort"
+	"sync"
 	"testing"
 
 	"cobra/internal/phi"
@@ -14,27 +16,42 @@ import (
 	"cobra/internal/simtest"
 )
 
-// recordingApplier records the machine of every core a gang shards to.
+// recordingApplier records the machine of every core that applies an
+// update, with the smallest key it applied.
 type recordingApplier struct {
-	sim.ShardApplier
-	machs *[]*sim.Mach
+	sim.Applier
+	mu    *sync.Mutex
+	first map[*sim.Mach]uint32
 }
 
-func (r recordingApplier) Shard(m *sim.Mach) sim.Applier {
-	*r.machs = append(*r.machs, m)
-	return r.ShardApplier.Shard(m)
+func (r recordingApplier) Apply(m *sim.Mach, key uint32, val uint64) {
+	r.mu.Lock()
+	if k, ok := r.first[m]; !ok || key < k {
+		r.first[m] = key
+	}
+	r.mu.Unlock()
+	r.Applier.Apply(m, key, val)
 }
 
-// gangMachs wraps app so every core's machine of the next run is
-// recorded, in core order.
-func gangMachs(app *sim.App) *[]*sim.Mach {
-	got := new([]*sim.Mach)
+// gangMachs wraps app so the machines of the next run's cores that
+// apply updates are recorded; the returned function lists them in core
+// order. COBRA's Accumulate hands core c the c-th range of bins, so
+// core order is the order of the smallest key each core applied.
+func gangMachs(app *sim.App) func() []*sim.Mach {
+	r := recordingApplier{mu: new(sync.Mutex), first: map[*sim.Mach]uint32{}}
 	orig := app.NewApplier
 	app.NewApplier = func(m *sim.Mach) sim.Applier {
-		*got = append(*got, m)
-		return recordingApplier{orig(m).(sim.ShardApplier), got}
+		r.Applier = orig(m)
+		return r
 	}
-	return got
+	return func() []*sim.Mach {
+		var machs []*sim.Mach
+		for m := range r.first {
+			machs = append(machs, m)
+		}
+		sort.Slice(machs, func(i, j int) bool { return r.first[machs[i]] < r.first[machs[j]] })
+		return machs
+	}
 }
 
 // chunkBinCounts counts the tuples of core c's chunk (of n) per bin of
@@ -81,11 +98,12 @@ func TestCOBRABinsCarvedAtInitOffsets(t *testing.T) {
 				t.Fatal(err)
 			}
 			simtest.CheckCounts(t, "COBRA", *counts, simtest.RefCounts(app))
-			if len(*machs) != cores {
-				t.Fatalf("%d cores: recorded %d machines", cores, len(*machs))
+			ms := machs()
+			if len(ms) != cores {
+				t.Fatalf("%d cores: recorded %d machines", cores, len(ms))
 			}
-			for c, m := range *machs {
-				for _, b := range *bigMachs {
+			for c, m := range ms {
+				for _, b := range bigMachs() {
 					recycled = recycled || m == b
 				}
 				bins, arena := m.HostBins()

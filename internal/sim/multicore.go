@@ -52,43 +52,34 @@ func shardOwner(k, n, total int) int {
 }
 
 // gang is one scheme run: n per-core machines in allocation lockstep,
-// per-core views of one shared functional applier, the run's
-// observation, the simulated input stream, and the per-core Metrics
-// the phases fill in.
+// the one functional applier every core issues its updates through,
+// the run's observation, the simulated input stream, and the per-core
+// Metrics the phases fill in.
 type gang struct {
-	n     int
-	machs []*Mach
-	apps  []Applier // apps[0] is the primary (NewApplier) instance
-	app   *App
-	ro    runObs
-	input Region
-	mets  []Metrics
+	n       int
+	machs   []*Mach
+	applier Applier
+	app     *App
+	ro      runObs
+	input   Region
+	mets    []Metrics
 }
 
 // newGang checks out the per-core machines for one run of scheme,
-// builds the applier views and lays out the input stream. The applier
+// builds the applier and lays out the input stream. The applier
 // allocates its regions on core 0; the other machines' allocators are
 // then synced so every later gang allocation lands at the same base on
 // every core (each core addresses an identical layout through its own
-// private hierarchy). Only a gang of more than one core needs a
-// ShardApplier. The caller ends the run with g.close.
-func newGang(app *App, arch Arch, scheme Scheme) (*gang, error) {
+// private hierarchy). The caller ends the run with g.close.
+func newGang(app *App, arch Arch, scheme Scheme) *gang {
 	n := arch.Cores()
-	g := &gang{n: n, machs: make([]*Mach, n), apps: make([]Applier, n), app: app}
+	g := &gang{n: n, machs: make([]*Mach, n), app: app}
 	for c := range g.machs {
 		g.machs[c] = NewMach(arch)
 	}
-	g.apps[0] = app.NewApplier(g.machs[0])
-	if n > 1 {
-		sh, ok := g.apps[0].(ShardApplier)
-		if !ok {
-			g.release()
-			return nil, fmt.Errorf("sim: app %s applier (%T) does not support multi-core sharding", app.Name, g.apps[0])
-		}
-		for c := 1; c < n; c++ {
-			g.machs[c].next = g.machs[0].next
-			g.apps[c] = sh.Shard(g.machs[c])
-		}
+	g.applier = app.NewApplier(g.machs[0])
+	for c := 1; c < n; c++ {
+		g.machs[c].next = g.machs[0].next
 	}
 	g.ro = beginRunObs(scheme, app, n)
 	g.input = g.alloc(uint64(app.NumUpdates) * uint64(app.StreamBytes))
@@ -96,7 +87,7 @@ func newGang(app *App, arch Arch, scheme Scheme) (*gang, error) {
 	for c := range g.mets {
 		g.mets[c] = Metrics{App: app.Name, Input: app.InputName, Scheme: scheme}
 	}
-	return g, nil
+	return g
 }
 
 // release returns every core's machine to the pool.
@@ -210,13 +201,9 @@ func RunBaseline(app *App, arch Arch) (Metrics, error) {
 	if err := app.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	g, err := newGang(app, arch, SchemeBaseline)
-	if err != nil {
-		return Metrics{}, err
-	}
+	g := newGang(app, arch, SchemeBaseline)
 	defer g.close()
-	err = g.phase("accumulate.wall", func(c int, mach *Mach) {
-		applier := g.apps[c]
+	err := g.phase("accumulate.wall", func(c int, mach *Mach) {
 		j := 0
 		app.ForEach(func(key uint32, val uint64, newGroup bool) {
 			if shardOwner(int(key), g.n, app.NumKeys) != c {
@@ -225,7 +212,7 @@ func RunBaseline(app *App, arch Arch) (Metrics, error) {
 			mach.CPU.Load(g.input.Addr(uint64(j) * uint64(app.StreamBytes)))
 			mach.CPU.Branch(pcInnerLoop, !newGroup)
 			mach.CPU.ALU(1 + app.ApplyALU) // address math + apply work
-			applier.Apply(key, val)
+			g.applier.Apply(mach, key, val)
 			j++
 		})
 		mach.CPU.DrainMem()
@@ -303,7 +290,6 @@ func (g *gang) accumulate(perSrc [][][]core.Tuple, prefix [][]int, srcRegions []
 		}
 	}
 	return g.phase("accumulate.wall", func(c int, mach *Mach) {
-		applier := g.apps[c]
 		start := markPhase(mach)
 		binLo, binHi := shardRange(c, g.n, numBins)
 		for b := binLo; b < binHi; b++ {
@@ -318,7 +304,7 @@ func (g *gang) accumulate(perSrc [][][]core.Tuple, prefix [][]int, srcRegions []
 					mach.CPU.Load(srcRegions[s].Addr(uint64(pos) * tb))
 					mach.CPU.Branch(pcBinLoop, true)
 					mach.CPU.ALU(1 + g.app.ApplyALU)
-					applier.Apply(t.Key, t.Val)
+					g.applier.Apply(mach, t.Key, t.Val)
 					pos++
 				}
 			}
@@ -384,10 +370,7 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 	if err := app.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	g, err := newGang(app, arch, SchemePBSW)
-	if err != nil {
-		return Metrics{}, err
-	}
+	g := newGang(app, arch, SchemePBSW)
 	defer g.close()
 	lay := g.planPB(numBins)
 
@@ -399,7 +382,7 @@ func RunPBSW(app *App, numBins int, arch Arch) (Metrics, error) {
 	perSrc := make([][][]core.Tuple, g.n)
 	prefix := make([][]int, g.n)
 	tb := uint64(app.TupleBytes)
-	err = g.phase("binning.wall", func(c int, mach *Mach) {
+	err := g.phase("binning.wall", func(c int, mach *Mach) {
 		start := markPhase(mach)
 		scratch := &mach.bins
 		scratch.prefixSums()
@@ -517,10 +500,7 @@ func RunCOBRA(app *App, opt CobraOpt, arch Arch) (Metrics, error) {
 	if opt.Coalesce {
 		scheme = SchemeComm
 	}
-	g, err := newGang(app, arch, scheme)
-	if err != nil {
-		return Metrics{}, err
-	}
+	g := newGang(app, arch, scheme)
 	defer g.close()
 	machines := make([]*core.Machine, g.n)
 	for c := range machines {
@@ -598,10 +578,7 @@ func RunPHI(app *App, numBins int, arch Arch) (Metrics, error) {
 	if !app.Commutative || app.Reduce == nil {
 		return Metrics{}, fmt.Errorf("sim: PHI is inapplicable to %s (§III-B: updates must coalesce losslessly)", app.Name)
 	}
-	g, err := newGang(app, arch, SchemePHI)
-	if err != nil {
-		return Metrics{}, err
-	}
+	g := newGang(app, arch, SchemePHI)
 	defer g.close()
 	phiCfg := phi.DefaultConfig(app.TupleBytes, numBins)
 	phiCfg.Reduce = app.Reduce
@@ -612,7 +589,7 @@ func RunPHI(app *App, numBins int, arch Arch) (Metrics, error) {
 
 	// ---- Binning: stream the chunk (real cache traffic); coalescing
 	// and residue writes are idealized per the paper's PHI methodology.
-	err = g.phase("binning.wall", func(c int, mach *Mach) {
+	err := g.phase("binning.wall", func(c int, mach *Mach) {
 		model := models[c]
 		start := markPhase(mach)
 		g.forEachChunk(c, func(i int, key uint32, val uint64, newGroup bool) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"cobra/internal/cache"
 	"cobra/internal/sim"
 	"cobra/internal/simtest"
 )
@@ -51,12 +52,15 @@ func captureMachs(app *sim.App) *[]*sim.Mach {
 // way reservations (COBRA), unpartitioned C-Buffer traffic, NT-store
 // write-combining (PB-SW), context switches — then resets it as NewMach
 // does on a pool hit and compares hierarchy and core against a
-// machine built from scratch, on both walks. A field added later without
-// Reset coverage fails here.
+// machine built from scratch, under Table II's LLC policy and the two
+// others ablation A2 runs. A field added later without Reset coverage
+// fails here.
 func TestRecycledMachineEqualsNew(t *testing.T) {
-	archs := map[string]sim.Arch{
-		"fast walk":   sim.DefaultArch(),
-		"scalar walk": sim.DefaultArch().WithScalarWalk(),
+	archs := map[string]sim.Arch{"DRRIP LLC": sim.DefaultArch()}
+	for _, p := range []cache.PolicyKind{cache.TrueLRU, cache.Random} {
+		arch := sim.DefaultArch()
+		arch.Mem.LLC.Policy = p
+		archs[p.String()+" LLC"] = arch
 	}
 	for an, arch := range archs {
 		for _, sr := range schemeRuns() {

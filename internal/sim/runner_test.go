@@ -92,31 +92,10 @@ func TestRunnerObsvNames(t *testing.T) {
 	}
 }
 
-// plainApplier hides the wrapped applier's Shard method.
-type plainApplier struct{ sim.Applier }
-
-// TestNonShardApplierRunsOnOneCore: only a gang of more than one core
-// needs a ShardApplier.
-func TestNonShardApplierRunsOnOneCore(t *testing.T) {
-	app, counts := simtest.CountApp(1<<12, 20000, 6)
-	orig := app.NewApplier
-	app.NewApplier = func(m *sim.Mach) sim.Applier { return plainApplier{orig(m)} }
-	for _, sr := range schemeRuns() {
-		if _, err := sr.run(app, sim.DefaultArch()); err != nil {
-			t.Fatalf("%s on 1 core: %v", sr.name, err)
-		}
-		simtest.CheckCounts(t, sr.name, *counts, simtest.RefCounts(app))
-		_, err := sr.run(app, sim.DefaultArch().WithCores(2))
-		if err == nil || !strings.Contains(err.Error(), "does not support multi-core sharding") {
-			t.Fatalf("%s on 2 cores: err = %v, want the sharding error", sr.name, err)
-		}
-	}
-}
-
 // panicApplier fails on its first update.
 type panicApplier struct{}
 
-func (panicApplier) Apply(uint32, uint64) { panic("applier failed") }
+func (panicApplier) Apply(*sim.Mach, uint32, uint64) { panic("applier failed") }
 
 // TestOneCorePanicReturnsError: a panicking applier on one core comes
 // back as the run's error naming core 0, as on a multi-core gang, and

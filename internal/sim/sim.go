@@ -33,12 +33,6 @@ type Arch struct {
 	// MergeMetrics, which is the identity on one core. See DESIGN.md
 	// §9 for the shard/merge model.
 	NumCores int
-
-	// scalarWalk puts the hierarchies of machines built from this Arch
-	// on the scalar cache.Cache walk (mem.Hierarchy.ScalarWalk) — the
-	// whole-run oracle the fast walk must match bit for bit. Only the
-	// differential tests set it, through a hook in export_test.go.
-	scalarWalk bool
 }
 
 // DefaultMultiCores is the paper's evaluated machine width (Table II:
@@ -94,8 +88,7 @@ type Mach struct {
 	CPU *cpu.Core
 	H   *mem.Hierarchy
 
-	scalarWalk bool // H is on the scalar walk (Arch.scalarWalk)
-	next       uint64
+	next uint64
 
 	// The host store outlives each run, so the next run on this Mach
 	// reuses its arrays instead of allocating them: cbufs backs the
@@ -127,16 +120,13 @@ func NewMach(a Arch) *Mach {
 // buildMach constructs a machine from scratch.
 func buildMach(a Arch) *Mach {
 	h := mem.New(a.Mem)
-	if a.scalarWalk {
-		h.ScalarWalk()
-	}
-	return &Mach{CPU: cpu.New(a.CPU, h), H: h, scalarWalk: a.scalarWalk, next: 1 << 20}
+	return &Mach{CPU: cpu.New(a.CPU, h), H: h, next: 1 << 20}
 }
 
 // fits reports whether m was built for a machine equal to a's. The core
 // count is not part of a machine: every core of a gang is the same.
 func (m *Mach) fits(a Arch) bool {
-	return m.H.Config() == a.Mem && m.CPU.Config() == a.CPU && m.scalarWalk == a.scalarWalk
+	return m.H.Config() == a.Mem && m.CPU.Config() == a.CPU
 }
 
 // recycle resets a released machine to the state buildMach leaves:
@@ -194,7 +184,8 @@ type App struct {
 	// inner-loop branch model, making power-law trip counts genuinely
 	// hard to predict (paper footnote 3).
 	ForEach func(emit func(key uint32, val uint64, newGroup bool))
-	// NewApplier returns a fresh functional state bound to mach regions.
+	// NewApplier returns a fresh functional state whose simulated
+	// arrays it allocates on m.
 	NewApplier func(m *Mach) Applier
 	// ApplyALU is the applier's pure-ALU work per update, charged by the
 	// harness (address math, value ops).
@@ -207,21 +198,13 @@ type App struct {
 }
 
 // Applier performs one update against real data arrays, issuing the
-// update's irregular accesses on the machine.
+// update's irregular accesses on m, the machine of the core that owns
+// the update. One applier serves every core of a run: its functional
+// state (the real data slices) is shared, and since runs partition the
+// key range across cores, the cores touch disjoint slice elements and
+// the arrays end up bitwise identical to a single-core run.
 type Applier interface {
-	Apply(key uint32, val uint64)
-}
-
-// ShardApplier is an Applier that supports multi-core sharding: Shard
-// returns a view bound to machine m that SHARES the receiver's
-// functional state (the real data slices) while issuing its machine
-// ops on m. Sharded runs partition the key range across cores, so
-// per-core views touch disjoint slice elements and the shared arrays
-// end up bitwise identical to a single-core run. Apps whose applier
-// does not implement this cannot run with Arch.NumCores > 1.
-type ShardApplier interface {
-	Applier
-	Shard(m *Mach) Applier
+	Apply(m *Mach, key uint32, val uint64)
 }
 
 // Validate sanity-checks an app definition.

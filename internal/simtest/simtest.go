@@ -115,32 +115,22 @@ func CountAppDist(dist Dist, numKeys, n int, seed uint64) (*sim.App, *[]uint32) 
 		NewApplier: func(m *sim.Mach) sim.Applier {
 			c := make([]uint32, numKeys)
 			*counts = c
-			return &countApplier{m: m, r: m.Alloc(uint64(numKeys) * 4), c: c}
+			return &countApplier{r: m.Alloc(uint64(numKeys) * 4), c: c}
 		},
 	}, counts
 }
 
 // countApplier performs one counter increment against the machine.
 type countApplier struct {
-	m *sim.Mach
 	r sim.Region
 	c []uint32
 }
 
-func (a *countApplier) Apply(key uint32, val uint64) {
+func (a *countApplier) Apply(m *sim.Mach, key uint32, val uint64) {
 	addr := a.r.Addr(uint64(key) * 4)
-	a.m.CPU.Load(addr)
-	a.m.CPU.Store(addr)
+	m.CPU.Load(addr)
+	m.CPU.Store(addr)
 	a.c[key] += uint32(val)
-}
-
-// Shard returns a per-core view of the applier sharing the counter
-// array, so sharded runs mutate the same observable functional state
-// (key-partitioned: views write disjoint elements).
-func (a *countApplier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 // RefCounts computes the functional oracle: a direct replay of the

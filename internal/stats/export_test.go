@@ -1,7 +1,10 @@
 package stats
 
+import "math"
+
 // Test-only helpers: nothing outside this package's tests takes the
-// previous power of two or buckets values into a histogram.
+// previous power of two, buckets values into a histogram, splits a
+// generator or draws an exponential variate.
 
 // PrevPow2 returns the largest power of two <= n for n >= 1; it panics on 0.
 func PrevPow2(n uint64) uint64 {
@@ -50,4 +53,16 @@ func (h *Histogram) Frac(i int) float64 {
 		return 0
 	}
 	return float64(h.Buckets[i]) / float64(h.Count)
+}
+
+// Split derives an independent generator; the i-th split of a seed is
+// stable across calls, which lets parallel workers draw disjoint streams.
+func (r *Rand) Split() *Rand {
+	return NewRand(r.Uint64())
+}
+
+// Exp returns an exponentially distributed float64 with rate 1.
+func (r *Rand) Exp() float64 {
+	// Inverse CDF; Float64 never returns 1.0 so the log argument is > 0.
+	return -math.Log(1 - r.Float64())
 }

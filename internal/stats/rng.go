@@ -6,8 +6,6 @@
 // experiment is reproducible bit-for-bit from its seed.
 package stats
 
-import "math"
-
 // Rand is a splitmix64-seeded xoshiro256** generator. It is deliberately
 // not math/rand: we need a stable algorithm whose streams never change
 // between Go releases, so figures regenerate identically.
@@ -101,16 +99,4 @@ func (r *Rand) Perm(n int) []uint32 {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Split derives an independent generator; the i-th split of a seed is
-// stable across calls, which lets parallel workers draw disjoint streams.
-func (r *Rand) Split() *Rand {
-	return NewRand(r.Uint64())
-}
-
-// Exp returns an exponentially distributed float64 with rate 1.
-func (r *Rand) Exp() float64 {
-	// Inverse CDF; Float64 never returns 1.0 so the log argument is > 0.
-	return -math.Log(1 - r.Float64())
 }

@@ -159,25 +159,15 @@ func (w Workload) ApplyWindow(idx int, st *State) {
 // applier performs stream updates against the persistent state while
 // issuing each update's read-modify-write on the simulated machine.
 type applier struct {
-	m    *sim.Mach
 	reg  sim.Region
 	vals []uint64
 }
 
-func (a *applier) Apply(key uint32, val uint64) {
+func (a *applier) Apply(m *sim.Mach, key uint32, val uint64) {
 	addr := a.reg.Addr(uint64(key) * 8)
-	a.m.CPU.Load(addr)
-	a.m.CPU.Store(addr)
+	m.CPU.Load(addr)
+	m.CPU.Store(addr)
 	a.vals[key] += val
-}
-
-// Shard returns a per-core view issuing ops on m while sharing the
-// functional weight array (sharded runs partition the key range, so
-// views write disjoint elements).
-func (a *applier) Shard(m *sim.Mach) sim.Applier {
-	s := *a
-	s.m = m
-	return &s
 }
 
 func addU64(a, b uint64) uint64 { return a + b }
@@ -229,7 +219,7 @@ func (w Workload) appRange(lo, hi int, st *State) *sim.App {
 			} else {
 				vals = make([]uint64, w.NumKeys)
 			}
-			return &applier{m: m, reg: m.Alloc(uint64(w.NumKeys) * 8), vals: vals}
+			return &applier{reg: m.Alloc(uint64(w.NumKeys) * 8), vals: vals}
 		},
 	}
 }
